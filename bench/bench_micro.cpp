@@ -508,13 +508,12 @@ void BM_ShardedWalkK(benchmark::State& state) { sharded_walk_bench(state, 4); }
 BENCHMARK(BM_ShardedWalkK)->UseRealTime();
 
 // BM_ShardedMeet / BM_ShardedHybrid: whole sharded trials of the two
-// simulators this series now covers — 10^7 + 1 agents (one per vertex, so
-// construction is a deterministic fill rather than 10^7 alias-sampler
-// draws) stepping on the huge star for kShardedPushRounds rounds. The
-// process constructor is serial at either width and would dilute the K/1
-// ratio, so it runs under PauseTiming; the timed region is exactly the
-// sharded round loop (walk kernel + mark/meet or push/pull/agent passes +
-// serial merges).
+// simulators this series now covers — 10^7 + 1 agents (one per vertex)
+// stepping on the huge star for kShardedPushRounds rounds. The process
+// constructor (parallel placement and round-0 seeding passes, plus O(1)
+// arena resets) runs under PauseTiming, so the timed region is exactly
+// the sharded round loop (walk kernel + mark/meet or push/pull/agent
+// passes + hybrid's serial merges).
 
 void sharded_meet_bench(benchmark::State& state, std::uint32_t shards) {
   const Graph& g = huge_star();

@@ -479,7 +479,7 @@ int main(int argc, char** argv) {
     for (const ScenarioSpec& spec : *specs) {
       std::string why;
       const auto probe = spec.graph.probe(&why);
-      if (!probe) {
+      if (!probe || !check_scenario_size(spec, probe->n, &why)) {
         // A parseable line with impossible parameters still echoes (this
         // is a dry run), but carries the reason a real run would exit 2.
         std::printf("%s  # invalid: %s\n", spec.name().c_str(), why.c_str());

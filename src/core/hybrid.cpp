@@ -18,21 +18,23 @@ HybridProcess::HybridProcess(const Graph& g, Vertex source,
       laziness_(resolve_laziness(g, options.lazy)),
       cutoff_(options.max_rounds != 0 ? options.max_rounds
                                       : default_round_cutoff(g.num_vertices())),
+      sharded_(sharding_enabled(options.shards, g.num_vertices())),
+      shard_width_(sharded_ ? resolve_shard_width(options.shards) : 1),
+      seed_(seed),
       owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
       arena_(arena != nullptr ? arena : owned_arena_.get()),
       agents_(g, resolve_agent_count(g, options), options.placement, rng_,
-              resolve_anchor(options, source), arena_) {
+              resolve_anchor(options, source), arena_,
+              sharded_ ? ShardedPlacement{seed, shard_width_}
+                       : ShardedPlacement{}) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
   // Sharded mode replaces the stepping engine wholesale (per-walker
   // addressable draws); the CLI rejects the incompatible combinations
   // with a message, these REQUIREs are the API-user backstop.
-  sharded_ = sharding_enabled(options_.shards, g.num_vertices());
   if (sharded_) {
     RUMOR_REQUIRE(!options_.trace.edge_traffic);
     RUMOR_REQUIRE(options_.engine == StepEngine::batched);
-    shard_width_ = resolve_shard_width(options_.shards);
-    seed_ = seed;
   }
   target_ = g.num_vertices();
   const std::size_t count = agents_.count();
@@ -40,7 +42,6 @@ HybridProcess::HybridProcess(const Graph& g, Vertex source,
   arena_->agent_inform_round.reset(count, kNeverInformed);
   arena_->informed_nbr_count.reset(g.num_vertices(), 0);
   arena_->vertex_marks.reset(g.num_vertices());  // ever-in-frontier marks
-  order_.reset(*arena_, count);
   arena_->active.clear();
   arena_->active.reserve(g.num_vertices());  // high-water once, then free
   arena_->frontier.clear();
@@ -48,8 +49,14 @@ HybridProcess::HybridProcess(const Graph& g, Vertex source,
   if (options_.trace.informed_curve) arena_->curve.clear();
 
   inform_vertex(source);
-  for (Agent a = 0; a < count; ++a) {
-    if (agents_.position(a) == source) inform_agent_at(order_.index_of(a));
+  if (sharded_) {
+    informed_agent_count_ = inform_agents_on_source(
+        *arena_, agents_.positions(), source, shard_width_);
+  } else {
+    order_.reset(*arena_, count);
+    for (Agent a = 0; a < count; ++a) {
+      if (agents_.position(a) == source) inform_agent_at(order_.index_of(a));
+    }
   }
   if (options_.trace.informed_curve) {
     arena_->curve.push_back(informed_vertex_count_);
@@ -236,8 +243,10 @@ void HybridProcess::step_impl() {
 // fan-outs, preserving the legacy intra-round ordering:
 //
 //   (1) sharded walk step  (per-walker addressable draws)
-//   (2) agent-inform pass  (kShardPhaseAgentInform; slot = order index)
-//       -> serial merge informs vertices
+//   (2) agent-inform pass  (kShardPhaseAgentInform; slot = agent id)
+//       -> serial merge informs vertices in agent-id order, which keys
+//       the order of the active/frontier lists and so the push and pull
+//       slots below
 //   (3) caller/puller filters on the POST-(2) lists, as the serial round
 //       filters after the agent informs; pusher draws (kShardPhasePush;
 //       slot = compacted caller index) skip vertices informed in (2) this
@@ -245,16 +254,17 @@ void HybridProcess::step_impl() {
 //       informed_before_this_round guard -> serial push merge; puller
 //       draws (kShardPhasePull; slot = filtered frontier index) read the
 //       post-push-merge state and skip "pushed now" -> serial pull merge
-//   (4) agent-catch pass   (kShardPhaseAgentCatch; slot = order index) on
-//       the post-(3) vertex state -> serial merge informs agents
+//   (4) agent-catch pass   (kShardPhaseAgentCatch; slot = agent id) on
+//       the post-(3) vertex state; each slot writes its own agent's
+//       inform round in place, with no merge
 //
 // Every parallel slot draws from its own addressable chain, every shard
-// writes only its own scratch segment, and each merge visits candidates
-// in shard-major = global slot order, so the round is a pure function of
-// the round-start state and the draw plane — independent of partition and
-// worker count. As in sharded push, a slot whose target was claimed by an
-// earlier slot still draws its words and is discarded at the merge:
-// independent variates deciding nothing observable.
+// writes only its own scratch segment or its own agents, and each merge
+// visits candidates in shard-major = global slot order, so the round is a
+// pure function of the round-start state and the draw plane — independent
+// of partition and worker count. As in sharded push, a slot whose target
+// was claimed by an earlier slot still draws its words and is discarded at
+// the merge: independent variates deciding nothing observable.
 template <class Mode, class Access>
 void HybridProcess::step_sharded(const Access& acc) {
   constexpr bool kGeneral = std::is_same_v<Mode, transmission::General>;
@@ -282,29 +292,29 @@ void HybridProcess::step_sharded(const Access& acc) {
     scratch[s].candidates.reserve(cap);
   }
   const ShardPlane plane(seed_, round_);
-  const std::size_t informed_agents_at_start = informed_agent_count_;
 
   // (2) agent-inform candidates: the vertex each previously-informed agent
-  // delivers to (round-start vertex state). The clears run serially before
-  // every fan-out: parallel_for_ranges clamps the shard count to the item
-  // count, so a clear inside the callback would skip tail segments
-  // whenever fewer items than width exist and leave stale entries.
+  // delivers to (round-start vertex state), in agent-id order. The clears
+  // run serially before every fan-out: parallel_for_ranges clamps the
+  // shard count to the item count, so a clear inside the callback would
+  // skip tail segments whenever fewer items than width exist and leave
+  // stale entries.
   {
+    const Vertex* pos = agents_.positions().data();
+    const auto agent_view = arena_->agent_inform_round.view();
     const auto informed = arena_->vertex_inform_round.view();
     for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
     shard_pool().parallel_for_ranges(
-        informed_agents_at_start, width,
-        [&](std::size_t s, std::size_t begin, std::size_t end) {
+        count, width, [&](std::size_t s, std::size_t begin, std::size_t end) {
           auto& out = scratch[s].candidates;
-          for (std::size_t idx = begin; idx < end; ++idx) {
-            const Agent a = order_.at(idx);
-            const Vertex v = agents_.position(a);
+          for (std::size_t a = begin; a < end; ++a) {
+            if (!agent_view.touched(a)) continue;
+            const Vertex v = pos[a];
             if (informed.touched(v)) continue;
             if constexpr (kGeneral) {
               SlotDraws draws(plane, kShardPhaseAgentInform,
-                              static_cast<std::uint32_t>(idx));
-              if (!model_.can_transmit<Mode>(
-                      arena_->agent_inform_round.get(a), v, round_) ||
+                              static_cast<std::uint32_t>(a));
+              if (!model_.can_transmit<Mode>(agent_view.get(a), v, round_) ||
                   !model_.attempt_from<Mode>(v, draws)) {
                 continue;
               }
@@ -438,37 +448,13 @@ void HybridProcess::step_sharded(const Access& acc) {
     }
   }
 
-  // (4) agent-catch candidates: order indices of uninformed agents on an
-  // informed vertex (post-(3) state, like the serial loop). Candidates are
-  // ascending distinct order indices, so the merge's inform_agent_at(idx)
-  // calls keep the informed-prefix CHECK.
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
-  shard_pool().parallel_for_ranges(
-      count - informed_agents_at_start, width,
-      [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].candidates;
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t idx = informed_agents_at_start + i;
-          const Agent a = order_.at(idx);
-          const Vertex v = agents_.position(a);
-          if (!arena_->vertex_inform_round.touched(v)) continue;
-          if constexpr (kGeneral) {
-            SlotDraws draws(plane, kShardPhaseAgentCatch,
-                            static_cast<std::uint32_t>(idx));
-            if (!model_.can_transmit<Mode>(
-                    arena_->vertex_inform_round.get(v), v, round_) ||
-                !model_.attempt_from<Mode>(v, draws)) {
-              continue;
-            }
-          }
-          out.push_back(static_cast<std::uint32_t>(idx));
-        }
-      });
-  for (std::uint32_t s = 0; s < width; ++s) {
-    for (const std::uint32_t idx : scratch[s].candidates) {
-      inform_agent_at(idx);
-    }
-  }
+  // (4) agent catches: uninformed agents on an informed vertex (post-(3)
+  // state, like the serial loop) become informed, unless the vertex has
+  // stifled or is quarantined.
+  const std::size_t agent_informs = catch_agents_sharded<Mode>(
+      *arena_, model_, agents_.positions(), plane, round_, width);
+  informed_agent_count_ += agent_informs;
+  if (agent_informs > 0) last_inform_round_ = round_;
 
   if (options_.trace.informed_curve) {
     arena_->curve.push_back(informed_vertex_count_);

@@ -72,18 +72,20 @@ class HybridProcess {
   Round cutoff_;
   std::uint32_t target_ = 0;  // blocking containment target (vertices)
   Round last_inform_round_ = 0;
-  std::unique_ptr<TrialArena> owned_arena_;
-  TrialArena* arena_;
-  AgentSystem agents_;
-  // Identity-default informed-prefix partition over the arena's order
-  // arrays: [0, informed_agent_count_) are the informed agents.
-  AgentOrderView order_;
-  std::uint32_t informed_vertex_count_ = 0;
-  std::size_t informed_agent_count_ = 0;
-  // Frontier-sharded round engine (core/sharding): fixed at construction.
+  // Frontier-sharded round engine (core/sharding): fixed at construction,
+  // before the agents are placed (sharded trials place from the plane).
   bool sharded_ = false;
   std::uint32_t shard_width_ = 1;
   std::uint64_t seed_ = 0;  // ShardPlane key seed (the trial seed)
+  std::unique_ptr<TrialArena> owned_arena_;
+  TrialArena* arena_;
+  AgentSystem agents_;
+  // Serial engine only: identity-default informed-prefix partition over
+  // the arena's order arrays ([0, informed_agent_count_) are the informed
+  // agents). The sharded engine iterates agents by id instead.
+  AgentOrderView order_;
+  std::uint32_t informed_vertex_count_ = 0;
+  std::size_t informed_agent_count_ = 0;
 };
 
 [[nodiscard]] RunResult run_hybrid(const Graph& g, Vertex source,

@@ -18,10 +18,15 @@ MeetExchangeProcess::MeetExchangeProcess(const Graph& g, Vertex source,
       laziness_(resolve_laziness(g, options.lazy)),
       cutoff_(options.max_rounds != 0 ? options.max_rounds
                                       : default_round_cutoff(g.num_vertices())),
+      sharded_(sharding_enabled(options.shards, g.num_vertices())),
+      shard_width_(sharded_ ? resolve_shard_width(options.shards) : 1),
+      seed_(seed),
       owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
       arena_(arena != nullptr ? arena : owned_arena_.get()),
       agents_(g, resolve_agent_count(g, options), options.placement, rng_,
-              resolve_anchor(options, source), arena_),
+              resolve_anchor(options, source), arena_,
+              sharded_ ? ShardedPlacement{seed, shard_width_}
+                       : ShardedPlacement{}),
       source_(source) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
@@ -29,16 +34,12 @@ MeetExchangeProcess::MeetExchangeProcess(const Graph& g, Vertex source,
   // addressable draws) and cannot express the per-edge traced stream; the
   // CLI rejects both combinations with a message, these REQUIREs are the
   // API-user backstop.
-  sharded_ = sharding_enabled(options_.shards, g.num_vertices());
   if (sharded_) {
     RUMOR_REQUIRE(!options_.trace.edge_traffic);
     RUMOR_REQUIRE(options_.engine == StepEngine::batched);
-    shard_width_ = resolve_shard_width(options_.shards);
-    seed_ = seed;
   }
   const std::size_t count = agents_.count();
   arena_->agent_inform_round.reset(count, kNeverInformed);
-  order_.reset(*arena_, count);
   arena_->vertex_marks.reset(g.num_vertices());
   if (options_.trace.informed_curve) arena_->curve.clear();
   if (options_.trace.edge_traffic) {
@@ -47,9 +48,15 @@ MeetExchangeProcess::MeetExchangeProcess(const Graph& g, Vertex source,
 
   // Round 0: agents standing on s are informed; otherwise s stays "active"
   // until its first visitor.
-  for (Agent a = 0; a < count; ++a) {
-    if (agents_.position(a) == source) {
-      inform_agent_at(order_.index_of(a));
+  if (sharded_) {
+    informed_agent_count_ = inform_agents_on_source(
+        *arena_, agents_.positions(), source, shard_width_);
+  } else {
+    order_.reset(*arena_, count);
+    for (Agent a = 0; a < count; ++a) {
+      if (agents_.position(a) == source) {
+        inform_agent_at(order_.index_of(a));
+      }
     }
   }
   source_active_ = (informed_agent_count_ == 0);
@@ -145,29 +152,23 @@ void MeetExchangeProcess::step_impl() {
 
 // One frontier-sharded round — law-equivalent to step_impl<Mode>. The
 // sharded walk kernel steps every agent (per-walker addressable draws);
-// the mark and meet scans then each run as a parallel candidate pass over
-// balanced order-index ranges followed by a serial shard-major merge:
+// the mark and meet scans then each run as one parallel pass over agent
+// ids (slot = agent id) that writes in place, with no merge:
 //
 //   Mark pass (previously informed agents mark their vertex) draws
-//   nothing — can_transmit is deterministic — so its per-shard occupancy
-//   candidates (the vertices informed walkers landed on this round) merge
-//   into the StampSet in any order; insertion is idempotent and the set
-//   is fixed before the meet pass reads it, exactly as in the serial
+//   nothing — can_transmit is deterministic — and each mark is an
+//   idempotent StampSet claim, so the mark set is the same for any order
+//   and is fixed before the meet pass reads it, exactly as in the serial
 //   round.
 //
 //   Meet pass (uninformed agents on a marked vertex, or on the
 //   still-active source, become informed) keys every pairing decision by
-//   the agent's logical order index via the dedicated `meet` draw phase.
-//   The branch an agent takes (marked vertex beats source) depends only
-//   on the fixed mark set and round-start source_active_, so candidates
-//   are a pure function of the round-start state and the draw plane —
-//   independent of partition and worker count. Candidates are order
-//   indices, distinct and ascending, so the merge's inform_agent_at(idx)
-//   calls only ever swap positions <= idx and the informed-prefix CHECK
-//   holds (the i-th candidate's index is >= informed_at_start + i).
-//   source_met is re-derived at merge time from the same fixed state the
-//   pass branched on; source_active_ flips only after the merge, as the
-//   serial loop's post-loop flip does.
+//   the agent id via the dedicated `meet` draw phase, and each slot writes
+//   only its own agent's inform round. The branch an agent takes (marked
+//   vertex beats source) depends only on the fixed mark set and the
+//   round-start source_active_; the pass's tallies report whether any
+//   agent learned from the source, and source_active_ flips only after
+//   the pass, as the serial loop's post-loop flip does.
 template <class Mode>
 void MeetExchangeProcess::step_sharded() {
   constexpr bool kGeneral = std::is_same_v<Mode, transmission::General>;
@@ -176,99 +177,64 @@ void MeetExchangeProcess::step_sharded() {
   step_walks_sharded(*graph_, agents_.positions_mut(), seed_, round_,
                      laziness_, shard_width_);
 
-  auto& scratch = arena_->shard_scratch;
-  const std::uint32_t width = shard_width_;
-  if (scratch.size() < width) scratch.resize(width);
   const std::size_t count = agents_.count();
-  // Reserve the analytic per-shard bound (<= ceil(agents/width) items per
-  // range; ~|A| total) once, so steady-state trials stay allocation-free
-  // instead of reallocating at each trial's random high-water mark.
-  const std::size_t cap = count / width + 1;
-  for (std::uint32_t s = 0; s < width; ++s) {
-    scratch[s].candidates.reserve(cap);
-  }
-  const std::size_t informed_at_start = informed_agent_count_;
+  const Vertex* pos = agents_.positions().data();
   const ShardPlane plane(seed_, round_);
+  auto& agent_round = arena_->agent_inform_round;
+  const auto agent_view = agent_round.view();
+  auto& marks = arena_->vertex_marks;
 
-  // Mark candidates: the vertex each previously-informed agent occupies
-  // (stifled agents and quarantined vertices mark nothing). The clears run
-  // serially up front: parallel_for_ranges clamps the shard count to the
-  // item count, so a clear inside the callback would skip the tail
-  // segments whenever fewer items than width exist and leave stale
-  // candidates for the merge.
-  arena_->vertex_marks.advance();
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
-  shard_pool().parallel_for_ranges(
-      informed_at_start, width,
-      [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].candidates;
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const Agent a = order_.at(idx);
-          const Vertex v = agents_.position(a);
+  // Mark pass: the vertex each previously informed agent occupies
+  // (stifled agents and quarantined vertices mark nothing).
+  marks.advance();
+  tally_pass(*arena_, count, shard_width_,
+             [&](std::size_t a, TrialArena::ShardTally&) {
+               if (!agent_view.touched(a)) return;
+               const Vertex v = pos[a];
+               if constexpr (kGeneral) {
+                 if (!model_.can_transmit<Mode>(agent_view.get(a), v,
+                                                round_)) {
+                   return;
+                 }
+               }
+               marks.claim(v);
+             });
+
+  // Meet pass: uninformed agents on a marked vertex, or at the
+  // still-active source (which transmits like an entity informed at round
+  // 0), become informed. All simultaneous first visitors of the source
+  // are informed (paper §3).
+  const auto round = static_cast<std::uint32_t>(round_);
+  const TrialArena::ShardTally met = tally_pass(
+      *arena_, count, shard_width_,
+      [&](std::size_t a, TrialArena::ShardTally& tally) {
+        if (agent_view.touched(a)) return;
+        const Vertex v = pos[a];
+        if (marks.contains(v)) {
           if constexpr (kGeneral) {
-            if (!model_.can_transmit<Mode>(arena_->agent_inform_round.get(a),
-                                           v, round_)) {
-              continue;
+            SlotDraws draws(plane, kShardPhaseMeet,
+                            static_cast<std::uint32_t>(a));
+            if (!model_.attempt_from<Mode>(v, draws)) return;
+          }
+        } else if (source_active_ && v == source_) {
+          if constexpr (kGeneral) {
+            SlotDraws draws(plane, kShardPhaseMeet,
+                            static_cast<std::uint32_t>(a));
+            if (!model_.can_transmit<Mode>(0, source_, round_) ||
+                !model_.attempt_from<Mode>(v, draws)) {
+              return;
             }
           }
-          out.push_back(v);
+          tally.source_met = true;
+        } else {
+          return;
         }
+        agent_round.set(a, round);
+        ++tally.informs;
       });
-  for (std::uint32_t s = 0; s < width; ++s) {
-    for (const Vertex v : scratch[s].candidates) {
-      arena_->vertex_marks.insert(v);
-    }
-  }
-
-  // Meet candidates: order indices of uninformed agents on a marked vertex
-  // or at the still-active source (marks fixed by now, so the branch
-  // choice is deterministic per agent).
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
-  shard_pool().parallel_for_ranges(
-      count - informed_at_start, width,
-      [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].candidates;
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t idx = informed_at_start + i;
-          const Agent a = order_.at(idx);
-          const Vertex v = agents_.position(a);
-          if (arena_->vertex_marks.contains(v)) {
-            if constexpr (kGeneral) {
-              SlotDraws draws(plane, kShardPhaseMeet,
-                              static_cast<std::uint32_t>(idx));
-              if (!model_.attempt_from<Mode>(v, draws)) continue;
-            }
-          } else if (source_active_ && v == source_) {
-            if constexpr (kGeneral) {
-              SlotDraws draws(plane, kShardPhaseMeet,
-                              static_cast<std::uint32_t>(idx));
-              if (!model_.can_transmit<Mode>(0, source_, round_) ||
-                  !model_.attempt_from<Mode>(v, draws)) {
-                continue;
-              }
-            }
-          } else {
-            continue;
-          }
-          out.push_back(static_cast<std::uint32_t>(idx));
-        }
-      });
-  // Whether a candidate met the source (rather than a marked vertex) is
-  // re-derived from the branch condition above; positions and order_.at(idx)
-  // for un-merged indices are stable across inform_agent_at's swaps.
-  const bool source_marked =
-      source_active_ && arena_->vertex_marks.contains(source_);
-  bool source_met = false;
-  for (std::uint32_t s = 0; s < width; ++s) {
-    for (const std::uint32_t idx : scratch[s].candidates) {
-      if (source_active_ && !source_marked &&
-          agents_.position(order_.at(idx)) == source_) {
-        source_met = true;
-      }
-      inform_agent_at(idx);
-    }
-  }
-  if (source_met) source_active_ = false;
+  informed_agent_count_ += met.informs;
+  if (met.informs > 0) last_inform_round_ = round_;
+  if (met.source_met) source_active_ = false;
 
   if (options_.trace.informed_curve) {
     arena_->curve.push_back(static_cast<std::uint32_t>(informed_agent_count_));

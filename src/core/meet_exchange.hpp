@@ -81,19 +81,21 @@ class MeetExchangeProcess {
   Round round_ = 0;
   Round cutoff_;
   Round last_inform_round_ = 0;
+  // Frontier-sharded round engine (core/sharding): fixed at construction,
+  // before the agents are placed (sharded trials place from the plane).
+  bool sharded_ = false;
+  std::uint32_t shard_width_ = 1;
+  std::uint64_t seed_ = 0;  // ShardPlane key seed (the trial seed)
   std::unique_ptr<TrialArena> owned_arena_;
   TrialArena* arena_;
   AgentSystem agents_;
-  // Identity-default informed-prefix partition over the arena's order
-  // arrays: [0, informed_agent_count_) are the informed agents.
+  // Serial engine only: identity-default informed-prefix partition over
+  // the arena's order arrays ([0, informed_agent_count_) are the informed
+  // agents). The sharded engine iterates agents by id instead.
   AgentOrderView order_;
   Vertex source_;
   bool source_active_ = false;
   std::size_t informed_agent_count_ = 0;
-  // Frontier-sharded round engine (core/sharding): fixed at construction.
-  bool sharded_ = false;
-  std::uint32_t shard_width_ = 1;
-  std::uint64_t seed_ = 0;  // ShardPlane key seed (the trial seed)
 };
 
 [[nodiscard]] RunResult run_meet_exchange(

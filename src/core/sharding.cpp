@@ -9,8 +9,10 @@ namespace rumor {
 
 std::uint32_t resolve_shard_width(std::uint32_t shards_option) {
   if (shards_option == kShardsAuto) {
-    return static_cast<std::uint32_t>(
-        std::max<std::size_t>(1, shard_pool().worker_count()));
+    const std::size_t workers = shard_pool().worker_count();
+    return workers <= 1 ? 1
+                        : static_cast<std::uint32_t>(
+                              workers * kShardPartitionsPerWorker);
   }
   return std::max<std::uint32_t>(1, shards_option);
 }
@@ -24,6 +26,19 @@ bool set_shards_option(std::uint32_t& field, std::string_view value) {
   if (!v || *v == 0 || *v >= kShardsAuto) return false;
   field = static_cast<std::uint32_t>(*v);
   return true;
+}
+
+std::size_t inform_agents_on_source(TrialArena& arena,
+                                   std::span<const Vertex> positions,
+                                   Vertex source, std::uint32_t width) {
+  auto& informed = arena.agent_inform_round;
+  return tally_pass(arena, positions.size(), width,
+                    [&](std::size_t a, TrialArena::ShardTally& tally) {
+                      if (positions[a] != source) return;
+                      informed.set(a, 0);
+                      ++tally.informs;
+                    })
+      .informs;
 }
 
 void format_shards_option(std::uint32_t shards, std::uint32_t defaults,

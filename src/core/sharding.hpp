@@ -8,14 +8,23 @@
 // its trajectories differ from legacy (exactly like engine=counter walks)
 // — but within the engine the trajectory depends only on whether sharding
 // is ON, never on the partition count: every random decision is keyed by
-// its logical slot, and the shard-major merge visits candidates in global
-// slot order. shards=1 therefore IS the serial reference the determinism
-// tests compare 2/4/7-way runs against, and `auto` can pick its width from
-// the machine without breaking reproducibility.
+// its logical slot, and every write is either merged shard-major (global
+// slot order), an idempotent claim, or owned by its slot's agent — none of
+// which an execution order can change. shards=1 therefore IS the serial
+// reference the determinism tests compare 2/4/7-way runs against, and
+// `auto` can pick its width from the machine without breaking
+// reproducibility.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
+#include <type_traits>
+
+#include "core/transmission.hpp"
+#include "support/philox.hpp"
+#include "support/thread_pool.hpp"
+#include "support/trial_arena.hpp"
 
 namespace rumor {
 
@@ -40,9 +49,19 @@ inline constexpr std::uint64_t kShardAutoThreshold = std::uint64_t{1} << 22;
   return true;
 }
 
-// Execution width for an enabled sharded run: explicit N uses N partitions,
-// auto matches the ambient shard pool's worker count. Width is pure
-// execution policy — any width produces the identical trajectory.
+// Partitions per worker that `shards=auto` cuts each sharded pass into.
+// Workers claim the partitions one at a time, so a pass ends when the
+// pool's combined work is done, not when its slowest worker is: a worker
+// that is descheduled or slowed (a shared host, a busy sibling core) holds
+// up one small partition while the others take the rest. With one
+// partition per worker every pass would wait for the slowest core.
+inline constexpr std::uint32_t kShardPartitionsPerWorker = 16;
+
+// Execution width (partition count) for an enabled sharded run: explicit
+// N uses N partitions, auto kShardPartitionsPerWorker per worker of the
+// ambient shard pool (1 on a one-worker pool, which runs inline anyway).
+// Width is pure execution policy — any width produces the identical
+// trajectory.
 [[nodiscard]] std::uint32_t resolve_shard_width(std::uint32_t shards_option);
 
 // Parses `shards=auto|N` (N >= 1; 0 is rejected — "absent" is the only
@@ -54,5 +73,76 @@ inline constexpr std::uint64_t kShardAutoThreshold = std::uint64_t{1} << 22;
 // sentinel, the number otherwise.
 void format_shards_option(std::uint32_t shards, std::uint32_t defaults,
                           spec_text::KeyValWriter& out);
+
+// One in-place pass over the slots [0, count): body(slot, tally) runs for
+// every slot on `width` balanced ranges of shard_pool(), each range
+// counting into its own ShardScratch tally, and the sum comes back. For
+// passes that need no merge because their writes are idempotent claims or
+// belong to the slot's own agent. The tallies are zeroed serially first:
+// parallel_for_ranges runs no callback for the empty ranges it clamps
+// away when count < width.
+template <class Body>
+TrialArena::ShardTally tally_pass(TrialArena& arena, std::size_t count,
+                                  std::uint32_t width, Body&& body) {
+  auto& scratch = arena.shard_scratch;
+  if (scratch.size() < width) scratch.resize(width);
+  for (std::uint32_t s = 0; s < width; ++s) scratch[s].tally = {};
+  shard_pool().parallel_for_ranges(
+      count, width, [&](std::size_t s, std::size_t begin, std::size_t end) {
+        TrialArena::ShardTally local;
+        for (std::size_t i = begin; i < end; ++i) body(i, local);
+        scratch[s].tally = local;
+      });
+  TrialArena::ShardTally total;
+  for (std::uint32_t s = 0; s < width; ++s) {
+    total.informs += scratch[s].tally.informs;
+    total.source_met = total.source_met || scratch[s].tally.source_met;
+  }
+  return total;
+}
+
+// The agent-catch pass of sharded visit-exchange and hybrid, keyed by
+// agent id: every uninformed agent standing on an informed vertex is
+// informed at `round` — in General mode only while the vertex may still
+// transmit and if the agent's (AgentCatch, agent id) draw succeeds. It
+// reads vertex state only and each slot writes only its own agent, so it
+// needs no merge; returns how many agents were informed.
+template <class Mode>
+std::size_t catch_agents_sharded(TrialArena& arena,
+                                 const TransmissionModel& model,
+                                 std::span<const Vertex> positions,
+                                 const ShardPlane& plane, Round round,
+                                 std::uint32_t width) {
+  auto& agent_round = arena.agent_inform_round;
+  const auto agents = agent_round.view();
+  const auto vertices = arena.vertex_inform_round.view();
+  const auto stamp = static_cast<std::uint32_t>(round);
+  return tally_pass(
+             arena, positions.size(), width,
+             [&](std::size_t a, TrialArena::ShardTally& tally) {
+               if (agents.touched(a)) return;
+               const Vertex v = positions[a];
+               if (!vertices.touched(v)) return;
+               if constexpr (std::is_same_v<Mode, transmission::General>) {
+                 SlotDraws draws(plane, kShardPhaseAgentCatch,
+                                 static_cast<std::uint32_t>(a));
+                 if (!model.can_transmit<Mode>(vertices.get(v), v, round) ||
+                     !model.attempt_from<Mode>(v, draws)) {
+                   return;
+                 }
+               }
+               agent_round.set(a, stamp);
+               ++tally.informs;
+             })
+      .informs;
+}
+
+// Round 0 of the sharded agent protocols: every agent standing on
+// `source` is informed at round 0, in one tally_pass keyed by agent id.
+// Requires arena.agent_inform_round reset to positions.size() agents;
+// returns how many agents were informed.
+[[nodiscard]] std::size_t inform_agents_on_source(
+    TrialArena& arena, std::span<const Vertex> positions, Vertex source,
+    std::uint32_t width);
 
 }  // namespace rumor

@@ -18,28 +18,29 @@ VisitExchangeProcess::VisitExchangeProcess(const Graph& g, Vertex source,
       laziness_(resolve_laziness(g, options.lazy)),
       cutoff_(options.max_rounds != 0 ? options.max_rounds
                                       : default_round_cutoff(g.num_vertices())),
+      sharded_(sharding_enabled(options.shards, g.num_vertices())),
+      shard_width_(sharded_ ? resolve_shard_width(options.shards) : 1),
+      seed_(seed),
       owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
       arena_(arena != nullptr ? arena : owned_arena_.get()),
       agents_(g, resolve_agent_count(g, options), options.placement, rng_,
-              resolve_anchor(options, source), arena_) {
+              resolve_anchor(options, source), arena_,
+              sharded_ ? ShardedPlacement{seed, shard_width_}
+                       : ShardedPlacement{}) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
   // Sharded mode replaces the stepping engine wholesale (per-walker
   // addressable draws) and cannot express the per-edge traced stream; the
   // CLI rejects both combinations with a message, these REQUIREs are the
   // API-user backstop.
-  sharded_ = sharding_enabled(options_.shards, g.num_vertices());
   if (sharded_) {
     RUMOR_REQUIRE(!options_.trace.edge_traffic);
     RUMOR_REQUIRE(options_.engine == StepEngine::batched);
-    shard_width_ = resolve_shard_width(options_.shards);
-    seed_ = seed;
   }
   target_ = g.num_vertices();
   const std::size_t count = agents_.count();
   arena_->vertex_inform_round.reset(g.num_vertices(), kNeverInformed);
   arena_->agent_inform_round.reset(count, kNeverInformed);
-  order_.reset(*arena_, count);
   if (options_.trace.informed_curve) arena_->curve.clear();
   if (options_.trace.edge_traffic) {
     arena_->edge_traffic.assign(g.num_edges(), 0);
@@ -47,9 +48,15 @@ VisitExchangeProcess::VisitExchangeProcess(const Graph& g, Vertex source,
 
   // Round 0: source informed; agents standing on the source informed.
   inform_vertex(source);
-  for (Agent a = 0; a < count; ++a) {
-    if (agents_.position(a) == source) {
-      inform_agent_at(order_.index_of(a));
+  if (sharded_) {
+    informed_agent_count_ = inform_agents_on_source(
+        *arena_, agents_.positions(), source, shard_width_);
+  } else {
+    order_.reset(*arena_, count);
+    for (Agent a = 0; a < count; ++a) {
+      if (agents_.position(a) == source) {
+        inform_agent_at(order_.index_of(a));
+      }
     }
   }
   if (all_agents_informed()) agent_complete_round_ = 0;
@@ -159,23 +166,19 @@ void VisitExchangeProcess::step_impl() {
 
 // One frontier-sharded round — law-equivalent to step_impl<Mode>. The
 // sharded walk kernel steps every agent (per-walker addressable draws);
-// phases A and B then each run as a parallel candidate pass over balanced
-// order-index ranges followed by a serial shard-major merge:
+// phases A and B then each run as one parallel pass over agent ids
+// (slot = agent id), writing in place with no merge:
 //
-//   Phase A (agents informed before this round inform their vertex) reads
-//   round-start vertex state; duplicate candidates for one vertex are
-//   resolved by the merge's global slot order, exactly as serial order
-//   would — an agent whose vertex was claimed by an earlier slot still
-//   drew its own words, which are independent variates deciding nothing
-//   observable (the sharded-push argument).
+//   Phase A (agents informed before this round inform their vertex)
+//   claims the vertex. The claim is idempotent, and whether a vertex ends
+//   the phase informed is the OR over the agents standing on it of their
+//   own slot-keyed draws — the same for any order. An agent that finds
+//   its vertex already claimed skips its draw, which changes nothing
+//   observable: no other slot reads its words.
 //
 //   Phase B (agents standing on an informed vertex become informed) reads
-//   the POST-phase-A vertex state, as the serial loop does; that state is
-//   itself partition-independent. Candidates are order indices, distinct
-//   and ascending, so the merge's inform_agent_at(idx) calls only ever
-//   swap positions <= idx — positions above the current idx still hold
-//   their phase-time agents, and the informed-prefix CHECK holds because
-//   the i-th candidate's index is >= informed_at_start + i.
+//   the POST-phase-A vertex state, as the serial loop does, and each slot
+//   writes only its own agent's inform round.
 template <class Mode>
 void VisitExchangeProcess::step_sharded() {
   constexpr bool kGeneral = std::is_same_v<Mode, transmission::General>;
@@ -189,83 +192,42 @@ void VisitExchangeProcess::step_sharded() {
   step_walks_sharded(*graph_, agents_.positions_mut(), seed_, round_,
                      laziness_, shard_width_);
 
-  auto& scratch = arena_->shard_scratch;
-  const std::uint32_t width = shard_width_;
-  if (scratch.size() < width) scratch.resize(width);
-  const std::size_t count = agents_.count();
-  // Reserve the analytic per-shard bound (<= ceil(agents/width) items per
-  // range; ~|A| total) once, so steady-state trials stay allocation-free
-  // instead of reallocating at each trial's random high-water mark.
-  const std::size_t cap = count / width + 1;
-  for (std::uint32_t s = 0; s < width; ++s) {
-    scratch[s].candidates.reserve(cap);
-  }
-  const std::size_t informed_at_start = informed_agent_count_;
+  const Vertex* pos = agents_.positions().data();
   const ShardPlane plane(seed_, round_);
-  const auto vertex_informed = arena_->vertex_inform_round.view();
+  const auto round = static_cast<std::uint32_t>(round_);
+  const auto agent_view = arena_->agent_inform_round.view();
 
-  // Phase A candidates: the vertex each previously-informed agent delivers
-  // to this round (slot = order index). The clears run serially up front:
-  // parallel_for_ranges clamps the shard count to the item count, so a
-  // clear inside the callback would skip the tail segments whenever fewer
-  // items than width exist and leave stale candidates for the merge.
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
-  shard_pool().parallel_for_ranges(
-      informed_at_start, width,
-      [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].candidates;
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const Agent a = order_.at(idx);
-          const Vertex v = agents_.position(a);
-          if (vertex_informed.touched(v)) continue;
-          if constexpr (kGeneral) {
-            SlotDraws draws(plane, kShardPhaseAgentInform,
-                            static_cast<std::uint32_t>(idx));
-            if (!model_.can_transmit<Mode>(
-                    arena_->agent_inform_round.get(a), v, round_) ||
-                !model_.attempt_from<Mode>(v, draws)) {
-              continue;
-            }
-          }
-          out.push_back(v);
-        }
-      });
-  for (std::uint32_t s = 0; s < width; ++s) {
-    for (const Vertex v : scratch[s].candidates) {
-      if (!arena_->vertex_inform_round.touched(v)) inform_vertex(v);
-    }
-  }
+  // Phase A: every previously informed agent claims the vertex it stands
+  // on (stifled agents and quarantined vertices excepted).
+  const auto claims = arena_->vertex_inform_round.claims();
+  const std::size_t vertex_informs =
+      tally_pass(*arena_, agents_.count(), shard_width_,
+                 [&](std::size_t a, TrialArena::ShardTally& tally) {
+                   if (!agent_view.touched(a)) return;
+                   const Vertex v = pos[a];
+                   if (claims.claimed(v)) return;
+                   if constexpr (kGeneral) {
+                     SlotDraws draws(plane, kShardPhaseAgentInform,
+                                     static_cast<std::uint32_t>(a));
+                     if (!model_.can_transmit<Mode>(agent_view.get(a), v,
+                                                    round_) ||
+                         !model_.attempt_from<Mode>(v, draws)) {
+                       return;
+                     }
+                   }
+                   if (claims.claim(v, round)) ++tally.informs;
+                 })
+          .informs;
 
-  // Phase B candidates: order indices of uninformed agents standing on an
-  // informed vertex (post-phase-A state, like the serial loop).
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
-  shard_pool().parallel_for_ranges(
-      count - informed_at_start, width,
-      [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].candidates;
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t idx = informed_at_start + i;
-          const Agent a = order_.at(idx);
-          const Vertex v = agents_.position(a);
-          if (!arena_->vertex_inform_round.touched(v)) continue;
-          if constexpr (kGeneral) {
-            SlotDraws draws(plane, kShardPhaseAgentCatch,
-                            static_cast<std::uint32_t>(idx));
-            if (!model_.can_transmit<Mode>(
-                    arena_->vertex_inform_round.get(v), v, round_) ||
-                !model_.attempt_from<Mode>(v, draws)) {
-              continue;
-            }
-          }
-          out.push_back(static_cast<std::uint32_t>(idx));
-        }
-      });
-  for (std::uint32_t s = 0; s < width; ++s) {
-    for (const std::uint32_t idx : scratch[s].candidates) {
-      inform_agent_at(idx);
-    }
-  }
+  // Phase B: uninformed agents standing on an informed vertex (informed in
+  // this round or earlier) become informed, unless the vertex has stifled
+  // or is quarantined.
+  const std::size_t agent_informs = catch_agents_sharded<Mode>(
+      *arena_, model_, agents_.positions(), plane, round_, shard_width_);
 
+  informed_vertex_count_ += static_cast<std::uint32_t>(vertex_informs);
+  informed_agent_count_ += agent_informs;
+  if (vertex_informs + agent_informs > 0) last_inform_round_ = round_;
   if (all_agents_informed() && agent_complete_round_ == kNoRoundYet) {
     agent_complete_round_ = round_;
   }

@@ -69,10 +69,10 @@ class VisitExchangeProcess {
   template <class Mode>
   void step_impl();
   // Frontier-sharded round (sharded_ == true): the sharded walk kernel
-  // steps all agents, then phases A and B each run as a parallel
-  // candidate pass (per-slot addressable draws, per-shard output
-  // segments) followed by a serial shard-major merge. See docs/perf.md
-  // for the determinism contract.
+  // steps all agents, then phases A and B each run as one parallel pass
+  // over agent ids (per-agent addressable draws) that writes in place —
+  // vertex informs as atomic claims, agent informs by the agent's own
+  // slot. See docs/perf.md for the determinism contract.
   template <class Mode>
   void step_sharded();
   void activate_blocking();
@@ -90,13 +90,14 @@ class VisitExchangeProcess {
   bool sharded_ = false;           // frontier-sharded engine this trial
   std::uint32_t shard_width_ = 1;  // execution-only; never affects draws
   std::uint64_t seed_ = 0;         // trial seed: keys the shard draw plane
-  // Scratch state: the identity-default agent-order permutation and the
-  // epoch-stamped inform rounds live here (see TrialArena).
+  // Scratch state: the epoch-stamped inform rounds (and, for the serial
+  // engine, the agent-order permutation) live here (see TrialArena).
   std::unique_ptr<TrialArena> owned_arena_;
   TrialArena* arena_;
   AgentSystem agents_;
-  // Identity-default informed-prefix partition over the arena's order
-  // arrays: [0, informed_agent_count_) are the informed agents.
+  // Serial engine only: identity-default informed-prefix partition over
+  // the arena's order arrays ([0, informed_agent_count_) are the informed
+  // agents). The sharded engine iterates agents by id instead.
   AgentOrderView order_;
   std::uint32_t informed_vertex_count_ = 0;
   std::size_t informed_agent_count_ = 0;

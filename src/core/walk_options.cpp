@@ -103,8 +103,9 @@ bool set_agent_walk_option(WalkOptions& options, std::string_view key,
     if (!v || !(*v > 0.0 && *v <= 1e9)) return false;
     options.alpha = *v;
   } else if (key == "agents") {
+    // Agent ids are 32-bit (walk/agents.hpp): more agents would wrap them.
     const auto v = spec_text::parse_u64(value);
-    if (!v) return false;
+    if (!v || *v > kMaxAgents) return false;
     options.agent_count = static_cast<std::size_t>(*v);
   } else if (key == "placement") {
     if (value == "stationary") {

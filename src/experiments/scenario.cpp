@@ -322,6 +322,43 @@ std::optional<std::vector<ScenarioSpec>> load_scenario_file(
   return parse_scenario_stream(in, error);
 }
 
+bool check_scenario_size(const ScenarioSpec& spec, Vertex n,
+                         std::string* why) {
+  const std::string of_graph =
+      " for " + spec.graph.name() + " (n=" + std::to_string(n) + ")";
+  if (spec.plan.source >= n) {
+    set_error(why, "source=" + std::to_string(spec.plan.source) +
+                       " is out of range" + of_graph);
+    return false;
+  }
+  const WalkOptions* walk = spec.protocol.walk_if();
+  if (walk == nullptr) return true;
+  if (walk->placement == Placement::at_vertex &&
+      walk->placement_anchor != kNoVertex && walk->placement_anchor >= n) {
+    set_error(why, "anchor=" + std::to_string(walk->placement_anchor) +
+                       " is out of range" + of_graph);
+    return false;
+  }
+  // Agent ids are 32-bit: past kMaxAgents the ids (and the sharded
+  // engine's per-agent draw slots) would wrap. agents= is bounded at
+  // parse time; alpha can only be checked against n.
+  const std::size_t agents =
+      resolve_agent_count(n, walk->agent_count, walk->alpha);
+  if (agents > kMaxAgents) {
+    set_error(why, "alpha gives " + std::to_string(agents) +
+                       " agents, more than the " +
+                       std::to_string(kMaxAgents) + " 32-bit agent ids" +
+                       of_graph);
+    return false;
+  }
+  if (walk->placement == Placement::one_per_vertex && agents != n) {
+    set_error(why, "placement=one_per_vertex needs one agent per vertex, "
+                   "not " + std::to_string(agents) + of_graph);
+    return false;
+  }
+  return true;
+}
+
 // Validates the scenario and fills the result's size columns WITHOUT
 // building deterministic graphs: probe() answers n/m from the closed forms
 // (or the file cache header), so validating a 10^8-vertex sweep costs
@@ -355,21 +392,8 @@ bool prepare_scenario(const ScenarioSpec& spec, ScenarioResult& result,
     result.edges = static_cast<std::size_t>(probe->m);
     prep.lazy = true;
   }
-  if (spec.plan.source >= result.n) {
-    set_error(error, "scenario \"" + spec.name() + "\": source=" +
-                         std::to_string(spec.plan.source) +
-                         " is out of range for " + spec.graph.name() +
-                         " (n=" + std::to_string(result.n) + ")");
-    return false;
-  }
-  if (const WalkOptions* walk = spec.protocol.walk_if();
-      walk != nullptr && walk->placement == Placement::at_vertex &&
-      walk->placement_anchor != kNoVertex &&
-      walk->placement_anchor >= result.n) {
-    set_error(error, "scenario \"" + spec.name() + "\": anchor=" +
-                         std::to_string(walk->placement_anchor) +
-                         " is out of range for " + spec.graph.name() +
-                         " (n=" + std::to_string(result.n) + ")");
+  if (std::string why; !check_scenario_size(spec, result.n, &why)) {
+    set_error(error, "scenario \"" + spec.name() + "\": " + why);
     return false;
   }
   // The sharded round engine's incompatibilities, rejected here with a

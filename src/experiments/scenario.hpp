@@ -108,6 +108,14 @@ std::optional<std::vector<ScenarioSpec>> load_scenario_file(
 [[nodiscard]] bool validate_scenarios(const std::vector<ScenarioSpec>& specs,
                                       std::string* error = nullptr);
 
+// The checks a scenario needs its graph's vertex count n for: source and
+// placement anchor in range, at most kMaxAgents agents, and one agent per
+// vertex under placement=one_per_vertex. On failure the reason (without
+// the scenario's name) goes to *why. prepare_scenario runs it, and so
+// does rumor_run --dry-run against the probed n.
+[[nodiscard]] bool check_scenario_size(const ScenarioSpec& spec, Vertex n,
+                                       std::string* why = nullptr);
+
 // One scenario vetted for execution: sizes for the report row, plus the
 // graph when (and only when) validation had to build it — random non-fresh
 // specs, whose single draw IS part of the result. Deterministic specs

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -98,6 +99,37 @@ class EpochArray {
 
   [[nodiscard]] View view() const {
     return View{stamps_.data(), values_.data(), epoch_, default_};
+  }
+
+  // Concurrent write view for parallel passes: any number of threads may
+  // claim the same slot, and exactly one of them wins it (and writes its
+  // value) per epoch. A claim loads the stamp before it writes, so a slot
+  // that millions of callers claim costs one contended write. Inside the
+  // pass, read stamps through claimed() only; values and the plain
+  // accessors are safe again once the pass has joined.
+  struct Claims {
+    std::uint32_t* stamps;
+    T* values;
+    std::uint32_t epoch;
+
+    [[nodiscard]] bool claimed(std::size_t i) const {
+      return std::atomic_ref<std::uint32_t>(stamps[i]).load(
+                 std::memory_order_relaxed) == epoch;
+    }
+    // True for the one caller that moved slot i into this epoch.
+    bool claim(std::size_t i, T value) const {
+      std::atomic_ref<std::uint32_t> stamp(stamps[i]);
+      if (stamp.load(std::memory_order_relaxed) == epoch) return false;
+      if (stamp.exchange(epoch, std::memory_order_relaxed) == epoch) {
+        return false;
+      }
+      values[i] = value;
+      return true;
+    }
+  };
+
+  [[nodiscard]] Claims claims() {
+    return Claims{stamps_.data(), values_.data(), epoch_};
   }
 
   // Materializes the logical contents (allocates; trace-export only).

@@ -201,6 +201,7 @@ inline constexpr std::uint32_t kShardPhasePull = 2;         // pull callers
 inline constexpr std::uint32_t kShardPhaseAgentInform = 3;  // agent -> vertex
 inline constexpr std::uint32_t kShardPhaseAgentCatch = 4;   // vertex -> agent
 inline constexpr std::uint32_t kShardPhaseMeet = 5;         // agent meetings
+inline constexpr std::uint32_t kShardPhasePlace = 6;        // round-0 placement
 
 // One (trial, round)'s worth of the plane: the precomputed key plus the
 // round words every SlotDraws of that round shares. Cheap to copy into

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -44,6 +45,18 @@ class StampSet {
   void insert(std::size_t i) {
     RUMOR_CHECK(i < stamps_.size());
     stamps_[i] = epoch_;
+  }
+
+  // insert() for parallel passes: any number of threads may claim the same
+  // element. The stamp is loaded before it is written, so an element that
+  // millions of callers claim costs one contended write. Read the set with
+  // contains() only after the pass has joined.
+  void claim(std::size_t i) {
+    RUMOR_CHECK(i < stamps_.size());
+    std::atomic_ref<std::uint64_t> stamp(stamps_[i]);
+    if (stamp.load(std::memory_order_relaxed) != epoch_) {
+      stamp.store(epoch_, std::memory_order_relaxed);
+    }
   }
 
   [[nodiscard]] bool contains(std::size_t i) const {

@@ -21,15 +21,18 @@ thread_local std::uint64_t tl_range_epoch = 0;
 }  // namespace
 
 // The stack-allocated descriptor an in-flight parallel_for_ranges shares
-// with participating workers. `next` is the shard claim cursor, `done`
-// counts completed shards, and `touching` counts threads still holding a
-// pointer to this frame — the caller must not return (and destroy the
-// frame) until done == shards and touching == 0.
+// with participating workers. `seats` is how many more workers may join
+// (guarded by mutex_; the caller holds a seat of its own), `next` is the
+// shard claim cursor, `done` counts completed shards, and `touching`
+// counts threads still holding a pointer to this frame — the caller must
+// not return (and destroy the frame) until done == shards and
+// touching == 0.
 struct ThreadPool::RangeJob {
   RangeFn fn;
   void* ctx;
   std::size_t count;
   std::size_t shards;
+  std::size_t seats;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::atomic<std::size_t> touching{0};
@@ -67,9 +70,13 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
                (range_job_ != nullptr && tl_range_epoch != range_epoch_);
       });
       if (range_job_ != nullptr && tl_range_epoch != range_epoch_) {
+        tl_range_epoch = range_epoch_;
+        // Every seat taken: sit this job out rather than time-slice a
+        // core with a thread that is already running its ranges.
+        if (range_job_->seats == 0) continue;
+        --range_job_->seats;
         // Pin the frame (under mutex_, while range_job_ is known valid)
         // before dropping the lock; the caller waits for touching == 0.
-        tl_range_epoch = range_epoch_;
         range = range_job_;
         range->touching.fetch_add(1, std::memory_order_relaxed);
       } else if (stopping_ && tasks_.empty()) {
@@ -198,7 +205,10 @@ void ThreadPool::parallel_for_ranges_impl(std::size_t count,
     return;
   }
 
-  RangeJob job{fn, ctx, count, shards};
+  // The caller runs ranges too, so it takes one of the worker_count()
+  // seats; a worker beyond the last useful one would only share a core.
+  RangeJob job{fn, ctx, count, shards,
+               std::min(shards, threads_.size()) - 1};
   {
     std::lock_guard lock(mutex_);
     RUMOR_CHECK(!stopping_);

@@ -72,7 +72,11 @@ class ThreadPool {
   // worker count or scheduling, so callers can key deterministic state by
   // shard index. Unlike parallel_for_indexed this path performs no heap
   // allocation: the job descriptor lives on the caller's stack and idle
-  // workers claim ranges through it. Runs inline (serially, in shard order)
+  // workers claim ranges through it, one at a time, so a slowed thread
+  // hands its unclaimed ranges to the others. At most worker_count()
+  // threads run a job, the caller included: a pool never puts more
+  // threads on a pass than the cores it was sized for, however many
+  // ranges the pass has. Runs inline (serially, in shard order)
   // when shards <= 1, the pool has one worker, the caller IS a worker of
   // this pool, or another range job is already in flight on this pool.
   template <typename Fn>

@@ -105,22 +105,30 @@ struct TrialArena {
   // Per-shard output segments for the frontier-sharded round kernels:
   // shard s filters survivors into shard_scratch[s].survivors and appends
   // its delivery candidates to shard_scratch[s].candidates; the serial
-  // shard-major merge then drains them in slot order. Sized (resize, then
-  // per-round clear()) by the sharded simulators; capacity persists across
-  // rounds and trials, so steady-state rounds allocate nothing.
+  // shard-major merge then drains them in slot order. Passes that write in
+  // place instead (atomic claims, per-agent informs) leave their per-shard
+  // counts in shard_scratch[s].tally. Sized (resize, then per-round
+  // clear()) by the sharded simulators; capacity persists across rounds
+  // and trials, so steady-state rounds allocate nothing.
+  struct ShardTally {
+    std::size_t informs = 0;
+    bool source_met = false;  // meet-exchange: an agent learned at the source
+  };
   struct ShardScratch {
     std::vector<std::uint32_t> survivors;
     std::vector<std::uint32_t> candidates;
+    ShardTally tally;
   };
   std::vector<ShardScratch> shard_scratch;
 
   // Transmission-model field cache (see core/transmission).
   TransmissionScratch transmission;
 
-  // Cache for expensive per-graph placement structures (the stationary
-  // alias sampler). Keyed by Graph::uid() so a rebuilt graph at a recycled
-  // address cannot alias a stale cache. Opaque here to keep support/ free
-  // of walk-layer dependencies.
+  // Cache for expensive per-graph placement structures (the serial
+  // engines' stationary alias sampler; sharded placement needs none).
+  // Keyed by Graph::uid() so a rebuilt graph at a recycled address cannot
+  // alias a stale cache. Opaque here to keep support/ free of walk-layer
+  // dependencies.
   std::uint64_t placement_cache_key = 0;  // 0 = empty
   std::shared_ptr<void> placement_cache;
 };
@@ -128,7 +136,8 @@ struct TrialArena {
 // View over the arena's agent-order permutation and its inverse, decoding
 // the identity-default sentinel (an untouched slot i reads as "order[i] ==
 // i"). Shared by the simulators that maintain an informed-prefix partition
-// (visit-exchange, meet-exchange, hybrid).
+// (the serial engines of visit-exchange, meet-exchange and hybrid, and the
+// frog model).
 class AgentOrderView {
  public:
   // Re-targets both arrays to the identity permutation over [0, count).

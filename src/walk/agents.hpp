@@ -9,8 +9,10 @@
 // from shared randomness.
 //
 // When constructed with a TrialArena the position array is the arena's
-// reusable buffer (zero allocation in steady state) and the stationary
-// placement's alias sampler is cached in the arena per graph.
+// reusable buffer (zero allocation in steady state) and the serial
+// stationary placement's alias sampler is cached in the arena per graph.
+// Sharded trials place their agents in one parallel pass instead (see
+// ShardedPlacement), with no alias table.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +30,11 @@ class AliasSampler;
 
 using Agent = std::uint32_t;
 
+// Agent ids (and the sharded engine's per-agent draw slots) are 32-bit:
+// a system holds at most this many agents. Scenario parsing and
+// validation reject larger counts with a message.
+inline constexpr std::size_t kMaxAgents = 0xFFFFFFFFu;
+
 // Initial placement of agents (paper §3 uses `stationary`; the remark after
 // Lemma 11 covers `one_per_vertex`).
 enum class Placement {
@@ -40,6 +47,20 @@ enum class Placement {
 // Walk laziness. `half` stays put with probability 1/2 each round — the
 // paper's fix for bipartite periodicity in meet-exchange.
 enum class Laziness { none, half };
+
+// A sharded trial's placement: agent a's start is drawn from its own
+// chain of the trial's ShardPlane, SlotDraws(plane(trial_seed, round 0),
+// kShardPhasePlace, a), and all agents are placed in one parallel pass of
+// `width` ranges on shard_pool() — so positions are a pure function of
+// the trial seed at every width. `stationary` draws one of the 2m
+// directed edge slots (an undirected edge id plus an endpoint bit) with an
+// exact bounded draw and reads Graph::edge_endpoints, which gives exactly
+// π(v) = deg(v)/2|E| on every backend without an alias table. width 0
+// selects the serial Rng placement.
+struct ShardedPlacement {
+  std::uint64_t trial_seed = 0;
+  std::uint32_t width = 0;
+};
 
 // |A| = round(alpha * n), at least 1.
 [[nodiscard]] std::size_t agent_count_for(Vertex n, double alpha);
@@ -68,9 +89,11 @@ class AgentSystem {
   // `anchor` is the start vertex for Placement::at_vertex (ignored
   // otherwise). Placement::one_per_vertex requires count == g.num_vertices().
   // A non-null `arena` lends the (reused) position buffer and placement
-  // cache; the arena must outlive the system.
+  // cache; the arena must outlive the system. A nonzero `sharded.width`
+  // places from the shard plane instead of `rng` (which is then unused).
   AgentSystem(const Graph& g, std::size_t count, Placement placement,
-              Rng& rng, Vertex anchor = 0, TrialArena* arena = nullptr);
+              Rng& rng, Vertex anchor = 0, TrialArena* arena = nullptr,
+              ShardedPlacement sharded = {});
 
   // Positions may live in a borrowed arena buffer; copies would alias it.
   AgentSystem(const AgentSystem&) = delete;

@@ -24,6 +24,7 @@
 // as the differential baseline for the equivalence tests and benchmarks.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <span>
 
@@ -74,9 +75,10 @@ template <class WordSource>
 
 // Non-lazy slot draw for generic word sources: the full-width Lemire
 // rejection sampler, bit-identical to Rng::below on the same word stream.
-template <class WordSource>
-[[nodiscard]] inline std::uint32_t word_below(WordSource& rng,
-                                              std::uint32_t bound) {
+// Exact for any bound up to 2^64 - 1 (sharded stationary placement draws
+// one of 2m edge slots); the result has the bound's type.
+template <class WordSource, std::unsigned_integral Bound>
+[[nodiscard]] inline Bound word_below(WordSource& rng, Bound bound) {
   __extension__ using u128 = unsigned __int128;
   std::uint64_t x = rng();
   u128 m = static_cast<u128>(x) * bound;
@@ -89,7 +91,7 @@ template <class WordSource>
       low = static_cast<std::uint64_t>(m);
     }
   }
-  return static_cast<std::uint32_t>(m >> 64);
+  return static_cast<Bound>(m >> 64);
 }
 
 // Advances every position one walk step in place (ascending index — the

@@ -4,6 +4,8 @@
 // reporting.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/registry.hpp"
 #include "experiments/scenario.hpp"
 #include "support/spec_text.hpp"
@@ -246,6 +248,57 @@ TEST(ProtocolSpecText, AlphaRejectsInfinity) {
   std::string error;
   EXPECT_FALSE(ProtocolSpec::parse("visit-exchange(alpha=inf)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("visit-exchange(alpha=1e300)", &error));
+}
+
+TEST(ProtocolSpecText, AgentCountsBeyond32BitIdsRejected) {
+  // Agent ids are 32-bit, so agents= stops at 2^32 - 1 for every
+  // agent-based simulator.
+  std::string error;
+  EXPECT_TRUE(ProtocolSpec::parse("visit-exchange(agents=4294967295)", &error))
+      << error;
+  for (const char* text :
+       {"visit-exchange(agents=4294967296)", "meet-exchange(agents=5000000000)",
+        "hybrid(agents=18446744073709551615)",
+        "dynamic-agent(agents=4294967296)",
+        "multi-visit-exchange(agents=4294967296)"}) {
+    EXPECT_FALSE(ProtocolSpec::parse(text, &error)) << text;
+    EXPECT_NE(error.find("agents="), std::string::npos) << error;
+  }
+  // In a scenario file the error names the line.
+  std::istringstream in(
+      "complete(n=8) push\ncomplete(n=8) hybrid(agents=4294967296)\n");
+  EXPECT_FALSE(parse_scenario_stream(in, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("agents=4294967296"), std::string::npos) << error;
+}
+
+TEST(ScenarioValidation, AlphaAgentCountsBeyond32BitIdsRejected) {
+  // alpha can only be checked against n: 10^9 agents per vertex on 8
+  // vertices is 8 * 10^9 agents. Validation (shared by one-shot runs,
+  // --dry-run and serve SUBMIT) rejects it with the scenario's name.
+  const auto reject = [](const std::string& line, const char* needle) {
+    std::string error;
+    const auto spec = ScenarioSpec::parse(line, &error);
+    ASSERT_TRUE(spec) << line << ": " << error;
+    EXPECT_FALSE(validate_scenarios({*spec}, &error)) << line;
+    EXPECT_NE(error.find(spec->name()), std::string::npos) << error;
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
+    EXPECT_FALSE(check_scenario_size(*spec, 8, &error)) << line;
+  };
+  reject("cycle(n=8) visit-exchange(alpha=1e9)", "8000000000 agents");
+  reject("cycle(n=8) meet-exchange(alpha=6e8,shards=2)", "4800000000 agents");
+  reject("cycle(n=8) hybrid(alpha=1e9)", "agents");
+  reject("cycle(n=8) dynamic-agent(alpha=1e9)", "agents");
+  reject("cycle(n=8) multi-visit-exchange(alpha=1e9)", "agents");
+  // one_per_vertex needs exactly n agents.
+  reject("cycle(n=8) visit-exchange(placement=one_per_vertex,agents=5)",
+         "one_per_vertex");
+  // At the bound itself: 5 * 10^8 * 8 = 4 * 10^9 agents still validates.
+  std::string error;
+  const auto ok =
+      ScenarioSpec::parse("cycle(n=8) visit-exchange(alpha=5e8)", &error);
+  ASSERT_TRUE(ok) << error;
+  EXPECT_TRUE(validate_scenarios({*ok}, &error)) << error;
 }
 
 // ---- ScenarioSpec -----------------------------------------------------

@@ -287,6 +287,15 @@ TEST_F(ServeServerTest, InvalidSubmissionsAreRejectedWithNothingEnqueued) {
   EXPECT_FALSE(
       client.submit("complete(n=64) push source=99 trials=2\n", &error));
   EXPECT_EQ(error.rfind("ERR validate", 0), 0u) << error;
+  // More agents than 32-bit agent ids: agents= fails to parse, alpha
+  // fails validation against n.
+  EXPECT_FALSE(client.submit(
+      "cycle(n=8) visit-exchange(agents=4294967296) trials=2\n", &error));
+  EXPECT_EQ(error.rfind("ERR parse", 0), 0u) << error;
+  EXPECT_FALSE(client.submit(
+      "cycle(n=8) visit-exchange(alpha=1e9) trials=2\n", &error));
+  EXPECT_EQ(error.rfind("ERR validate", 0), 0u) << error;
+  EXPECT_NE(error.find("agents"), std::string::npos) << error;
   // Curve tracing is a one-shot-only feature (curves are not journaled).
   EXPECT_FALSE(
       client.submit("complete(n=64) push(curve=on) trials=2\n", &error));

@@ -4,8 +4,10 @@
 // trajectory depends only on the trial seed — never on the shard count,
 // the worker count, or the storage backend — because every random
 // decision draws from an addressable per-(phase, slot) Philox chain and
-// every merge visits candidates in global slot order. shards=1 is the
-// serial reference; 2/4/7-way runs must reproduce it byte for byte.
+// every write is a merge in global slot order, an idempotent claim, or
+// owned by its slot's agent. shards=1 is the serial reference; 2/4/7-way
+// runs and 64-way runs (shards=auto's partition count on four workers)
+// must reproduce it byte for byte.
 // Also covered: the allocation-free parallel_for_ranges primitive, the
 // nested-fan-out flattening rule, zero steady-state allocations per
 // trial, the two-axis trial schedule, and the scenario-level rejection of
@@ -13,10 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_probe.hpp"
@@ -108,6 +113,29 @@ TEST(ThreadPoolRanges, NestedParallelForFlattensInline) {
   EXPECT_EQ(count.load(), 100u);
 }
 
+TEST(ThreadPoolRanges, AtMostWorkerCountThreadsRunAJob) {
+  // Many more ranges than workers, from a thread outside the pool: the
+  // caller joins in, so only worker_count() - 1 workers may, and no more
+  // than worker_count() threads are ever inside the callback at once.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(48);
+  std::atomic<int> inside{0};
+  std::atomic<int> most{0};
+  pool.parallel_for_ranges(
+      48, 48, [&](std::size_t, std::size_t begin, std::size_t end) {
+        const int now = inside.fetch_add(1) + 1;
+        int seen = most.load();
+        while (now > seen && !most.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        inside.fetch_sub(1);
+      });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_GE(most.load(), 1);
+  EXPECT_LE(most.load(), 3);
+}
+
 TEST(ThreadPoolRanges, ReusableAndConcurrentWithTasks) {
   ThreadPool pool(4);
   for (int round = 0; round < 50; ++round) {
@@ -185,6 +213,17 @@ TEST(ShardSpec, EnginePolicyIsPureInItsInputs) {
   EXPECT_TRUE(sharding_enabled(kShardsAuto, kShardAutoThreshold));
 }
 
+TEST(ShardSpec, AutoWidthCutsPartitionsPerWorker) {
+  ThreadPool four(4);
+  ThreadPool one(1);
+  ThreadPool* prev = set_shard_pool(&four);
+  EXPECT_EQ(resolve_shard_width(kShardsAuto), 4 * kShardPartitionsPerWorker);
+  EXPECT_EQ(resolve_shard_width(7), 7u);
+  set_shard_pool(&one);
+  EXPECT_EQ(resolve_shard_width(kShardsAuto), 1u);
+  set_shard_pool(prev);
+}
+
 TEST(ShardSpec, ScenarioValidationRejectsIncompatibleCombos) {
   const auto reject = [](const char* line, const char* needle) {
     std::string error;
@@ -226,7 +265,8 @@ void expect_same_result(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.agent_inform_round, b.agent_inform_round) << what;
 }
 
-constexpr std::uint32_t kShardCounts[] = {2, 4, 7};
+constexpr std::uint32_t kShardCounts[] = {2, 4, 7,
+                                          4 * kShardPartitionsPerWorker};
 
 RunResult run_push_shards(const Graph& g, std::uint64_t seed,
                           std::uint32_t shards, float tp, double loss) {
@@ -355,9 +395,64 @@ RunResult run_visitx_shards(const Graph& g, std::uint64_t seed,
   return run_visit_exchange(g, 0, seed, opt);
 }
 
+// Walk-engine trajectories at shards={2,4,7} against shards=1 for one
+// options set (curve and inform-round traces on).
+void expect_walk_widths_agree(
+    const std::function<RunResult(const WalkOptions&)>& run,
+    WalkOptions opt, const std::string& what) {
+  opt.trace.informed_curve = true;
+  opt.trace.inform_rounds = true;
+  opt.shards = 1;
+  const RunResult ref = run(opt);
+  for (const std::uint32_t shards : kShardCounts) {
+    opt.shards = shards;
+    expect_same_result(ref, run(opt), what + " shards=" +
+                                          std::to_string(shards));
+  }
+}
+
+// The General-mode passes (agent-id slot keys through stifling, blocking
+// and per-vertex success draws) and the non-stationary placements, on
+// graphs where many walkers share a vertex — the contended-claim case.
+void expect_interventions_and_placements_agree(
+    const std::function<RunResult(const Graph&, std::uint64_t,
+                                  const WalkOptions&)>& run,
+    WalkOptions base, const std::string& what) {
+  const Graph graphs[] = {gen::star(64), gen::double_star(24),
+                          gen::heavy_binary_tree(63)};
+  for (const Graph& g : graphs) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const auto on_g = [&](const WalkOptions& o) { return run(g, seed, o); };
+      WalkOptions opt = base;
+      opt.transmission.stifle = 3;
+      expect_walk_widths_agree(on_g, opt, what + " stifle=3");
+      opt = base;
+      opt.transmission.block_fraction = 0.05;
+      opt.transmission.block_round = 2;
+      opt.transmission.tp = 0.8;
+      expect_walk_widths_agree(on_g, opt, what + " block=0.05,tp=0.8");
+      opt = base;
+      opt.placement = Placement::uniform;
+      opt.alpha = 2.0;
+      expect_walk_widths_agree(on_g, opt, what + " placement=uniform");
+      opt = base;
+      opt.placement = Placement::at_vertex;
+      opt.placement_anchor = 5;
+      expect_walk_widths_agree(on_g, opt, what + " placement=at_vertex");
+      // Fewer agents than ranges: the clamped-away ranges' tallies must
+      // read zero.
+      opt = base;
+      opt.agent_count = 3;
+      opt.max_rounds = 200;
+      expect_walk_widths_agree(on_g, opt, what + " agents=3");
+    }
+  }
+}
+
 TEST(ShardedVisitExchange, TrajectoryIndependentOfShardCount) {
-  const Graph graphs[] = {gen::cycle(64), gen::complete(48),
-                          gen::grid2d(8, 8)};
+  const Graph graphs[] = {gen::cycle(64),       gen::complete(48),
+                          gen::grid2d(8, 8),    gen::star(64),
+                          gen::double_star(24), gen::heavy_binary_tree(63)};
   for (const Graph& g : graphs) {
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
       const RunResult ref = run_visitx_shards(g, seed, 1, 1.0f);
@@ -379,6 +474,35 @@ TEST(ShardedVisitExchange, HeterogeneousTrajectoriesMatch) {
                          "het visitx shards=" + std::to_string(shards));
     }
   }
+}
+
+TEST(ShardedVisitExchange, InterventionsAndPlacementsMatch) {
+  expect_interventions_and_placements_agree(
+      [](const Graph& g, std::uint64_t seed, const WalkOptions& opt) {
+        return run_visit_exchange(g, 0, seed, opt);
+      },
+      WalkOptions{}, "visitx");
+}
+
+TEST(ShardedVisitExchange, ReusedArenaTalliesStartAtZero) {
+  // A 65-agent trial leaves inform counts in all 7 per-shard tallies; a
+  // 3-agent trial on the same arena fans out over 3 ranges only, so the 4
+  // clamped-away tallies must read zero, not the previous trial's counts.
+  const Graph g = gen::star(64);
+  WalkOptions few;
+  few.shards = 7;
+  few.agent_count = 3;
+  few.max_rounds = 50;
+  few.trace.informed_curve = true;
+  few.trace.inform_rounds = true;
+  WalkOptions many = few;
+  many.agent_count = 0;
+  many.max_rounds = 1;
+  const RunResult ref = VisitExchangeProcess(g, 0, 5, few).run();
+  TrialArena arena;
+  (void)VisitExchangeProcess(g, 0, 5, many, &arena).run();
+  expect_same_result(ref, VisitExchangeProcess(g, 0, 5, few, &arena).run(),
+                     "reused arena");
 }
 
 TEST(ShardedVisitExchange, ImplicitAndOwnedBackendsAgree) {
@@ -411,8 +535,9 @@ RunResult run_meetx_shards(const Graph& g, std::uint64_t seed,
 TEST(ShardedMeetExchange, TrajectoryIndependentOfShardCount) {
   // cycle is bipartite: the default auto_bipartite laziness must resolve
   // identically through the sharded walk kernel.
-  const Graph graphs[] = {gen::cycle(48), gen::complete(32),
-                          gen::grid2d(6, 6)};
+  const Graph graphs[] = {gen::cycle(48),       gen::complete(32),
+                          gen::grid2d(6, 6),    gen::star(64),
+                          gen::double_star(24), gen::heavy_binary_tree(63)};
   for (const Graph& g : graphs) {
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
       const RunResult ref = run_meetx_shards(g, seed, 1, 1.0f);
@@ -434,6 +559,16 @@ TEST(ShardedMeetExchange, HeterogeneousTrajectoriesMatch) {
                          "het meetx shards=" + std::to_string(shards));
     }
   }
+}
+
+TEST(ShardedMeetExchange, InterventionsAndPlacementsMatch) {
+  // at_vertex with an anchor off the source leaves the source active, so
+  // the source-meeting branch and its tally run too.
+  expect_interventions_and_placements_agree(
+      [](const Graph& g, std::uint64_t seed, const WalkOptions& opt) {
+        return run_meet_exchange(g, 0, seed, opt);
+      },
+      MeetExchangeProcess::default_options(), "meetx");
 }
 
 TEST(ShardedMeetExchange, ImplicitAndOwnedBackendsAgree) {
@@ -467,7 +602,7 @@ TEST(ShardedHybrid, TrajectoryIndependentOfShardCount) {
   // The dual phase exercises every draw phase at once: agent informs,
   // push, pull, and agent catches in one round.
   const Graph graphs[] = {gen::cycle(96), gen::star(64),
-                          gen::heavy_binary_tree(63)};
+                          gen::double_star(24), gen::heavy_binary_tree(63)};
   for (const Graph& g : graphs) {
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
       const RunResult ref = run_hybrid_shards(g, seed, 1, 1.0f);
@@ -489,6 +624,14 @@ TEST(ShardedHybrid, HeterogeneousTrajectoriesMatch) {
                          "het hybrid shards=" + std::to_string(shards));
     }
   }
+}
+
+TEST(ShardedHybrid, InterventionsAndPlacementsMatch) {
+  expect_interventions_and_placements_agree(
+      [](const Graph& g, std::uint64_t seed, const WalkOptions& opt) {
+        return run_hybrid(g, 0, seed, opt);
+      },
+      WalkOptions{}, "hybrid");
 }
 
 TEST(ShardedHybrid, ImplicitAndOwnedBackendsAgree) {
@@ -583,7 +726,11 @@ TEST(ShardedAlloc, SteadyStateTrialsAllocateNothing) {
        {"push(shards=2)", "push-pull(shards=2)", "visit-exchange(shards=2)",
         "meet-exchange(shards=2)", "hybrid(shards=2)",
         "push(shards=4,tp=0.8)", "push-pull(shards=4,loss=0.1)",
-        "meet-exchange(shards=4,tp=0.8)", "hybrid(shards=4,tp=0.8)"}) {
+        "meet-exchange(shards=4,tp=0.8)", "hybrid(shards=4,tp=0.8)",
+        "visit-exchange(shards=4,placement=uniform)",
+        "meet-exchange(shards=2,placement=uniform)",
+        "hybrid(shards=4,placement=uniform)", "visit-exchange(shards=4,stifle=3)",
+        "meet-exchange(shards=4,stifle=3)", "hybrid(shards=2,stifle=3)"}) {
     const auto spec = ProtocolSpec::parse(text);
     ASSERT_TRUE(spec) << text;
     // Warm-up: scratch segments grow to their high-water mark.
