@@ -24,14 +24,14 @@ Graph make_graph() {
 }
 
 void register_all() {
-  // (i) lossy push-pull.
+  // (i) lossy push-pull: independent per-call loss q is tp = 1 - q.
   for (double loss : {0.0, 0.25, 0.5}) {
     register_point(
         "robust/push-pull/loss=" + std::to_string(loss),
         [loss](benchmark::State& state) {
           const Graph g = make_graph();
           ProtocolSpec spec = default_spec(Protocol::push_pull);
-          spec.push_pull().loss_probability = loss;
+          spec.push_pull().transmission.tp = 1.0 - loss;
           measure_point(state, "push-pull vs loss", loss, g, spec, 0,
                         trials_or(20));
         });

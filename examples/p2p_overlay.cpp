@@ -48,7 +48,7 @@ int main() {
                  }))});
 
   PushPullOptions lossy;
-  lossy.loss_probability = 0.3;
+  lossy.transmission.tp = 0.7;  // each call's message lost w.p. 0.3
   table.add_row({"push-pull, 30% message loss",
                  TextTable::num(average([&](std::uint64_t seed) {
                    return double(

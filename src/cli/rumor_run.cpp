@@ -158,8 +158,7 @@ void list_registry() {
       "  queued trials can't fill it. The sharded engine draws from an\n"
       "  addressable per-slot Philox plane, so its trajectories differ\n"
       "  from the serial legacy engine but are identical for every shard\n"
-      "  count and worker count. Incompatible with edge_traffic=on and a\n"
-      "  non-default engine= key.\n",
+      "  count and worker count. Incompatible with edge_traffic=on.\n",
       static_cast<unsigned long long>(kShardAutoThreshold));
   std::printf(
       "\ntransmission model & interventions (protocol options; multi-rumor "

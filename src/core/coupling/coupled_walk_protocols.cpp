@@ -1,6 +1,7 @@
 #include "core/coupling/coupled_walk_protocols.hpp"
 
 #include "graph/properties.hpp"
+#include "walk/step_kernel.hpp"
 
 namespace rumor {
 
@@ -53,8 +54,7 @@ void CoupledWalkProtocols::step() {
 
   // Shared movement: THE coupling — both protocols see these trajectories
   // (one batched kernel pass, so both views consume the same draws).
-  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_, nullptr,
-             options_.engine);
+  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_);
 
   // Snapshots of "informed before this round".
   visitx_informed_before_ = visitx_informed_;

@@ -239,7 +239,11 @@ void dynamic_agent_entry_format(const ProtocolOptions& options,
   if (opt.loss_fraction != def.loss_fraction) {
     out.add("loss_fraction", opt.loss_fraction);
   }
-  format_walk_options(opt.walk, def.walk, out);
+  // Mirror of the set hook: the keys it rejects are never emitted.
+  WalkOptions walk = opt.walk;
+  walk.lazy = def.walk.lazy;
+  walk.trace.edge_traffic = def.walk.trace.edge_traffic;
+  format_walk_options(walk, def.walk, out);
 }
 
 bool dynamic_agent_entry_set(ProtocolOptions& options, std::string_view key,
@@ -247,7 +251,7 @@ bool dynamic_agent_entry_set(ProtocolOptions& options, std::string_view key,
   auto& opt = std::get<DynamicAgentOptions>(options);
   if (key == "churn") {
     const auto v = spec_text::parse_double(value);
-    if (!v || !(*v >= 0.0 && *v <= 1.0)) return false;  // NaN-proof
+    if (!v || !(*v >= 0.0 && *v < 1.0)) return false;  // NaN-proof
     opt.churn = *v;
     return true;
   }
@@ -263,6 +267,9 @@ bool dynamic_agent_entry_set(ProtocolOptions& options, std::string_view key,
     opt.loss_fraction = *v;
     return true;
   }
+  // Movement is never lazy and no edge counters are kept, so these walk
+  // keys would parse, round-trip and change nothing.
+  if (key == "lazy" || key == "edge_traffic") return false;
   return set_walk_option(opt.walk, key, value);
 }
 

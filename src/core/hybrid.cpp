@@ -29,13 +29,10 @@ HybridProcess::HybridProcess(const Graph& g, Vertex source,
                        : ShardedPlacement{}) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
-  // Sharded mode replaces the stepping engine wholesale (per-walker
-  // addressable draws); the CLI rejects the incompatible combinations
-  // with a message, these REQUIREs are the API-user backstop.
-  if (sharded_) {
-    RUMOR_REQUIRE(!options_.trace.edge_traffic);
-    RUMOR_REQUIRE(options_.engine == StepEngine::batched);
-  }
+  // Sharded mode steps walkers from per-walker addressable draws, which
+  // cannot express the per-edge traced stream; the CLI rejects the
+  // combination with a message, this REQUIRE is the API-user backstop.
+  if (sharded_) RUMOR_REQUIRE(!options_.trace.edge_traffic);
   target_ = g.num_vertices();
   const std::size_t count = agents_.count();
   arena_->vertex_inform_round.reset(g.num_vertices(), kNeverInformed);
@@ -136,8 +133,7 @@ void HybridProcess::step_impl() {
   const std::size_t count = agents_.count();
 
   // (1) agents move (batched walk kernel).
-  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_, nullptr,
-             options_.engine);
+  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_);
 
   // (2) previously informed agents inform their vertices (stifled agents
   // and quarantined vertices excepted).

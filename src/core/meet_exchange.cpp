@@ -30,14 +30,10 @@ MeetExchangeProcess::MeetExchangeProcess(const Graph& g, Vertex source,
       source_(source) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
-  // Sharded mode replaces the stepping engine wholesale (per-walker
-  // addressable draws) and cannot express the per-edge traced stream; the
-  // CLI rejects both combinations with a message, these REQUIREs are the
-  // API-user backstop.
-  if (sharded_) {
-    RUMOR_REQUIRE(!options_.trace.edge_traffic);
-    RUMOR_REQUIRE(options_.engine == StepEngine::batched);
-  }
+  // Sharded mode steps walkers from per-walker addressable draws, which
+  // cannot express the per-edge traced stream; the CLI rejects the
+  // combination with a message, this REQUIRE is the API-user backstop.
+  if (sharded_) RUMOR_REQUIRE(!options_.trace.edge_traffic);
   const std::size_t count = agents_.count();
   arena_->agent_inform_round.reset(count, kNeverInformed);
   arena_->vertex_marks.reset(g.num_vertices());
@@ -98,8 +94,7 @@ void MeetExchangeProcess::step_impl() {
   // identically, so tracing never changes the trajectory.
   std::uint64_t* traffic =
       options_.trace.edge_traffic ? arena_->edge_traffic.data() : nullptr;
-  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_, traffic,
-             options_.engine);
+  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_, traffic);
 
   // Mark the vertices occupied by agents that were informed before this
   // round; exchanges only flow from those agents (paper: "exactly one of

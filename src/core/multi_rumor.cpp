@@ -231,8 +231,7 @@ void MultiRumorVisitExchange::step_impl() {
   constexpr bool kGeneral = std::is_same_v<Mode, transmission::General>;
   ++round_;
   const std::size_t count = agents_.count();
-  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_, nullptr,
-             options_.engine);
+  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_);
   auto& held = arena_->vertex_rumors;
   auto& agent_held = arena_->agent_rumors;
   auto& agent_held_before = arena_->agent_rumors_before;

@@ -37,8 +37,6 @@ PushProcess::PushProcess(const Graph& g, Vertex source, std::uint64_t seed,
       owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
       arena_(arena != nullptr ? arena : owned_arena_.get()) {
   RUMOR_REQUIRE(source < g.num_vertices());
-  RUMOR_REQUIRE(options.loss_probability >= 0.0 &&
-                options.loss_probability < 1.0);
   model_.bind(g, options_.transmission, *arena_, seed,
               /*need_edge_field=*/options_.trace.edge_traffic);
   // Engine choice is pure in (options, n) — see core/sharding. The sharded
@@ -51,12 +49,12 @@ PushProcess::PushProcess(const Graph& g, Vertex source, std::uint64_t seed,
     shard_width_ = resolve_shard_width(options_.shards);
     seed_ = seed;
   }
-  // The calendar path models exactly the untraced loss-free process (a
-  // failed call is then unobservable), and needs a single constant success
-  // probability for the geometric gaps. The sharded engine replaces it
-  // wholesale (per-slot draws, not a serial calendar).
+  // The calendar path models exactly the untraced process (a failed call
+  // is then unobservable), and needs a single constant success probability
+  // for the geometric gaps. The sharded engine replaces it wholesale
+  // (per-slot draws, not a serial calendar).
   skip_ = !sharded_ && model_.sample_mode() == SampleMode::skip_uniform &&
-          !options_.trace.edge_traffic && options_.loss_probability == 0.0;
+          !options_.trace.edge_traffic;
   target_ = g.num_vertices();
   arena_->vertex_inform_round.reset(g.num_vertices(), kNeverInformed);
   arena_->informed_nbr_count.reset(g.num_vertices(), 0);
@@ -191,9 +189,9 @@ void PushProcess::step() {
 // geometric gap to its next success, and the uniform neighbor pick happens
 // at the success (the success coin is independent of which neighbor was
 // drawn, so drawing success-first is the same joint distribution — and the
-// neighbor picks of failed calls are unobservable in an untraced loss-free
-// run). Saturated / stifled / quarantined callers retire lazily at their
-// wake: all three conditions are permanent once true.
+// neighbor picks of failed calls are unobservable in an untraced run).
+// Saturated / stifled / quarantined callers retire lazily at their wake:
+// all three conditions are permanent once true.
 template <class Access>
 void PushProcess::step_skip(const Access& acc) {
   auto* heads = arena_->wake_heads.data();
@@ -336,10 +334,6 @@ void PushProcess::step_impl() {
     } else {
       v = graph_->random_neighbor_unchecked(u, rng_);
     }
-    if (options_.loss_probability > 0.0 &&
-        rng_.chance(options_.loss_probability)) {
-      continue;  // the call happened (and was counted) but the message dropped
-    }
     if constexpr (kGeneral) {
       // The success draw fires only for state-changing deliveries, on both
       // the traced and untraced paths, so tracing never shifts the stream.
@@ -371,7 +365,7 @@ void PushProcess::step_impl() {
 // the plane. Partition count and worker count cannot move a single draw.
 //
 // A caller whose pick lands on a vertex another slot informs THIS round
-// still draws its loss/attempt words and is discarded at the merge; in the
+// still draws its attempt word and is discarded at the merge; in the
 // serial engine that caller would see touched(v) and not draw. The words
 // are independent per-slot variates that decide nothing observable, so the
 // process law is identical (same argument as saturation retirement).
@@ -434,11 +428,10 @@ void PushProcess::step_sharded(const Access& acc) {
                   scratch[s].survivors.end());
   }
 
-  // Pass 2 (parallel): every surviving caller draws its neighbor, loss,
-  // and success words from its own chain (slot = compacted index) and
-  // stages the vertex it would inform.
+  // Pass 2 (parallel): every surviving caller draws its neighbor and
+  // success words from its own chain (slot = compacted index) and stages
+  // the vertex it would inform.
   const ShardPlane plane(seed_, round_);
-  const double loss = options_.loss_probability;
   for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
   shard_pool().parallel_for_ranges(
       active.size(), width,
@@ -450,7 +443,6 @@ void PushProcess::step_sharded(const Access& acc) {
                           static_cast<std::uint32_t>(i));
           const GraphRow row = acc.row(u);
           const Vertex v = acc.pick(row, word_below(draws, row.deg));
-          if (loss > 0.0 && draws.next_unit_double() < loss) continue;
           if constexpr (kGeneral) {
             if (model_.blocked<Mode>(v, round_) || informed.touched(v)) {
               continue;
@@ -528,9 +520,6 @@ void push_entry_format(const ProtocolOptions& options,
                        spec_text::KeyValWriter& out) {
   const auto& opt = std::get<PushOptions>(options);
   const auto& def = std::get<PushOptions>(defaults);
-  if (opt.loss_probability != def.loss_probability) {
-    out.add("loss", opt.loss_probability);
-  }
   if (opt.max_rounds != def.max_rounds) {
     out.add("max_rounds", static_cast<std::uint64_t>(opt.max_rounds));
   }
@@ -542,12 +531,6 @@ void push_entry_format(const ProtocolOptions& options,
 bool push_entry_set(ProtocolOptions& options, std::string_view key,
                     std::string_view value) {
   auto& opt = std::get<PushOptions>(options);
-  if (key == "loss") {
-    const auto v = spec_text::parse_double(value);
-    if (!v || !(*v >= 0.0 && *v < 1.0)) return false;  // NaN-proof
-    opt.loss_probability = *v;
-    return true;
-  }
   if (key == "max_rounds") {
     const auto v = spec_text::parse_u64(value);
     if (!v) return false;

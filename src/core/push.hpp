@@ -29,9 +29,6 @@
 namespace rumor {
 
 struct PushOptions {
-  // Transmission failure probability: each call is dropped independently
-  // with this probability (robustness ablation, cf. Elsässer–Sauerwald).
-  double loss_probability = 0.0;
   Round max_rounds = 0;  // 0 = default_round_cutoff(n)
   // Frontier-sharded round engine (core/sharding): 0 = serial legacy,
   // kShardsAuto = on for huge graphs, N >= 1 = on with N partitions. The
@@ -39,6 +36,7 @@ struct PushOptions {
   // the partition count. Incompatible with trace.edge_traffic.
   std::uint32_t shards = 0;
   // Contact rule: success probabilities + interventions (core/transmission).
+  // Independent per-call message loss with probability q is tp = 1 - q.
   TransmissionOptions transmission;
   TraceOptions trace;
 
@@ -87,10 +85,10 @@ class PushProcess {
   // determinism contract.
   template <class Mode, class Access>
   void step_sharded(const Access& acc);
-  // Geometric skip-sampling round (sample_mode == skip_uniform, untraced,
-  // loss-free): instead of one Bernoulli(p) coin per caller per round, each
-  // caller sits in a calendar queue keyed by the round of its next
-  // *successful* call, so a round costs O(successes), not O(callers).
+  // Geometric skip-sampling round (sample_mode == skip_uniform, untraced):
+  // instead of one Bernoulli(p) coin per caller per round, each caller
+  // sits in a calendar queue keyed by the round of its next *successful*
+  // call, so a round costs O(successes), not O(callers).
   // Templated on the graph access policy (CsrAccess/ImplicitAccess, picked
   // once per step by with_graph_access) so the event loop runs raw CSR
   // loads or closed-form arithmetic with no per-event backend branch.

@@ -21,8 +21,6 @@ PushPullProcess::PushPullProcess(const Graph& g, Vertex source,
       owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
       arena_(arena != nullptr ? arena : owned_arena_.get()) {
   RUMOR_REQUIRE(source < g.num_vertices());
-  RUMOR_REQUIRE(options.loss_probability >= 0.0 &&
-                options.loss_probability < 1.0);
   model_.bind(g, options_.transmission, *arena_, seed,
               /*need_edge_field=*/options_.trace.edge_traffic);
   // The sharded engine covers the untraced fast path only: the
@@ -130,10 +128,6 @@ void PushPullProcess::step_impl() {
       }
       const auto [v, slot] = graph_->random_neighbor_slot_unchecked(u, rng_);
       ++arena_->edge_traffic[graph_->edge_id_unchecked(u, slot)];
-      if (options_.loss_probability > 0.0 &&
-          rng_.chance(options_.loss_probability)) {
-        continue;
-      }
       const bool u_was = informed_before_this_round(u);
       const bool v_was = informed_before_this_round(v);
       if (u_was == v_was) continue;
@@ -193,10 +187,6 @@ void PushPullProcess::step_impl() {
     for (std::size_t i = 0; i < pushers; ++i) {
       const Vertex u = active[i];
       const Vertex v = graph_->random_neighbor_unchecked(u, rng_);
-      if (options_.loss_probability > 0.0 &&
-          rng_.chance(options_.loss_probability)) {
-        continue;
-      }
       if constexpr (kGeneral) {
         if (model_.blocked<Mode>(v, round_) ||
             arena_->vertex_inform_round.touched(v) ||
@@ -212,10 +202,6 @@ void PushPullProcess::step_impl() {
       const Vertex w = frontier[i];
       if (arena_->vertex_inform_round.touched(w)) continue;  // pushed now
       const Vertex v = graph_->random_neighbor_unchecked(w, rng_);
-      if (options_.loss_probability > 0.0 &&
-          rng_.chance(options_.loss_probability)) {
-        continue;
-      }
       if (!informed_before_this_round(v)) continue;
       if constexpr (kGeneral) {
         if (!model_.can_transmit<Mode>(arena_->vertex_inform_round.get(v), v,
@@ -330,7 +316,6 @@ void PushPullProcess::step_sharded(const Access& acc) {
   const std::size_t pullers = frontier.size();
 
   const ShardPlane plane(seed_, round_);
-  const double loss = options_.loss_probability;
 
   // Pusher phase: slot = compacted caller index.
   for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
@@ -344,7 +329,6 @@ void PushPullProcess::step_sharded(const Access& acc) {
                           static_cast<std::uint32_t>(i));
           const GraphRow row = acc.row(u);
           const Vertex v = acc.pick(row, word_below(draws, row.deg));
-          if (loss > 0.0 && draws.next_unit_double() < loss) continue;
           if constexpr (kGeneral) {
             if (model_.blocked<Mode>(v, round_) || informed.touched(v)) {
               continue;
@@ -379,7 +363,6 @@ void PushPullProcess::step_sharded(const Access& acc) {
                           static_cast<std::uint32_t>(i));
           const GraphRow row = acc.row(w);
           const Vertex v = acc.pick(row, word_below(draws, row.deg));
-          if (loss > 0.0 && draws.next_unit_double() < loss) continue;
           if (!informed_before_this_round(v)) continue;
           if constexpr (kGeneral) {
             if (!model_.can_transmit<Mode>(
@@ -458,9 +441,6 @@ void push_pull_entry_format(const ProtocolOptions& options,
                             spec_text::KeyValWriter& out) {
   const auto& opt = std::get<PushPullOptions>(options);
   const auto& def = std::get<PushPullOptions>(defaults);
-  if (opt.loss_probability != def.loss_probability) {
-    out.add("loss", opt.loss_probability);
-  }
   if (opt.max_rounds != def.max_rounds) {
     out.add("max_rounds", static_cast<std::uint64_t>(opt.max_rounds));
   }
@@ -472,12 +452,6 @@ void push_pull_entry_format(const ProtocolOptions& options,
 bool push_pull_entry_set(ProtocolOptions& options, std::string_view key,
                          std::string_view value) {
   auto& opt = std::get<PushPullOptions>(options);
-  if (key == "loss") {
-    const auto v = spec_text::parse_double(value);
-    if (!v || !(*v >= 0.0 && *v < 1.0)) return false;  // NaN-proof
-    opt.loss_probability = *v;
-    return true;
-  }
   if (key == "max_rounds") {
     const auto v = spec_text::parse_u64(value);
     if (!v) return false;

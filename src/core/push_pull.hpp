@@ -8,7 +8,7 @@
 // pushes by informed vertices with an uninformed neighbor, and pulls by
 // uninformed vertices adjacent to an informed one. All other calls are
 // no-ops by definition, so the simulator iterates exactly those two sets
-// (see DESIGN.md "law-preserving optimizations"; differentially tested
+// (see docs/perf.md "Law-preserving optimizations"; differentially tested
 // against reference_push_pull).
 //
 // Scratch state (inform rounds, neighbor counters, caller/frontier lists)
@@ -27,14 +27,14 @@
 namespace rumor {
 
 struct PushPullOptions {
-  double loss_probability = 0.0;  // per-call drop probability
-  Round max_rounds = 0;           // 0 = default_round_cutoff(n)
+  Round max_rounds = 0;  // 0 = default_round_cutoff(n)
   // Frontier-sharded round engine (core/sharding): 0 = serial legacy,
   // kShardsAuto = on for huge graphs, N >= 1 = on with N partitions.
   // Trajectory depends only on on/off, never on the partition count.
   // Incompatible with trace.edge_traffic (the exact-bandwidth path).
   std::uint32_t shards = 0;
   // Contact rule: success probabilities + interventions (core/transmission).
+  // Independent per-call message loss with probability q is tp = 1 - q.
   TransmissionOptions transmission;
   TraceOptions trace;
 

@@ -57,18 +57,6 @@ const SimulatorEntry& SimulatorRegistry::at(Protocol id) const {
   return *entry;
 }
 
-void walk_entry_format(const ProtocolOptions& options,
-                       const ProtocolOptions& defaults,
-                       spec_text::KeyValWriter& out) {
-  format_walk_options(std::get<WalkOptions>(options),
-                      std::get<WalkOptions>(defaults), out);
-}
-
-bool walk_entry_set(ProtocolOptions& options, std::string_view key,
-                    std::string_view value) {
-  return set_walk_option(std::get<WalkOptions>(options), key, value);
-}
-
 TraceOptions* walk_entry_trace(ProtocolOptions& options) {
   return &std::get<WalkOptions>(options).trace;
 }

@@ -77,21 +77,12 @@ class SimulatorRegistry {
 };
 
 // Entry hooks shared by the simulators whose options are a bare
-// WalkOptions alternative; they delegate to
-// set_walk_option/format_walk_options. The shared grammar does NOT parse
-// `shards=` — simulators without a sharded round (dynamic-agent,
-// multi-rumor) must reject the key rather than silently carry a dead
-// option.
-void walk_entry_format(const ProtocolOptions& options,
-                       const ProtocolOptions& defaults,
-                       spec_text::KeyValWriter& out);
-bool walk_entry_set(ProtocolOptions& options, std::string_view key,
-                    std::string_view value);
+// WalkOptions alternative (visit-exchange, meet-exchange, hybrid): the walk
+// grammar (set_walk_option/format_walk_options) plus the `shards=` key.
+// The walk grammar itself does NOT parse `shards=` — simulators without a
+// sharded round (dynamic-agent, multi-rumor) must reject the key rather
+// than silently carry a dead option.
 TraceOptions* walk_entry_trace(ProtocolOptions& options);
-
-// As walk_entry_format/set, plus the `shards=` key — for the walk
-// simulators with a frontier-sharded round engine (visit-exchange,
-// meet-exchange, hybrid).
 void sharded_walk_entry_format(const ProtocolOptions& options,
                                const ProtocolOptions& defaults,
                                spec_text::KeyValWriter& out);

@@ -5,12 +5,12 @@
 // engine on for graphs at or above kShardAutoThreshold vertices;
 // `shards=N` (N >= 1) turns it on unconditionally. The sharded engine is a
 // DIFFERENT engine — its draws come from the addressable ShardPlane, so
-// its trajectories differ from legacy (exactly like engine=counter walks)
-// — but within the engine the trajectory depends only on whether sharding
-// is ON, never on the partition count: every random decision is keyed by
-// its logical slot, and every write is either merged shard-major (global
-// slot order), an idempotent claim, or owned by its slot's agent — none of
-// which an execution order can change. shards=1 therefore IS the serial
+// its trajectories differ from legacy — but within the engine the
+// trajectory depends only on whether sharding is ON, never on the
+// partition count: every random decision is keyed by its logical slot, and
+// every write is either merged shard-major (global slot order), an
+// idempotent claim, or owned by its slot's agent — none of which an
+// execution order can change. shards=1 therefore IS the serial
 // reference the determinism tests compare 2/4/7-way runs against, and
 // `auto` can pick its width from the machine without breaking
 // reproducibility.

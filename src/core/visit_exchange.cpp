@@ -29,14 +29,10 @@ VisitExchangeProcess::VisitExchangeProcess(const Graph& g, Vertex source,
                        : ShardedPlacement{}) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
-  // Sharded mode replaces the stepping engine wholesale (per-walker
-  // addressable draws) and cannot express the per-edge traced stream; the
-  // CLI rejects both combinations with a message, these REQUIREs are the
-  // API-user backstop.
-  if (sharded_) {
-    RUMOR_REQUIRE(!options_.trace.edge_traffic);
-    RUMOR_REQUIRE(options_.engine == StepEngine::batched);
-  }
+  // Sharded mode steps walkers from per-walker addressable draws, which
+  // cannot express the per-edge traced stream; the CLI rejects the
+  // combination with a message, this REQUIRE is the API-user backstop.
+  if (sharded_) RUMOR_REQUIRE(!options_.trace.edge_traffic);
   target_ = g.num_vertices();
   const std::size_t count = agents_.count();
   arena_->vertex_inform_round.reset(g.num_vertices(), kNeverInformed);
@@ -117,8 +113,7 @@ void VisitExchangeProcess::step_impl() {
   // the RNG identically, so tracing never changes the trajectory.
   std::uint64_t* traffic =
       options_.trace.edge_traffic ? arena_->edge_traffic.data() : nullptr;
-  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_, traffic,
-             options_.engine);
+  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_, traffic);
 
   // Phase A: agents informed in a previous round inform their vertex
   // (stifled agents and quarantined vertices excepted; the success draw

@@ -143,16 +143,6 @@ bool set_agent_walk_option(WalkOptions& options, std::string_view key,
     const auto v = spec_text::parse_u64(value);
     if (!v) return false;
     options.max_rounds = *v;
-  } else if (key == "engine") {
-    if (value == "batched") {
-      options.engine = StepEngine::batched;
-    } else if (value == "scalar") {
-      options.engine = StepEngine::scalar_checked;
-    } else if (value == "counter") {
-      options.engine = StepEngine::counter;
-    } else {
-      return false;
-    }
   } else if (key == "tp") {
     return set_transmission_probability_option(options.transmission, key,
                                                value);
@@ -190,12 +180,6 @@ void format_agent_walk_options(const WalkOptions& options,
   }
   if (options.max_rounds != defaults.max_rounds) {
     out.add("max_rounds", static_cast<std::uint64_t>(options.max_rounds));
-  }
-  if (options.engine != defaults.engine) {
-    out.add("engine", options.engine == StepEngine::batched ? "batched"
-                      : options.engine == StepEngine::counter
-                          ? "counter"
-                          : "scalar");
   }
   format_transmission_probability_options(options.transmission,
                                           defaults.transmission, out);

@@ -8,7 +8,6 @@
 #include "core/protocol.hpp"
 #include "core/transmission.hpp"
 #include "walk/agents.hpp"
-#include "walk/step_kernel.hpp"
 
 namespace rumor {
 
@@ -34,19 +33,13 @@ struct WalkOptions {
   Vertex placement_anchor = kNoVertex;
   LazyMode lazy = LazyMode::never;
   Round max_rounds = 0;  // 0 = default_round_cutoff(n)
-  // Stepping-loop implementation; scalar_checked is the differential
-  // baseline (identical trajectories by construction), counter draws the
-  // step words from an addressable Philox stream instead of the serial
-  // xoshiro stream (deterministic per seed, distinct trajectories).
-  StepEngine engine = StepEngine::batched;
   // Frontier-sharded round engine (core/sharding): 0 = serial legacy,
   // kShardsAuto = on for huge graphs, N >= 1 = on with N partitions.
   // Honored by visit-exchange, meet-exchange, and hybrid (their shared
   // sharded_walk_entry hooks parse the key); the plain walk grammar
   // rejects it, so the remaining walk specs (frog, dynamic-agent,
   // multi-rumor) cannot silently carry a dead option. Incompatible with
-  // trace.edge_traffic and with a non-default engine= (the sharded stepper
-  // replaces the engine choice).
+  // trace.edge_traffic.
   std::uint32_t shards = 0;
   // Contact rule (success probabilities + interventions); the default is
   // the paper's always-successful homogeneous transmission.
@@ -83,8 +76,8 @@ struct WalkOptions {
 // (visit-exchange, meet-exchange, hybrid, dynamic-agent, multi-rumor).
 // Keys: alpha, agents, placement (stationary|one_per_vertex|uniform|
 // at_vertex), anchor (vertex id or "source"), lazy (never|always|auto),
-// max_rounds, engine (batched|scalar|counter), tp, curve, inform_rounds,
-// edge_traffic, plus the intervention keys (stifle, block, block@t).
+// max_rounds, tp, curve, inform_rounds, edge_traffic, plus the
+// intervention keys (stifle, block, block@t).
 // set_walk_option returns false for an unknown key or unparsable value;
 // format_walk_options appends only keys that differ from `defaults`, so the
 // canonical spec text of a default spec is the bare protocol name.

@@ -396,25 +396,16 @@ bool prepare_scenario(const ScenarioSpec& spec, ScenarioResult& result,
     set_error(error, "scenario \"" + spec.name() + "\": " + why);
     return false;
   }
-  // The sharded round engine's incompatibilities, rejected here with a
+  // The sharded round engine's one incompatibility, rejected here with a
   // typed message; the RUMOR_REQUIREs in the process constructors are
   // abort-on-bug backstops, not user-input validation.
-  if (spec.protocol.shards() != 0) {
-    if (const TraceOptions* trace = spec.protocol.trace();
-        trace != nullptr && trace->edge_traffic) {
-      set_error(error, "scenario \"" + spec.name() +
-                           "\": shards= is incompatible with "
-                           "edge_traffic=on (the exact-bandwidth trace "
-                           "needs the serial engine)");
-      return false;
-    }
-    if (const WalkOptions* walk = spec.protocol.walk_if();
-        walk != nullptr && walk->engine != StepEngine::batched) {
-      set_error(error, "scenario \"" + spec.name() +
-                           "\": shards= replaces the stepping engine; "
-                           "drop the engine= key");
-      return false;
-    }
+  if (const TraceOptions* trace = spec.protocol.trace();
+      spec.protocol.shards() != 0 && trace != nullptr && trace->edge_traffic) {
+    set_error(error, "scenario \"" + spec.name() +
+                         "\": shards= is incompatible with "
+                         "edge_traffic=on (the exact-bandwidth trace "
+                         "needs the serial engine)");
+    return false;
   }
   return true;
 }

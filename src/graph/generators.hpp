@@ -111,9 +111,9 @@ namespace rumor::gen {
 
 // Random d-regular simple graph via the configuration model with edge-swap
 // repair of self-loops/multi-edges. n*d must be even, d < n. The result is
-// approximately uniform (documented deviation in DESIGN.md) and is rejected
-// and resampled if disconnected (connectivity is overwhelmingly likely for
-// d >= 3).
+// approximately uniform (the deviation is documented in docs/perf.md,
+// "Law-preserving optimizations") and is rejected and resampled if
+// disconnected (connectivity is overwhelmingly likely for d >= 3).
 [[nodiscard]] Graph random_regular(Vertex n, std::uint32_t d, Rng& rng);
 
 // Erdős–Rényi G(n, p) conditioned on connectivity: resamples until

@@ -3,22 +3,22 @@
 //
 // A counter-based generator is a pure function: block = philox(key,
 // counter). There is no hidden serial state, so any draw of a trial is
-// computable from its logical coordinate alone — philox_draw(master_seed,
-// trial, round, slot) — which is what makes batched draw generation,
-// frontier-sharded execution, and multi-node reproduction possible: two
-// workers that agree on coordinates agree on randomness without ever
-// exchanging generator state.
+// computable from its logical coordinate alone, which is what makes batched
+// draw generation, frontier-sharded execution, and multi-node reproduction
+// possible: two workers that agree on coordinates agree on randomness
+// without ever exchanging generator state.
 //
 // Two consumption shapes:
-//   * philox_draw(master, trial, round, slot) — the stateless addressable
-//     form (constexpr; pinned cross-platform in
+//   * ShardPlane / SlotDraws — the one addressable scheme: every draw of a
+//     sharded round is keyed by (trial seed, round, phase, slot), never by
+//     execution order (first words pinned cross-platform in
 //     tests/test_support_philox.cpp);
-//   * PhiloxStream — a buffered sequential view for hot loops: key =
-//     (seed, stream id), counter = running block index. Refills generate
-//     four independent blocks per inner iteration in SoA form, so the
-//     compiler can vectorize the 32x32->64 multiplies across lanes
-//     (pmuludq/vpmuludq where available; the same loop is the scalar
-//     fallback elsewhere).
+//   * PhiloxStream — a buffered sequential view for the transmission
+//     model's attempt and gap draws: key = (seed, stream id), counter =
+//     running block index. Refills generate four independent blocks per
+//     inner iteration in SoA form, so the compiler can vectorize the
+//     32x32->64 multiplies across lanes (pmuludq/vpmuludq where available;
+//     the same loop is the scalar fallback elsewhere).
 //
 // The tp=1 golden paths never touch this module: simulators keep drawing
 // their trajectories from Rng (xoshiro), byte-identically to before.
@@ -60,24 +60,6 @@ inline constexpr std::uint32_t kPhiloxW1 = 0xBB67AE85u;  // sqrt(3) - 1
 [[nodiscard]] constexpr std::uint64_t philox_key(std::uint64_t seed) {
   std::uint64_t state = seed;
   return splitmix64(state);
-}
-
-// The addressable draw: one 64-bit uniform for the logical coordinate
-// (master_seed, trial, round, slot). Key <- derive_seed(master, trial)
-// (the same per-trial seed derivation every runner uses), counter <-
-// (slot, round). Pure and constexpr: no state, no ordering requirements.
-[[nodiscard]] constexpr std::uint64_t philox_draw(std::uint64_t master_seed,
-                                                  std::uint64_t trial,
-                                                  std::uint64_t round,
-                                                  std::uint64_t slot) {
-  const std::uint64_t key = philox_key(derive_seed(master_seed, trial));
-  const auto out = philox4x32(
-      {static_cast<std::uint32_t>(slot),
-       static_cast<std::uint32_t>(slot >> 32),
-       static_cast<std::uint32_t>(round),
-       static_cast<std::uint32_t>(round >> 32)},
-      static_cast<std::uint32_t>(key), static_cast<std::uint32_t>(key >> 32));
-  return out[0] | (std::uint64_t{out[1]} << 32);
 }
 
 // Deterministic base-2 log for the geometric skip-sampling gap computation:
@@ -140,10 +122,6 @@ class PhiloxStream {
     return lo | (std::uint64_t{next_u32()} << 32);
   }
 
-  // Word-source call form, so generic draw helpers (walk/step_kernel) can
-  // consume a Philox stream exactly like an Rng.
-  [[nodiscard]] std::uint64_t operator()() { return next_u64(); }
-
   // Uniform in [0, 1) with 24-bit resolution — the natural grain for
   // comparisons against float probability fields.
   [[nodiscard]] float next_unit_float() {
@@ -185,13 +163,14 @@ class PhiloxStream {
 //   key     = philox_key(derive_seed(trial_seed, kShardDrawSalt))
 //   counter = { slot, (seq << 8) | phase, round_lo, round_hi }
 //
-// The dedicated salt keys this plane off every other Philox consumer (the
-// skip calendar, engine=counter walks), so counters may overlap freely with
-// theirs. `phase` separates draw sites within one round (a pusher and a
-// puller can share slot numbers); `seq` advances when a slot consumes more
-// than one block — rejection sampling may draw any number of words, and the
-// chain keeps those continuation words addressable by slot alone. 2^24
-// blocks per (slot, phase) is ~6e7 words: beyond any rejection loop.
+// The dedicated salt keys this plane off the other Philox consumer (the
+// transmission model's attempt and gap streams), so counters may overlap
+// freely with theirs. `phase` separates draw sites within one round (a
+// pusher and a puller can share slot numbers); `seq` advances when a slot
+// consumes more than one block — rejection sampling may draw any number of
+// words, and the chain keeps those continuation words addressable by slot
+// alone. 2^24 blocks per (slot, phase) is ~6e7 words: beyond any rejection
+// loop.
 
 inline constexpr std::uint64_t kShardDrawSalt = 0x51AED2A9C0DE5A17ULL;
 
@@ -245,11 +224,6 @@ class SlotDraws {
 
   [[nodiscard]] float next_unit_float() {
     return static_cast<float>(next_u32() >> 8) * 0x1.0p-24f;
-  }
-
-  // 53-bit grain for loss-probability comparisons (doubles in the specs).
-  [[nodiscard]] double next_unit_double() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
  private:

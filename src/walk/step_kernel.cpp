@@ -33,8 +33,8 @@ inline void prefetch(const void* p) {
 // Checked scalar reference: one agent at a time through the public Graph
 // API. Shares the draw helpers with the batched engine, so trajectories are
 // bit-identical across engines.
-template <bool kLazy, bool kTraced, class WordSource>
-void step_scalar(const Graph& g, std::span<Vertex> positions, WordSource& rng,
+template <bool kLazy, bool kTraced>
+void step_scalar(const Graph& g, std::span<Vertex> positions, Rng& rng,
                  std::uint64_t* traffic) {
   for (Vertex& p : positions) {
     const Vertex v = p;
@@ -52,9 +52,9 @@ void step_scalar(const Graph& g, std::span<Vertex> positions, WordSource& rng,
 
 // Batched engine, irregular degrees: unchecked CSR, two-stage prefetch
 // pipeline, Lemire slot draw (identical to Rng::below).
-template <bool kLazy, bool kTraced, class WordSource>
-void step_batched(const CsrView csr, std::span<Vertex> positions,
-                  WordSource& rng, std::uint64_t* traffic) {
+template <bool kLazy, bool kTraced>
+void step_batched(const CsrView csr, std::span<Vertex> positions, Rng& rng,
+                  std::uint64_t* traffic) {
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
   for (std::size_t i = 0; i < count; ++i) {
@@ -83,9 +83,9 @@ void step_batched(const CsrView csr, std::span<Vertex> positions,
 // Batched engine, regular graphs: every row starts at v * deg, so the
 // offsets array is never touched — one random memory stream instead of
 // two, and the row prefetch needs no pipeline stage.
-template <bool kLazy, bool kTraced, class WordSource>
+template <bool kLazy, bool kTraced>
 void step_batched_regular(const CsrView csr, std::uint32_t deg,
-                          std::span<Vertex> positions, WordSource& rng,
+                          std::span<Vertex> positions, Rng& rng,
                           std::uint64_t* traffic) {
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
@@ -118,9 +118,9 @@ void step_batched_regular(const CsrView csr, std::uint32_t deg,
 // 64-bit word — no 128-bit multiply, no rejection branch, and bit-identical
 // to the general path. This is the mask/shift fast path for the
 // regular-graph bench families.
-template <bool kLazy, bool kTraced, class WordSource>
+template <bool kLazy, bool kTraced>
 void step_batched_regular_pow2(const CsrView csr, std::uint32_t deg,
-                               std::span<Vertex> positions, WordSource& rng,
+                               std::span<Vertex> positions, Rng& rng,
                                std::uint64_t* traffic) {
   const int log2deg = std::countr_zero(deg);
   const std::size_t count = positions.size();
@@ -182,9 +182,9 @@ void step_batched_regular_pow2(const CsrView csr, std::uint32_t deg,
 // path (and the pow2 shift path is bit-identical to them by construction),
 // so the trajectory for a seed is the same one the materialized backend
 // would produce.
-template <bool kLazy, bool kTraced, class WordSource>
+template <bool kLazy, bool kTraced>
 void step_implicit(const ImplicitDesc& d, std::span<Vertex> positions,
-                   WordSource& rng, std::uint64_t* traffic) {
+                   Rng& rng, std::uint64_t* traffic) {
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
   for (std::size_t i = 0; i < count; ++i) {
@@ -201,13 +201,13 @@ void step_implicit(const ImplicitDesc& d, std::span<Vertex> positions,
   }
 }
 
-// Structure-based batched dispatch, shared by the xoshiro and Philox word
-// sources: the implicit backend takes the arithmetic loop, regular
-// power-of-two degrees take the shift path, regular degrees skip the
-// offsets stream, everything else runs the two-stage prefetch pipeline.
-template <bool kLazy, bool kTraced, class WordSource>
-void dispatch_batched(const Graph& g, std::span<Vertex> positions,
-                      WordSource& rng, std::uint64_t* traffic) {
+// Structure-based batched dispatch: the implicit backend takes the
+// arithmetic loop, regular power-of-two degrees take the shift path,
+// regular degrees skip the offsets stream, everything else runs the
+// two-stage prefetch pipeline.
+template <bool kLazy, bool kTraced>
+void dispatch_batched(const Graph& g, std::span<Vertex> positions, Rng& rng,
+                      std::uint64_t* traffic) {
   if (g.is_implicit()) {
     step_implicit<kLazy, kTraced>(g.implicit_desc(), positions, rng, traffic);
   } else if (g.is_regular() && g.degrees_all_pow2()) {
@@ -226,16 +226,6 @@ void dispatch(const Graph& g, std::span<Vertex> positions, Rng& rng,
               std::uint64_t* traffic, StepEngine engine) {
   if (engine == StepEngine::scalar_checked) {
     step_scalar<kLazy, kTraced>(g, positions, rng, traffic);
-  } else if (engine == StepEngine::counter) {
-    // Counter engine: ONE draw from the caller's serial stream keys a
-    // Philox stream for the whole call; every per-agent word then comes
-    // from the block-buffered SIMD refill. Trajectories stay a pure
-    // function of the trial seed and the round's randomness is fully
-    // addressable as (key, block index) — but they differ from the
-    // batched/scalar trajectories, which is why this is an opt-in engine,
-    // not a transparent fast path.
-    PhiloxStream words(rng(), /*stream=*/0);
-    dispatch_batched<kLazy, kTraced>(g, positions, words, traffic);
   } else {
     dispatch_batched<kLazy, kTraced>(g, positions, rng, traffic);
   }

@@ -17,11 +17,11 @@
 //    bit-for-bit the same slot Rng::below would produce, so the fast path
 //    cannot change a seeded trajectory.
 //
-// Both engines (batched and the checked scalar reference) consume the RNG
+// The batched loop and the checked scalar reference consume the RNG
 // identically, and the traced variant consumes it identically to the
-// untraced one — so enabling tracing or switching engines never changes
-// the simulated trajectory for a given seed. The scalar engine is retained
-// as the differential baseline for the equivalence tests and benchmarks.
+// untraced one — so enabling tracing never changes the simulated
+// trajectory for a given seed. The scalar loop is retained as the
+// differential baseline for the equivalence tests and benchmarks.
 #pragma once
 
 #include <concepts>
@@ -34,23 +34,18 @@
 
 namespace rumor {
 
-// Which implementation of the stepping loop to run. batched and
-// scalar_checked produce identical trajectories by construction
-// (scalar_checked exists for differential testing and as the
-// microbenchmark baseline). counter replaces the serial xoshiro word
-// stream with a block-buffered Philox stream keyed by ONE xoshiro draw per
-// step_walks call: trajectories are still a pure function of the trial
-// seed (and differ from the batched/scalar ones), but the per-agent draw
-// words become addressable — the whole round's randomness is (key, block
-// index), generated 64 words at a time through the SIMD refill.
-enum class StepEngine : std::uint8_t { batched, scalar_checked, counter };
+// Which implementation of the serial stepping loop to run. Every simulator
+// runs batched; scalar_checked produces the identical trajectory by
+// construction and exists only as the kernel-level reference for the
+// differential tests and the microbenchmark baseline.
+enum class StepEngine : std::uint8_t { batched, scalar_checked };
 
 // Lazy-step draw shared by every stepping path: one 64-bit draw yields the
 // stay/move coin (bit 63, matching Rng::coin) and the neighbor slot
 // (low 63 bits, unbiased via Lemire rejection). Returns false to stay put.
-// Templated on the word source so the xoshiro engines and the Philox
-// counter engine consume bit-identical draw *semantics* from their
-// respective streams.
+// Templated on the word source so the serial xoshiro loops and the sharded
+// per-slot Philox chains (SlotDraws) consume bit-identical draw *semantics*
+// from their respective streams.
 template <class WordSource>
 [[nodiscard]] inline bool fused_lazy_slot(WordSource& rng, std::uint32_t deg,
                                           std::uint32_t& slot) {
@@ -109,7 +104,7 @@ void step_walks(const Graph& g, std::span<Vertex> positions, Rng& rng,
 // kShardPhaseWalk, i) — so the trajectory is a pure function of
 // (trial_seed, round, positions): bit-identical for every shard count and
 // worker count, by construction. Trajectories differ from the serial
-// engines above (a different draw plane), which is why sharding is an
+// stepper above (a different draw plane), which is why sharding is an
 // explicit engine choice, not a transparent fast path. Position writes are
 // range-disjoint, so the parallel pass is race-free. Edge-traffic tracing
 // is not offered here: callers reject shards x edge_traffic upstream.

@@ -1,8 +1,9 @@
 // Differential tests: the optimized simulators vs. the naive reference
 // transcriptions of Section 3. The optimizations (saturation retirement,
 // frontier iteration, alias placement) are argued law-preserving in
-// DESIGN.md; these tests check that claim empirically by comparing
-// broadcast-time distributions on several graph shapes.
+// docs/perf.md, "Law-preserving optimizations"; these tests check that
+// claim empirically by comparing broadcast-time distributions on several
+// graph shapes.
 #include <gtest/gtest.h>
 
 #include <vector>

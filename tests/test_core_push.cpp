@@ -127,13 +127,14 @@ TEST(Push, StarCouponCollectorLaw) {
 }
 
 TEST(Push, LossySlowdownIsBounded) {
-  // With loss probability f, each call succeeds w.p. 1-f: broadcast time
-  // scales by roughly 1/(1-f) on the complete graph (Elsässer–Sauerwald
-  // robustness). Check directionality and rough magnitude.
+  // With independent message loss f, each call succeeds w.p. 1-f (tp =
+  // 1-f): broadcast time scales by roughly 1/(1-f) on the complete graph
+  // (Elsässer–Sauerwald robustness). Check directionality and rough
+  // magnitude.
   const Graph g = gen::complete(512);
   std::vector<double> clean, lossy;
   PushOptions lossy_options;
-  lossy_options.loss_probability = 0.5;
+  lossy_options.transmission.tp = 0.5;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     clean.push_back(static_cast<double>(run_push(g, 0, seed).rounds));
     lossy.push_back(

@@ -129,7 +129,7 @@ TEST(PushPull, CutoffReportsIncomplete) {
 TEST(PushPull, LossySlowdownDirectional) {
   const Graph g = gen::complete(256);
   PushPullOptions lossy;
-  lossy.loss_probability = 0.6;
+  lossy.transmission.tp = 0.4;  // independent message loss 0.6
   std::vector<double> clean_t, lossy_t;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     clean_t.push_back(static_cast<double>(run_push_pull(g, 0, seed).rounds));

@@ -123,14 +123,13 @@ TEST(ProtocolSpecText, DefaultSpecRoundTripsForEveryRegisteredProtocol) {
 
 TEST(ProtocolSpecText, NonDefaultOptionsRoundTrip) {
   const std::vector<std::string> lines = {
-      "push(loss=0.25)",
+      "push(tp=0.75)",
       "push(max_rounds=500,curve=on)",
-      "push-pull(loss=0.1,inform_rounds=on)",
+      "push-pull(tp=0.9,inform_rounds=on)",
       "visit-exchange(alpha=0.25,lazy=always)",
       "visit-exchange(agents=128,placement=one_per_vertex)",
-      "visit-exchange(placement=at_vertex,anchor=7,engine=scalar)",
-      "visit-exchange(engine=counter)",
-      "meet-exchange(engine=counter,alpha=0.5)",
+      "visit-exchange(placement=at_vertex,anchor=7)",
+      "meet-exchange(alpha=0.5)",
       "meet-exchange(lazy=never,max_rounds=4000)",
       "hybrid(alpha=2,curve=on)",
       "frog(frogs=3,lazy=half,max_rounds=900)",
@@ -178,11 +177,28 @@ TEST(ProtocolSpecText, RejectsUnknownProtocolsKeysAndBadValues) {
   EXPECT_FALSE(ProtocolSpec::parse("teleport", &error));
   EXPECT_NE(error.find("teleport"), std::string::npos);
   EXPECT_FALSE(ProtocolSpec::parse("push(alpha=2)", &error));  // walk key
-  EXPECT_FALSE(ProtocolSpec::parse("push(loss=1.5)", &error));
+  EXPECT_FALSE(ProtocolSpec::parse("push(tp=1.5)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("visit-exchange(lazy=maybe)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("frog(frogs=0)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("multi-push-pull(rumors=65)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("async(pull=sometimes)", &error));
+  // Retired keys: per-call loss q is tp=1-q, and every walk simulator runs
+  // the one batched stepper.
+  for (const char* text :
+       {"push(loss=0.1)", "push-pull(loss=0.1)",
+        "visit-exchange(engine=scalar)", "meet-exchange(engine=counter)",
+        "hybrid(engine=batched)", "dynamic-agent(engine=counter)"}) {
+    EXPECT_FALSE(ProtocolSpec::parse(text, &error)) << text;
+  }
+  // dynamic-agent: keys it would never read, and churn=1 (every agent
+  // reborn every round; the simulator requires churn < 1).
+  for (const char* text :
+       {"dynamic-agent(lazy=always)", "dynamic-agent(lazy=never)",
+        "dynamic-agent(edge_traffic=on)", "dynamic-agent(churn=1)"}) {
+    EXPECT_FALSE(ProtocolSpec::parse(text, &error)) << text;
+  }
+  EXPECT_TRUE(ProtocolSpec::parse("dynamic-agent(churn=0.99)", &error))
+      << error;
 }
 
 TEST(ProtocolSpecText, RangeChecksRejectNaN) {
@@ -190,8 +206,8 @@ TEST(ProtocolSpecText, RangeChecksRejectNaN) {
   // parsers must use the positive form so user text cannot smuggle NaN
   // into a simulator precondition abort.
   std::string error;
-  EXPECT_FALSE(ProtocolSpec::parse("push(loss=nan)", &error));
-  EXPECT_FALSE(ProtocolSpec::parse("push-pull(loss=nan)", &error));
+  EXPECT_FALSE(ProtocolSpec::parse("push(tp=nan)", &error));
+  EXPECT_FALSE(ProtocolSpec::parse("push-pull(tp=nan)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("visit-exchange(alpha=nan)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("dynamic-agent(churn=nan)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("dynamic-agent(loss_fraction=nan)",
@@ -242,6 +258,14 @@ TEST(ProtocolSpecText, FormattersNeverEmitKeysTheirParserRejects) {
   const auto reparsed_pp = ProtocolSpec::parse(multi_pp.name(), &error);
   ASSERT_TRUE(reparsed_pp) << multi_pp.name() << ": " << error;
   EXPECT_EQ(reparsed_pp->multi().walk.max_rounds, 700u);
+
+  ProtocolSpec dynamic = default_spec(Protocol::dynamic_agent);
+  dynamic.dynamic_agent().walk.lazy = LazyMode::always;    // not honored
+  dynamic.dynamic_agent().walk.trace.edge_traffic = true;  // not honored
+  dynamic.dynamic_agent().churn = 0.25;                    // honored
+  const auto reparsed_dyn = ProtocolSpec::parse(dynamic.name(), &error);
+  ASSERT_TRUE(reparsed_dyn) << dynamic.name() << ": " << error;
+  EXPECT_EQ(reparsed_dyn->dynamic_agent().churn, 0.25);
 }
 
 TEST(ProtocolSpecText, AlphaRejectsInfinity) {

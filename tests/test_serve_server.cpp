@@ -296,6 +296,11 @@ TEST_F(ServeServerTest, InvalidSubmissionsAreRejectedWithNothingEnqueued) {
       "cycle(n=8) visit-exchange(alpha=1e9) trials=2\n", &error));
   EXPECT_EQ(error.rfind("ERR validate", 0), 0u) << error;
   EXPECT_NE(error.find("agents"), std::string::npos) << error;
+  // churn=1 would trip the simulator's churn < 1 precondition and abort the
+  // daemon (and every restart replaying the journal); it fails to parse.
+  EXPECT_FALSE(client.submit(
+      "cycle(n=8) dynamic-agent(churn=1) trials=2\n", &error));
+  EXPECT_EQ(error.rfind("ERR parse", 0), 0u) << error;
   // Curve tracing is a one-shot-only feature (curves are not journaled).
   EXPECT_FALSE(
       client.submit("complete(n=64) push(curve=on) trials=2\n", &error));

@@ -1,8 +1,8 @@
-// Batched walk-kernel tests: engine equivalence (batched vs. checked
-// scalar, bit-identical trajectories), the power-of-two fast path, the
+// Batched walk-kernel tests: equivalence with the checked scalar
+// reference (bit-identical trajectories), the power-of-two fast path, the
 // fused lazy draw, traced-vs-untraced RNG determinism (the
-// visit/meet-exchange divergence fix), and the Philox counter engine
-// (deterministic, uniform, one serial draw per call).
+// visit/meet-exchange divergence fix), and the sharded stepper's
+// per-walker draws (uniform neighbor picks and lazy coin).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -165,53 +165,6 @@ TEST(StepKernel, FusedLazyDrawUniformOnOddDegree) {
   }
 }
 
-// Whole-protocol engine equivalence: same (graph, protocol, seed) must give
-// an identical RunResult whichever engine runs the stepping loop — the
-// acceptance check for the unchecked/batched refactor.
-TEST(StepKernel, VisitExchangeRunResultIdenticalAcrossEngines) {
-  for (const Graph& g : test_graphs()) {
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      WalkOptions a;
-      a.trace.informed_curve = true;
-      a.trace.inform_rounds = true;
-      a.trace.edge_traffic = true;
-      WalkOptions b = a;
-      a.engine = StepEngine::batched;
-      b.engine = StepEngine::scalar_checked;
-      const RunResult ra = run_visit_exchange(g, 0, seed, a);
-      const RunResult rb = run_visit_exchange(g, 0, seed, b);
-      EXPECT_EQ(ra.rounds, rb.rounds);
-      EXPECT_EQ(ra.completed, rb.completed);
-      EXPECT_EQ(ra.agent_rounds, rb.agent_rounds);
-      EXPECT_EQ(ra.informed_curve, rb.informed_curve);
-      EXPECT_EQ(ra.vertex_inform_round, rb.vertex_inform_round);
-      EXPECT_EQ(ra.agent_inform_round, rb.agent_inform_round);
-      EXPECT_EQ(ra.edge_traffic, rb.edge_traffic);
-    }
-  }
-}
-
-TEST(StepKernel, MeetExchangeRunResultIdenticalAcrossEngines) {
-  for (const Graph& g : test_graphs()) {
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      WalkOptions a = MeetExchangeProcess::default_options();
-      a.trace.informed_curve = true;
-      a.trace.inform_rounds = true;
-      a.trace.edge_traffic = true;
-      WalkOptions b = a;
-      a.engine = StepEngine::batched;
-      b.engine = StepEngine::scalar_checked;
-      const RunResult ra = run_meet_exchange(g, 0, seed, a);
-      const RunResult rb = run_meet_exchange(g, 0, seed, b);
-      EXPECT_EQ(ra.rounds, rb.rounds);
-      EXPECT_EQ(ra.completed, rb.completed);
-      EXPECT_EQ(ra.informed_curve, rb.informed_curve);
-      EXPECT_EQ(ra.agent_inform_round, rb.agent_inform_round);
-      EXPECT_EQ(ra.edge_traffic, rb.edge_traffic);
-    }
-  }
-}
-
 // The regression test for the RNG-draw divergence bug: with Laziness::half,
 // enabling edge tracing used to consume draws in a different order than the
 // plain path, so the same seed simulated a different trajectory. Both paths
@@ -249,99 +202,32 @@ TEST(StepKernel, TracingDoesNotChangeMeetExchangeTrajectory) {
   }
 }
 
-// ---- counter engine ---------------------------------------------------
+// ---- sharded stepper --------------------------------------------------
 
-// The Philox counter engine is a different (but equally valid) trajectory
-// per seed: it must be a pure function of the serial RNG state, land only
-// on neighbors, and consume exactly ONE serial draw per call (the stream
-// key), independent of agent count — that is the whole point of the
-// addressable stream.
-TEST(StepKernel, CounterEngineIsDeterministicAndValid) {
-  for (const Graph& g : test_graphs()) {
-    for (Laziness lazy : {Laziness::none, Laziness::half}) {
-      Rng rng_a(21), rng_b(21);
-      std::vector<Vertex> pos_a(g.num_vertices());
-      for (Vertex v = 0; v < g.num_vertices(); ++v) pos_a[v] = v;
-      std::vector<Vertex> pos_b = pos_a;
-      for (int round = 0; round < 10; ++round) {
-        std::vector<Vertex> before = pos_a;
-        step_walks(g, pos_a, rng_a, lazy, nullptr, StepEngine::counter);
-        step_walks(g, pos_b, rng_b, lazy, nullptr, StepEngine::counter);
-        EXPECT_EQ(pos_a, pos_b);
-        for (Vertex v = 0; v < g.num_vertices(); ++v) {
-          if (lazy == Laziness::half && pos_a[v] == before[v]) continue;
-          EXPECT_TRUE(g.has_edge(before[v], pos_a[v]));
-        }
-      }
-      // Same serial stream consumption on both replicas.
-      EXPECT_EQ(rng_a(), rng_b());
-    }
-  }
-}
-
-TEST(StepKernel, CounterEngineConsumesOneSerialDrawPerCall) {
-  const Graph g = gen::circulant(96, 8);
-  Rng rng_used(31), rng_ref(31);
-  std::vector<Vertex> pos(g.num_vertices());
-  for (Vertex v = 0; v < g.num_vertices(); ++v) pos[v] = v;
-  step_walks(g, pos, rng_used, Laziness::half, nullptr, StepEngine::counter);
-  (void)rng_ref();  // exactly the key draw
-  EXPECT_EQ(rng_used(), rng_ref());
-}
-
-// Traced counter runs must not perturb the trajectory (the word stream is
-// consumed identically with or without the traffic pointer).
-TEST(StepKernel, CounterEngineTracingDoesNotChangeTrajectory) {
-  for (const Graph& g : test_graphs()) {
-    Rng rng_a(41), rng_b(41);
-    std::vector<Vertex> pos_a(g.num_vertices());
-    for (Vertex v = 0; v < g.num_vertices(); ++v) pos_a[v] = v;
-    std::vector<Vertex> pos_b = pos_a;
-    std::vector<std::uint64_t> traffic(g.num_edges(), 0);
-    for (int round = 0; round < 10; ++round) {
-      step_walks(g, pos_a, rng_a, Laziness::half, traffic.data(),
-                 StepEngine::counter);
-      step_walks(g, pos_b, rng_b, Laziness::half, nullptr,
-                 StepEngine::counter);
-    }
-    EXPECT_EQ(pos_a, pos_b);
-  }
-}
-
-// The counter engine still samples neighbors uniformly (hypercube degree 8,
-// pow2 shift path over Philox words).
-TEST(StepKernel, CounterEngineIsUniform) {
+// Every walker of a sharded step draws from its own addressable chain
+// (SlotDraws keyed by walker index); the chains must still pick neighbors
+// uniformly (hypercube degree 8: the pow2 case of the Lemire draw over
+// Philox words) and, when lazy, stay put with probability 1/2.
+TEST(StepKernel, ShardedStepIsUniform) {
   const Graph g = gen::hypercube(8);
   const Vertex start = 17;
-  const int draws = 32000;
-  std::vector<int> hits(g.num_vertices(), 0);
-  Rng rng(51);
-  std::vector<Vertex> pos(1);
-  for (int i = 0; i < draws; ++i) {
-    pos[0] = start;
-    step_walks(g, pos, rng, Laziness::none, nullptr, StepEngine::counter);
-    ++hits[pos[0]];
-  }
-  const double expected = draws / 8.0;
-  for (Vertex w : g.neighbors(start)) {
-    EXPECT_NEAR(hits[w], expected, 5 * std::sqrt(expected)) << "w=" << w;
-  }
-}
-
-// Whole-protocol determinism through the scenario grammar: engine=counter
-// runs are reproducible per seed and structurally sane.
-TEST(StepKernel, VisitExchangeCounterEngineDeterministic) {
-  const Graph g = gen::circulant(96, 8);
-  WalkOptions opts;
-  opts.engine = StepEngine::counter;
-  opts.trace.informed_curve = true;
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const RunResult ra = run_visit_exchange(g, 0, seed, opts);
-    const RunResult rb = run_visit_exchange(g, 0, seed, opts);
-    EXPECT_EQ(ra.rounds, rb.rounds);
-    EXPECT_EQ(ra.completed, rb.completed);
-    EXPECT_EQ(ra.informed_curve, rb.informed_curve);
-    EXPECT_TRUE(ra.completed);
+  constexpr int kWalkers = 32000;
+  for (const Laziness lazy : {Laziness::none, Laziness::half}) {
+    std::vector<Vertex> pos(kWalkers, start);
+    step_walks_sharded(g, pos, /*trial_seed=*/51, /*round=*/3, lazy,
+                       /*shards=*/4);
+    std::vector<int> hits(g.num_vertices(), 0);
+    for (const Vertex v : pos) ++hits[v];
+    const int stayed = hits[start];
+    if (lazy == Laziness::half) {
+      EXPECT_NEAR(stayed, kWalkers / 2.0, 5 * std::sqrt(kWalkers / 4.0));
+    } else {
+      EXPECT_EQ(stayed, 0);
+    }
+    const double expected = (kWalkers - stayed) / 8.0;
+    for (Vertex w : g.neighbors(start)) {
+      EXPECT_NEAR(hits[w], expected, 5 * std::sqrt(expected)) << "w=" << w;
+    }
   }
 }
 

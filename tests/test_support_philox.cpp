@@ -1,8 +1,8 @@
 // Counter-based RNG tests: Random123 known-answer vectors, the
-// cross-platform pin of the addressable philox_draw outputs, stream
+// cross-platform pin of the addressable SlotDraws words, stream
 // addressability (buffered stream words == direct block computations, which
 // also proves the SIMD refill matches the scalar round function),
-// independence across the (trial, round, slot) coordinate axes, the
+// independence across the (round, phase, slot) coordinate axes, the
 // deterministic fast_log2f, and the statistical smoke checks.
 //
 // The *Statistical tests are gated out of the Debug CI job (ctest -E
@@ -39,47 +39,54 @@ TEST(Philox, MatchesRandom123KnownAnswerVectors) {
                                     0x24126EA1u}));
 }
 
-// Cross-platform pin of the addressable draw: the first 64 outputs of
-// philox_draw over an 8x8 (round, slot) grid for a fixed (master, trial).
-// Any platform or refactor that changes ANY of these words has changed the
-// meaning of every stored heterogeneous trajectory.
+// Cross-platform pin of the addressable scheme every sharded trajectory is
+// made of: the first 64-bit word of SlotDraws over an 8x8 (round, slot)
+// grid for a fixed trial seed and phase. Any platform or refactor that
+// changes ANY of these words has changed the meaning of every stored
+// sharded trajectory.
 TEST(Philox, First64AddressableDrawsArePinned) {
-  constexpr std::uint64_t kMaster = 0xDEADBEEFCAFEF00Dull;
-  constexpr std::uint64_t kTrial = 7;
+  constexpr std::uint64_t kTrialSeed = 0xDEADBEEFCAFEF00Dull;
   constexpr std::uint64_t kExpected[64] = {
-      0x1894556C2B87A0E0ull, 0xCDBEE787DAF158D2ull, 0x869643C1CBFCBAFAull,
-      0x4A90DA5B6261440Cull, 0xC86F8B0CFD504B4Eull, 0x370A57B657518472ull,
-      0x16B9DA9A87331013ull, 0x8541FE285471AE40ull, 0x08A6E99126830485ull,
-      0x6B9513E3AF1D768Full, 0x5D066E1B61357005ull, 0x4159B51A81B8D3B3ull,
-      0xDB7E592702EB30D8ull, 0x7450BA76646B383Cull, 0xEB8C762DC799EDC1ull,
-      0x02ABE38EE66DD027ull, 0x9C63981721B2B7F5ull, 0x6C705DEFCF82A9A8ull,
-      0xF4B942DB0C6C130Cull, 0x68B4E29128E19FFBull, 0x2F1DE2A4A812E973ull,
-      0xD7B1E5706DAFCB4Aull, 0x8EEC5AA7841438D5ull, 0x82F1F0D61DCBEDA2ull,
-      0xE4FA86B41EE47DB6ull, 0xD884C6A6EE783C22ull, 0x0AF4D61A347AD8B3ull,
-      0x930CF4355FB1BAA3ull, 0xAB9A05B73DB3423Full, 0xDE62769C79B2E5B8ull,
-      0xB275B25479DD6916ull, 0xAA16498A55B28FD3ull, 0x8601B9565F277137ull,
-      0x6C249EA6130EC161ull, 0x27512E1B0D5C514Cull, 0xC65609F46D75ED2Dull,
-      0x1EA3103D6868E119ull, 0x2B7FD8035D44A7C2ull, 0x619C5B3A8A8B3927ull,
-      0x6DF4B6BFEE1ECE31ull, 0x79F558A9BFF22F02ull, 0x53FFA707FE61BDE0ull,
-      0x91E61E711FE9A4E5ull, 0x21DFAB5064B2EB8Full, 0xD8EBDDC5A436D407ull,
-      0xC06DB70FAE0D7C60ull, 0xF9BC67C24CC1AC7Full, 0xE90DEB3882821A19ull,
-      0x360EEB62E06E96C8ull, 0xD7F1DEF2BD627184ull, 0x2345C668DB6EEC87ull,
-      0x98445A5A2BF8439Cull, 0xCCC880FF04BB6E24ull, 0xC96A50416F0A9298ull,
-      0x535F93FF3C341CFBull, 0xC49FCC14F586A04Bull, 0x3300AEBE78A8E4D3ull,
-      0xB20636EF3D58F9C0ull, 0x21BDCB36C939ADFFull, 0x69049DBFD0713BB4ull,
-      0x781027478228E112ull, 0xF892DBD0018DA779ull, 0x7985319FF426D97Bull,
-      0xA9503DCC49E78B29ull,
+      0x7D7F1A44627DC961ull, 0x4122FC874A789EBAull, 0xBF586FCBECE4B538ull,
+      0xDCD618A44313102Dull, 0x3655BFCF99D53492ull, 0x1F55ECCD2DAAC4E0ull,
+      0x5973FDE024E77E1Dull, 0x14B1B295903D5E96ull, 0x26BB92FA887C170Eull,
+      0xDFF9C90CEB4F49CFull, 0xA365212AA55D4279ull, 0xE9304CF2962C5F17ull,
+      0x5F102CC4EE10A70Aull, 0xEE671AA7F936760Eull, 0x42A59901C31E0ECBull,
+      0x6BE5CE76E2658A68ull, 0x28E4E5630490BDC3ull, 0xBEC6FBD5127F75C0ull,
+      0x4CEA1D1BB682281Cull, 0xF71CCDF3F88A6A70ull, 0x9B36273E8EAD0F21ull,
+      0x99E0505B2276A964ull, 0x1E0F7FBAB9B8CFA3ull, 0xFFE39522577AC1A2ull,
+      0x1058EB69704430EFull, 0x05777992733DCAF8ull, 0xC8237B4F20CF5430ull,
+      0x1F1B4D6F33F3FE0Bull, 0xD02A4C73BAF3FD85ull, 0x67EA638E375F54FEull,
+      0xF161B0BE59D0C1E2ull, 0x2758B93C37FB0703ull, 0x59BE6F70A5FA5AB2ull,
+      0x88B2124B911CFD09ull, 0x7FECBD7233966B0Aull, 0xDAEED55C37B4BFCCull,
+      0x5FDD2F1B6DCCC6B7ull, 0xEE19993A2E540EF2ull, 0x3561D6F062EC4D1Bull,
+      0x42D182D1FB1C0DCBull, 0xF2EE72A4144A6104ull, 0xC1998D50154CCAE2ull,
+      0x8E7C859BAA79442Aull, 0xA144865EF00C00D0ull, 0x4192489CA53A6B04ull,
+      0x805BB1346136FC87ull, 0x60570CC17C67DDB8ull, 0xB142655F3110F584ull,
+      0x86CCBFFE65054FAEull, 0x65BE3EF82A45542Aull, 0x7253B1D30CDFE91Cull,
+      0x23A90CDE7324EF59ull, 0x8DE54BA01CFD56E9ull, 0xB83B7882B3DD9EC2ull,
+      0x4D3BA742CAB61CE0ull, 0x4F876DCB3441E69Aull, 0x14824485D96E4337ull,
+      0x1366EFD50488CF7Eull, 0x89C0C9E7F898D02Dull, 0x954EB2693FF6AAD8ull,
+      0xBF92169CBCFE1929ull, 0xBF1AB8314F6C8E3Full, 0xE139E43159EB8ECAull,
+      0x6848595AC4BC64ABull,
   };
   for (std::uint64_t round = 0; round < 8; ++round) {
-    for (std::uint64_t slot = 0; slot < 8; ++slot) {
-      EXPECT_EQ(philox_draw(kMaster, kTrial, round, slot),
-                kExpected[round * 8 + slot])
+    const ShardPlane plane(kTrialSeed, round);
+    for (std::uint32_t slot = 0; slot < 8; ++slot) {
+      SlotDraws draws(plane, kShardPhaseWalk, slot);
+      EXPECT_EQ(draws.next_u64(), kExpected[round * 8 + slot])
           << "round=" << round << " slot=" << slot;
     }
   }
-  // And it is usable at compile time (the whole point of a pure function).
-  static_assert(philox_draw(0xDEADBEEFCAFEF00Dull, 7, 0, 0) ==
-                0x1894556C2B87A0E0ull);
+  // The counter layout {slot, (seq << 8) | phase, round_lo, round_hi}: a
+  // slot's third word opens its second block (seq 1).
+  const ShardPlane plane(kTrialSeed, 5);
+  SlotDraws draws(plane, kShardPhasePull, 3);
+  (void)draws.next_u64();
+  (void)draws.next_u64();
+  const auto block = philox4x32({3u, (1u << 8) | kShardPhasePull, 5u, 0u},
+                                plane.k0, plane.k1);
+  EXPECT_EQ(draws.next_u64(), block[0] | (std::uint64_t{block[1]} << 32));
 }
 
 // Stream addressability: word i of PhiloxStream(seed, stream) must equal
@@ -128,25 +135,27 @@ TEST(Philox, NextBlockAdvancesToFreshWords) {
   }
 }
 
-// Independence across the logical coordinate axes: draws at distinct
-// (trial, round, slot) coordinates — and across distinct stream ids on one
-// seed — are distinct 64-bit values. For a 64-bit-output random function,
-// ANY collision in a few thousand draws is evidence of a wiring bug
-// (reused counter plane, dropped axis), not chance (p < 1e-11).
+// Independence across the logical coordinate axes: SlotDraws words at
+// distinct (round, phase, slot) coordinates of one trial — and across
+// distinct stream ids of one PhiloxStream seed — are distinct 64-bit
+// values. For a 64-bit-output random function, ANY collision in a few
+// thousand draws is evidence of a wiring bug (reused counter plane, dropped
+// axis), not chance (p < 1e-11).
 TEST(Philox, CoordinateAxesYieldDistinctDraws) {
-  constexpr std::uint64_t kMaster = 31337;
+  constexpr std::uint64_t kTrialSeed = 31337;
   std::set<std::uint64_t> seen;
-  for (std::uint64_t trial = 0; trial < 8; ++trial) {
-    for (std::uint64_t round = 0; round < 16; ++round) {
-      for (std::uint64_t slot = 0; slot < 16; ++slot) {
-        EXPECT_TRUE(
-            seen.insert(philox_draw(kMaster, trial, round, slot)).second)
-            << trial << "," << round << "," << slot;
+  for (std::uint64_t round = 0; round < 16; ++round) {
+    const ShardPlane plane(kTrialSeed, round);
+    for (std::uint32_t phase = 0; phase <= kShardPhasePlace; ++phase) {
+      for (std::uint32_t slot = 0; slot < 16; ++slot) {
+        SlotDraws draws(plane, phase, slot);
+        EXPECT_TRUE(seen.insert(draws.next_u64()).second)
+            << round << "," << phase << "," << slot;
       }
     }
   }
   // Distinct stream ids on the same seed are disjoint counter planes.
-  PhiloxStream s0(kMaster, 0), s1(kMaster, 1);
+  PhiloxStream s0(kTrialSeed, 0), s1(kTrialSeed, 1);
   for (int i = 0; i < 256; ++i) {
     EXPECT_TRUE(seen.insert(s0.next_u64()).second);
     EXPECT_TRUE(seen.insert(s1.next_u64()).second);

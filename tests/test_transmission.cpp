@@ -253,7 +253,7 @@ TEST(TransmissionGrammar, CanonicalTextRoundTrips) {
       "push(tp=0.5)",
       "push(tp=deg^-0.5)",
       "push(stifle=3)",
-      "push(loss=0.1,tp=0.25,stifle=2,block=0.1,block@t=5)",
+      "push(max_rounds=9,tp=0.25,stifle=2,block=0.1,block@t=5)",
       "push-pull(tp=0.25,stifle=2,block=0.1,block@t=5)",
       "push-pull(tp=deg^-1,curve=on)",
       "visit-exchange(alpha=0.5,tp=deg^-1,stifle=4)",
@@ -459,15 +459,15 @@ TEST(TransmissionScenario, HeterogeneousSweepRunsEndToEnd) {
 // A test-only simulator registered through the public extension mechanism:
 // deterministic and benign by default, records its master seeds in
 // execution order (for claim-order assertions), and throws on demand (for
-// failure-propagation assertions, loss=0.25 as the tripwire).
+// failure-propagation assertions, max_rounds=13 as the tripwire).
 std::mutex g_chaos_mutex;
 std::vector<std::uint64_t> g_chaos_seeds;
 
-constexpr double kChaosThrowLoss = 0.25;
+constexpr Round kChaosThrowRounds = 13;
 
 TrialResult chaos_run(const Graph&, const ProtocolOptions& options,
                       Vertex, std::uint64_t seed, TrialArena*) {
-  if (std::get<PushOptions>(options).loss_probability == kChaosThrowLoss) {
+  if (std::get<PushOptions>(options).max_rounds == kChaosThrowRounds) {
     throw std::runtime_error("chaos trial failure");
   }
   {
@@ -486,18 +486,17 @@ void chaos_format(const ProtocolOptions& options,
                   const ProtocolOptions& defaults,
                   spec_text::KeyValWriter& out) {
   const auto& opt = std::get<PushOptions>(options);
-  if (opt.loss_probability !=
-      std::get<PushOptions>(defaults).loss_probability) {
-    out.add("loss", opt.loss_probability);
+  if (opt.max_rounds != std::get<PushOptions>(defaults).max_rounds) {
+    out.add("max_rounds", static_cast<std::uint64_t>(opt.max_rounds));
   }
 }
 
 bool chaos_set(ProtocolOptions& options, std::string_view key,
                std::string_view value) {
-  if (key != "loss") return false;
-  const auto v = spec_text::parse_double(value);
+  if (key != "max_rounds") return false;
+  const auto v = spec_text::parse_u64(value);
   if (!v) return false;
-  std::get<PushOptions>(options).loss_probability = *v;
+  std::get<PushOptions>(options).max_rounds = *v;
   return true;
 }
 
@@ -608,7 +607,7 @@ TEST(TrialFailure, RunTrialBatchesThrowsTypedErrorNamingTheBatch) {
   const SimulatorEntry& entry = ensure_chaos_simulator();
   ProtocolSpec good = default_spec(entry.id);
   ProtocolSpec bad = default_spec(entry.id);
-  std::get<PushOptions>(bad.options).loss_probability = kChaosThrowLoss;
+  std::get<PushOptions>(bad.options).max_rounds = kChaosThrowRounds;
   Rng rng(1);
   const Graph g = gen::complete(8);
   std::vector<TrialSet> sets(2);
@@ -629,12 +628,13 @@ TEST(TrialFailure, RunScenariosNamesTheFailingScenario) {
   ensure_chaos_simulator();
   std::istringstream in(
       "complete(n=8) test-chaos trials=2 label=fine\n"
-      "complete(n=8) test-chaos(loss=0.25) trials=2 label=boom\n");
+      "complete(n=8) test-chaos(max_rounds=13) trials=2 label=boom\n");
   std::string error;
   const auto specs = parse_scenario_stream(in, &error);
   ASSERT_TRUE(specs) << error;
   EXPECT_FALSE(run_scenarios(*specs, &error));
-  EXPECT_NE(error.find("test-chaos(loss=0.25)"), std::string::npos) << error;
+  EXPECT_NE(error.find("test-chaos(max_rounds=13)"), std::string::npos)
+      << error;
   EXPECT_NE(error.find("chaos trial failure"), std::string::npos) << error;
 }
 
