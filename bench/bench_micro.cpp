@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common.hpp"
 #include "core/hybrid.hpp"
 #include "core/meet_exchange.hpp"
 #include "core/push.hpp"

@@ -37,11 +37,9 @@ double max_ratio(const ScalingSeries& a, const ScalingSeries& b) {
   return worst;
 }
 
-bool ratio_bounded(const ScalingSeries& a, const ScalingSeries& b,
-                   double band) {
+double ratio_spread(const ScalingSeries& a, const ScalingSeries& b) {
   RUMOR_REQUIRE(a.points.size() == b.points.size());
   RUMOR_REQUIRE(!a.points.empty());
-  RUMOR_REQUIRE(band >= 1.0);
   double lo = std::numeric_limits<double>::infinity();
   double hi = 0.0;
   for (std::size_t i = 0; i < a.points.size(); ++i) {
@@ -50,18 +48,17 @@ bool ratio_bounded(const ScalingSeries& a, const ScalingSeries& b,
     lo = std::min(lo, r);
     hi = std::max(hi, r);
   }
-  return hi / lo <= band;
+  return hi / lo;
 }
 
-bool within_additive_log(const ScalingSeries& a, const ScalingSeries& b,
-                         double c) {
+double additive_log_gap(const ScalingSeries& a, const ScalingSeries& b) {
   RUMOR_REQUIRE(a.points.size() == b.points.size());
+  double worst = 0.0;
   for (std::size_t i = 0; i < a.points.size(); ++i) {
-    const double bound =
-        b.points[i].summary.mean + c * std::log(a.points[i].n);
-    if (a.points[i].summary.mean > bound) return false;
+    const double gap = a.points[i].summary.mean - b.points[i].summary.mean;
+    worst = std::max(worst, gap / std::log(a.points[i].n));
   }
-  return true;
+  return worst;
 }
 
 }  // namespace rumor

@@ -1,9 +1,10 @@
-// Claim checking for scaling experiments.
+// Scaling statistics for size sweeps.
 //
 // A ScalingSeries is the measured broadcast time of one protocol across a
-// geometric range of sizes. The helpers here turn series into the verdicts
-// EXPERIMENTS.md reports: fitted growth laws, constant-ratio bands
-// (Theorem 1), and additive-logarithmic gaps (Theorem 23).
+// geometric range of sizes. The helpers here reduce series to the numbers
+// the paper's claims bound (experiments/claims): fitted growth exponents,
+// constant-ratio bands (Theorem 1), and additive-logarithmic gaps
+// (Theorem 23).
 #pragma once
 
 #include <string>
@@ -30,18 +31,19 @@ struct ScalingSeries {
 // Growth-law verdict on the series means (requires >= 3 points).
 [[nodiscard]] LawVerdict classify_series(const ScalingSeries& series);
 
-// True iff max_i(a_i/b_i) / min_i(a_i/b_i) <= band, i.e. the two series stay
-// within a constant factor of each other across sizes (Theorem 1's shape).
-[[nodiscard]] bool ratio_bounded(const ScalingSeries& a,
-                                 const ScalingSeries& b, double band);
+// max_i(a_i/b_i) / min_i(a_i/b_i) over the pointwise mean ratios: how far
+// the two series drift from a constant factor across sizes (Theorem 1's
+// band).
+[[nodiscard]] double ratio_spread(const ScalingSeries& a,
+                                  const ScalingSeries& b);
 
 // Largest pointwise ratio mean(a)/mean(b).
 [[nodiscard]] double max_ratio(const ScalingSeries& a,
                                const ScalingSeries& b);
 
-// True iff mean(a_i) <= mean(b_i) + c*ln(n_i) at every point (Theorem 23's
-// shape).
-[[nodiscard]] bool within_additive_log(const ScalingSeries& a,
-                                       const ScalingSeries& b, double c);
+// Smallest c >= 0 with mean(a_i) <= mean(b_i) + c*ln(n_i) at every point
+// (Theorem 23's shape), x taken from a.
+[[nodiscard]] double additive_log_gap(const ScalingSeries& a,
+                                      const ScalingSeries& b);
 
 }  // namespace rumor

@@ -9,11 +9,17 @@
 //
 // A scenario file holds one ScenarioSpec per line (see docs/scenarios.md),
 // and any numeric value may be a sweep — a range or a value list — that
-// expands the line into a series:
+// expands the line into a series. `expect` lines state the file's claims
+// about its rows:
 //
 //   # Figure 1(a), star family, n = 2^11..2^15
-//   star(leaves=2k..32k:factor=4) push           source=1 label=push
-//   star(leaves=2k..32k:factor=4) visit-exchange source=1 label=visit-exchange
+//   star(leaves=2k..32k) push           source=1 label=push
+//   star(leaves=2k..32k) visit-exchange source=1 label=visit-exchange
+//   expect ratio(visit-exchange, push) < 0.2
+//
+// After a complete one-shot run every claim prints one [ OK ] or [FAIL]
+// line with both sides' values on stderr; claims are part of the file, so
+// there is no flag to turn them on or off.
 //
 // Options:
 //   --trials=N   override every scenario's trial count
@@ -28,7 +34,8 @@
 //   --dry-run    parse and echo canonical expanded spec lines — each with
 //                a trailing "# backend=... n=... m=... mem=..." estimate
 //                comment (stripped on re-read, so the output stays valid
-//                scenario input) — and run nothing
+//                scenario input), then the file's expect lines — and run
+//                nothing
 //   --list       list registered simulators, graph families, graph storage
 //                backends, and the shared transmission/intervention keys,
 //                then exit
@@ -43,10 +50,12 @@
 // Exit codes (full table in docs/serve.md): 0 success, 1 a trial failed
 // mid-run or the run was interrupted by SIGINT/SIGTERM (the failing
 // scenario is named on stderr, and a streamed --csv gains a trailing
-// "# truncated" comment) — for the client subcommands, a job that ended
+// "# truncated" comment), or a complete run's expect claim failed (after
+// the CSV is written) — for the client subcommands, a job that ended
 // cancelled/failed or a refused/lost connection; 2 usage/parse/validation
-// errors. SIGINT/SIGTERM stop a one-shot run gracefully: no new trial
-// starts, in-flight trials finish, streamed rows stay valid.
+// errors, a claim that names no row included. SIGINT/SIGTERM stop a
+// one-shot run gracefully: no new trial starts, in-flight trials finish,
+// streamed rows stay valid.
 //
 // The whole file drains through ONE global (scenario, trial) work queue:
 // trials from different scenarios interleave across the pool, report rows
@@ -65,6 +74,7 @@
 
 #include "core/registry.hpp"
 #include "core/sharding.hpp"
+#include "experiments/claims.hpp"
 #include "experiments/report.hpp"
 #include "experiments/scenario.hpp"
 #include "serve/client.hpp"
@@ -158,7 +168,7 @@ void list_registry() {
       "  queued trials can't fill it. The sharded engine draws from an\n"
       "  addressable per-slot Philox plane, so its trajectories differ\n"
       "  from the serial legacy engine but are identical for every shard\n"
-      "  count and worker count. Incompatible with edge_traffic=on.\n",
+      "  count and worker count.\n",
       static_cast<unsigned long long>(kShardAutoThreshold));
   std::printf(
       "\ntransmission model & interventions (protocol options; multi-rumor "
@@ -455,11 +465,12 @@ int main(int argc, char** argv) {
   if (cli->jobs) set_global_pool_workers(*cli->jobs);
 
   std::string error;
+  std::vector<Claim> claims;
   std::optional<std::vector<ScenarioSpec>> specs;
   if (cli->input == "-") {
-    specs = parse_scenario_stream(std::cin, &error);
+    specs = parse_scenario_stream(std::cin, claims, &error);
   } else {
-    specs = load_scenario_file(cli->input, &error);
+    specs = load_scenario_file(cli->input, claims, &error);
   }
   if (!specs) {
     std::fprintf(stderr, "%s: %s\n", cli->input.c_str(), error.c_str());
@@ -505,6 +516,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(probe->m),
                   format_bytes(probe->graph_bytes).c_str(),
                   shard_note.c_str());
+    }
+    for (const Claim& claim : claims) {
+      std::printf("%s\n", claim.text().c_str());
     }
     return 0;
   }
@@ -583,5 +597,13 @@ int main(int argc, char** argv) {
     // into a file or another tool must never pick up bookkeeping.
     std::fprintf(stderr, "csv: %s\n", cli->csv_path.c_str());
   }
-  return 0;
+  bool claims_hold = true;
+  for (const Claim& claim : claims) {
+    const ClaimVerdict v = evaluate_claim(claim, *results);
+    claims_hold &= v.holds;
+    std::fprintf(stderr, "[%s] %s:%zu: %s  (%.6g vs %.6g)\n",
+                 v.holds ? " OK " : "FAIL", cli->input.c_str(), claim.line,
+                 claim.text().c_str(), v.lhs, v.rhs);
+  }
+  return claims_hold ? 0 : 1;
 }

@@ -239,10 +239,9 @@ void dynamic_agent_entry_format(const ProtocolOptions& options,
   if (opt.loss_fraction != def.loss_fraction) {
     out.add("loss_fraction", opt.loss_fraction);
   }
-  // Mirror of the set hook: the keys it rejects are never emitted.
+  // Mirror of the set hook: the key it rejects is never emitted.
   WalkOptions walk = opt.walk;
   walk.lazy = def.walk.lazy;
-  walk.trace.edge_traffic = def.walk.trace.edge_traffic;
   format_walk_options(walk, def.walk, out);
 }
 
@@ -267,9 +266,9 @@ bool dynamic_agent_entry_set(ProtocolOptions& options, std::string_view key,
     opt.loss_fraction = *v;
     return true;
   }
-  // Movement is never lazy and no edge counters are kept, so these walk
-  // keys would parse, round-trip and change nothing.
-  if (key == "lazy" || key == "edge_traffic") return false;
+  // Movement is never lazy, so this walk key would parse, round-trip and
+  // change nothing.
+  if (key == "lazy") return false;
   return set_walk_option(opt.walk, key, value);
 }
 

@@ -7,9 +7,9 @@
 // This is the natural "activation spreading" counterpart of the paper's
 // protocols: unlike visit-exchange the walker population grows with the
 // informed set, so early rounds are cheap and the process self-accelerates.
-// Included for the related-work comparison bench; the broadcast time is the
-// round when the last frog wakes (equivalently, when every vertex has been
-// visited by an awake frog).
+// Included for the related-work comparison (examples/scenarios/frog.scn);
+// the broadcast time is the round when the last frog wakes (equivalently,
+// when every vertex has been visited by an awake frog).
 //
 // Scratch state (positions, visit rounds, the awake-prefix permutation)
 // lives in a TrialArena — lent for allocation-free repeated trials, or

@@ -58,7 +58,7 @@ struct RunResult {
   std::vector<std::uint64_t> edge_traffic;
 };
 
-// Default safety cutoff: generous enough for every family in the benches
+// Default safety cutoff: generous enough for every family in the claim files
 // (the slowest case we exercise is push on the star, Θ(n log n)).
 [[nodiscard]] inline Round default_round_cutoff(Vertex n) {
   Round bits = 1;

@@ -41,8 +41,8 @@ PushProcess::PushProcess(const Graph& g, Vertex source, std::uint64_t seed,
               /*need_edge_field=*/options_.trace.edge_traffic);
   // Engine choice is pure in (options, n) — see core/sharding. The sharded
   // engine draws per-slot from the addressable plane, which the per-edge
-  // traced stream cannot express; the CLI rejects the combination with a
-  // message, this REQUIRE is the API-user backstop.
+  // traced stream cannot express; edge_traffic is C++-only (no scenario
+  // key), so this REQUIRE guards API callers.
   sharded_ = sharding_enabled(options_.shards, g.num_vertices());
   if (sharded_) {
     RUMOR_REQUIRE(!options_.trace.edge_traffic);

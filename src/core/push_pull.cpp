@@ -25,8 +25,8 @@ PushPullProcess::PushPullProcess(const Graph& g, Vertex source,
               /*need_edge_field=*/options_.trace.edge_traffic);
   // The sharded engine covers the untraced fast path only: the
   // exact-bandwidth traced round is defined by one serial call per vertex.
-  // The CLI rejects shards x edge_traffic with a message; this REQUIRE is
-  // the API-user backstop.
+  // edge_traffic is C++-only (no scenario key), so this REQUIRE guards
+  // API callers.
   sharded_ = sharding_enabled(options_.shards, g.num_vertices());
   if (sharded_) {
     RUMOR_REQUIRE(!options_.trace.edge_traffic);

@@ -58,15 +58,8 @@ bool set_trace_option(TraceOptions& trace, std::string_view key,
                       std::string_view value) {
   const auto flag = spec_text::parse_bool(value);
   if (!flag) return false;
-  if (key == "curve") {
-    trace.informed_curve = *flag;
-  } else if (key == "inform_rounds") {
-    trace.inform_rounds = *flag;
-  } else if (key == "edge_traffic") {
-    trace.edge_traffic = *flag;
-  } else {
-    return false;
-  }
+  if (key != "curve") return false;
+  trace.informed_curve = *flag;
   return true;
 }
 
@@ -75,12 +68,6 @@ void format_trace_options(const TraceOptions& trace,
                           spec_text::KeyValWriter& out) {
   if (trace.informed_curve != defaults.informed_curve) {
     out.add("curve", trace.informed_curve ? "on" : "off");
-  }
-  if (trace.inform_rounds != defaults.inform_rounds) {
-    out.add("inform_rounds", trace.inform_rounds ? "on" : "off");
-  }
-  if (trace.edge_traffic != defaults.edge_traffic) {
-    out.add("edge_traffic", trace.edge_traffic ? "on" : "off");
   }
 }
 

@@ -76,8 +76,8 @@ struct WalkOptions {
 // (visit-exchange, meet-exchange, hybrid, dynamic-agent, multi-rumor).
 // Keys: alpha, agents, placement (stationary|one_per_vertex|uniform|
 // at_vertex), anchor (vertex id or "source"), lazy (never|always|auto),
-// max_rounds, tp, curve, inform_rounds, edge_traffic, plus the
-// intervention keys (stifle, block, block@t).
+// max_rounds, tp, curve, plus the intervention keys (stifle, block,
+// block@t).
 // set_walk_option returns false for an unknown key or unparsable value;
 // format_walk_options appends only keys that differ from `defaults`, so the
 // canonical spec text of a default spec is the bare protocol name.
@@ -100,7 +100,10 @@ void format_agent_walk_options(const WalkOptions& options,
                                const WalkOptions& defaults,
                                spec_text::KeyValWriter& out);
 
-// TraceOptions plumbing (also used by the non-walk protocols).
+// TraceOptions plumbing (also used by the non-walk protocols). The one
+// trace key is `curve`: the informed curves are the only trace a
+// scenario's TrialSet keeps. inform_rounds and edge_traffic stay C++-only
+// (set TraceOptions directly and read the RunResult).
 [[nodiscard]] bool set_trace_option(TraceOptions& trace, std::string_view key,
                                     std::string_view value);
 void format_trace_options(const TraceOptions& trace,

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "experiments/claims.hpp"
+#include "graph/generators.hpp"
 #include "support/spec_text.hpp"
 
 namespace rumor {
@@ -288,11 +290,19 @@ std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view line,
   return spec;
 }
 
-std::optional<std::vector<ScenarioSpec>> parse_scenario_stream(
-    std::istream& in, std::string* error) {
+namespace {
+
+// Shared line loop of both parse_scenario_stream forms; a null `claims`
+// rejects expect lines.
+std::optional<std::vector<ScenarioSpec>> parse_lines(
+    std::istream& in, std::vector<Claim>* claims, std::string* error) {
   std::vector<ScenarioSpec> specs;
   std::string line;
   std::size_t line_number = 0;
+  const auto fail = [&](const std::string& reason) {
+    set_error(error, "line " + std::to_string(line_number) + ": " + reason);
+    return std::nullopt;
+  };
   while (std::getline(in, line)) {
     ++line_number;
     std::string_view text(line);
@@ -301,25 +311,57 @@ std::optional<std::vector<ScenarioSpec>> parse_scenario_stream(
     text = spec_text::trim(text);
     if (text.empty()) continue;
     std::string reason;
-    auto expanded = expand_scenario_line(text, &reason);
-    if (!expanded) {
-      set_error(error,
-                "line " + std::to_string(line_number) + ": " + reason);
-      return std::nullopt;
+    if (is_claim_line(text)) {
+      if (claims == nullptr) {
+        return fail(
+            "expect lines are checked by a one-shot rumor_run; this input "
+            "takes scenario lines only");
+      }
+      auto claim = Claim::parse(text, &reason);
+      if (!claim) return fail(reason);
+      claim->line = line_number;
+      claims->push_back(std::move(*claim));
+      continue;
     }
+    auto expanded = expand_scenario_line(text, &reason);
+    if (!expanded) return fail(reason);
     for (ScenarioSpec& spec : *expanded) specs.push_back(std::move(spec));
+  }
+  if (claims != nullptr) {
+    // A claim may name rows from anywhere in the file, so it is checked
+    // once every line is expanded.
+    for (const Claim& claim : *claims) {
+      std::string reason;
+      if (!check_claim(claim, specs, &reason)) {
+        line_number = claim.line;
+        return fail(reason);
+      }
+    }
   }
   return specs;
 }
 
+}  // namespace
+
+std::optional<std::vector<ScenarioSpec>> parse_scenario_stream(
+    std::istream& in, std::string* error) {
+  return parse_lines(in, nullptr, error);
+}
+
+std::optional<std::vector<ScenarioSpec>> parse_scenario_stream(
+    std::istream& in, std::vector<Claim>& claims, std::string* error) {
+  claims.clear();
+  return parse_lines(in, &claims, error);
+}
+
 std::optional<std::vector<ScenarioSpec>> load_scenario_file(
-    const std::string& path, std::string* error) {
+    const std::string& path, std::vector<Claim>& claims, std::string* error) {
   std::ifstream in(path);
   if (!in) {
     set_error(error, "cannot open \"" + path + "\"");
     return std::nullopt;
   }
-  return parse_scenario_stream(in, error);
+  return parse_scenario_stream(in, claims, error);
 }
 
 bool check_scenario_size(const ScenarioSpec& spec, Vertex n,
@@ -368,45 +410,35 @@ bool check_scenario_size(const ScenarioSpec& spec, Vertex n,
 bool prepare_scenario(const ScenarioSpec& spec, ScenarioResult& result,
                       PreparedScenario& prep, std::string* error) {
   result.spec = spec;
+  const auto fail = [&](const std::string& why) {
+    set_error(error, "scenario \"" + spec.name() + "\": " + why);
+    return false;
+  };
+  std::string why;
+  const auto probe = spec.graph.probe(&why);
+  if (!probe) return fail(spec.graph.name() + ": " + why);
   if (spec.graph.is_random()) {
     // The graph draw uses a seed stream disjoint from the trial seeds (and,
     // for fresh mode, matches trial 0's draw), so a scenario is
     // reproducible from its text alone.
     Rng graph_rng(derive_seed(spec.plan.seed ^ kGraphSeedSalt, 0));
-    Graph g = spec.graph.make(graph_rng);
-    result.n = g.num_vertices();
-    result.edges = g.num_edges();
+    std::optional<Graph> g;
+    try {
+      g.emplace(spec.graph.make(graph_rng));
+    } catch (const gen::GraphDrawError& e) {
+      return fail(e.what());
+    }
+    result.n = g->num_vertices();
+    result.edges = g->num_edges();
     // Fresh-graph scenarios redraw per trial; dropping the validation
     // draw immediately keeps it from pinning memory for the whole run.
     if (!spec.plan.fresh_graph) prep.graph = std::move(g);
   } else {
-    std::string why;
-    const auto probe = spec.graph.probe(&why);
-    if (!probe) {
-      set_error(error,
-                "scenario \"" + spec.name() + "\": " + spec.graph.name() +
-                    ": " + why);
-      return false;
-    }
     result.n = probe->n;
     result.edges = static_cast<std::size_t>(probe->m);
     prep.lazy = true;
   }
-  if (std::string why; !check_scenario_size(spec, result.n, &why)) {
-    set_error(error, "scenario \"" + spec.name() + "\": " + why);
-    return false;
-  }
-  // The sharded round engine's one incompatibility, rejected here with a
-  // typed message; the RUMOR_REQUIREs in the process constructors are
-  // abort-on-bug backstops, not user-input validation.
-  if (const TraceOptions* trace = spec.protocol.trace();
-      spec.protocol.shards() != 0 && trace != nullptr && trace->edge_traffic) {
-    set_error(error, "scenario \"" + spec.name() +
-                         "\": shards= is incompatible with "
-                         "edge_traffic=on (the exact-bandwidth trace "
-                         "needs the serial engine)");
-    return false;
-  }
+  if (!check_scenario_size(spec, result.n, &why)) return fail(why);
   return true;
 }
 

@@ -34,8 +34,9 @@
 
 namespace rumor {
 
-// The master seed every runner defaults to (the PODC'19 date, matching the
-// bench harness).
+struct Claim;  // experiments/claims.hpp
+
+// The master seed every runner defaults to (the PODC'19 date).
 constexpr std::uint64_t kDefaultMasterSeed = 20190729ULL;
 
 struct TrialPlan {
@@ -85,12 +86,22 @@ struct ScenarioResult {
 std::optional<std::vector<ScenarioSpec>> expand_scenario_line(
     std::string_view line, std::string* error = nullptr);
 
-// Parses a scenario stream/file, expanding sweep lines in place. On
-// failure returns nullopt and reports "line N: <reason>" through *error.
+// Parses a scenario stream, expanding sweep lines in place. On failure
+// returns nullopt and reports "line N: <reason>" through *error. `expect`
+// claim lines are rejected: this form serves inputs that have no verdict
+// channel (the serve daemon's SUBMIT, trace tooling).
 std::optional<std::vector<ScenarioSpec>> parse_scenario_stream(
     std::istream& in, std::string* error = nullptr);
+// As above, but `expect` lines are accepted, returned through `claims` in
+// file order, and checked against the expanded rows (experiments/claims.hpp):
+// a claim naming no row, a power over fewer than 3 rows, or unequal pairs
+// fail the load.
+std::optional<std::vector<ScenarioSpec>> parse_scenario_stream(
+    std::istream& in, std::vector<Claim>& claims,
+    std::string* error = nullptr);
 std::optional<std::vector<ScenarioSpec>> load_scenario_file(
-    const std::string& path, std::string* error = nullptr);
+    const std::string& path, std::vector<Claim>& claims,
+    std::string* error = nullptr);
 
 // Executes one scenario: builds the graph from the plan seed (or redraws
 // per trial when fresh_graph) and fans the trials out over the global
@@ -166,8 +177,8 @@ struct ScenarioRunOptions {
     const ScenarioRunOptions& options = {});
 
 // The shared report format: an aligned table for terminals, CSV (one row
-// per scenario, same columns as the bench artifact dumps plus the spec
-// text) for artifacts.
+// per scenario: the spec text plus the trial distribution's columns) for
+// artifacts.
 [[nodiscard]] std::string scenario_table(
     const std::vector<ScenarioResult>& results);
 void write_scenario_csv(std::ostream& out,

@@ -149,6 +149,10 @@ bool probe_materialized(const GraphSpec& spec, GraphProbe& out,
       if ((a * b) % 2 != 0) {
         return fail("random_regular requires n*d even");
       }
+      if (b == 1 && a > 2) {
+        return fail("random_regular with d=1 is a perfect matching, "
+                    "connected only for n=2");
+      }
       n = a;
       m = a * b / 2;
       break;

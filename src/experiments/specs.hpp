@@ -1,5 +1,5 @@
 // Experiment specifications: declarative graph + protocol descriptions that
-// the trial runner, the scenario files, and the bench binaries share.
+// the trial runner, the scenario files, and the serve daemon share.
 //
 // Both halves have a canonical text round-trip: GraphSpec::parse /
 // GraphSpec::name for the graph ("star(leaves=1024)"), ProtocolSpec::parse

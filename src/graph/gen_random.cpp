@@ -7,6 +7,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
+#include "support/spec_text.hpp"
 
 namespace rumor::gen {
 
@@ -115,7 +116,7 @@ Graph random_regular(Vertex n, std::uint32_t d, Rng& rng) {
   RUMOR_REQUIRE(d >= 1 && d < n);
   RUMOR_REQUIRE((static_cast<std::uint64_t>(n) * d) % 2 == 0);
 
-  for (;;) {
+  for (std::size_t draw = 0; draw < kMaxGraphDraws; ++draw) {
     auto edges = pairing_with_repair(n, d, rng);
     if (edges.empty()) continue;  // repair stalled; redraw
     Graph g(n, edges);
@@ -124,13 +125,16 @@ Graph random_regular(Vertex n, std::uint32_t d, Rng& rng) {
     // usable broadcast substrate.
     if (is_connected(g)) return g;
   }
+  throw GraphDrawError("random_regular(n=" + std::to_string(n) +
+                       ",d=" + std::to_string(d) + "): no connected draw in " +
+                       std::to_string(kMaxGraphDraws) + " attempts");
 }
 
 Graph erdos_renyi_connected(Vertex n, double p, Rng& rng) {
   RUMOR_REQUIRE(n >= 2);
   RUMOR_REQUIRE(p > 0.0 && p <= 1.0);
 
-  for (;;) {
+  for (std::size_t draw = 0; draw < kMaxGraphDraws; ++draw) {
     GraphBuilder b(n);
     // Geometric skipping over the linearized strictly-upper-triangular pair
     // index space: O(m + n) per draw instead of O(n^2).
@@ -156,6 +160,10 @@ Graph erdos_renyi_connected(Vertex n, double p, Rng& rng) {
     Graph g = b.build();
     if (is_connected(g)) return g;
   }
+  throw GraphDrawError("erdos_renyi(n=" + std::to_string(n) +
+                       ",p=" + spec_text::fmt_double(p) +
+                       "): no connected draw in " +
+                       std::to_string(kMaxGraphDraws) + " attempts");
 }
 
 }  // namespace rumor::gen

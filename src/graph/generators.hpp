@@ -14,12 +14,29 @@
 // vertex 0").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "graph/graph.hpp"
 #include "support/rng.hpp"
 
 namespace rumor::gen {
+
+// The random families resample until they draw a connected simple graph.
+// Parameters under which that almost never happens (random_regular with
+// d = 1, erdos_renyi far below the ln(n)/n threshold) would loop forever,
+// so each call gives up after kMaxGraphDraws draws with this error. A
+// call that succeeds within the cap consumes its RNG exactly as an
+// uncapped loop would.
+inline constexpr std::size_t kMaxGraphDraws = 1000;
+
+class GraphDrawError : public std::runtime_error {
+ public:
+  explicit GraphDrawError(const std::string& what)
+      : std::runtime_error(what) {}
+};
 
 // ---- basic families -------------------------------------------------------
 
@@ -113,11 +130,13 @@ namespace rumor::gen {
 // repair of self-loops/multi-edges. n*d must be even, d < n. The result is
 // approximately uniform (the deviation is documented in docs/perf.md,
 // "Law-preserving optimizations") and is rejected and resampled if
-// disconnected (connectivity is overwhelmingly likely for d >= 3).
+// disconnected (connectivity is overwhelmingly likely for d >= 3). Throws
+// GraphDrawError after kMaxGraphDraws draws.
 [[nodiscard]] Graph random_regular(Vertex n, std::uint32_t d, Rng& rng);
 
 // Erdős–Rényi G(n, p) conditioned on connectivity: resamples until
-// connected. Intended for p noticeably above the ln(n)/n threshold.
+// connected. Intended for p noticeably above the ln(n)/n threshold; throws
+// GraphDrawError after kMaxGraphDraws draws.
 [[nodiscard]] Graph erdos_renyi_connected(Vertex n, double p, Rng& rng);
 
 }  // namespace rumor::gen

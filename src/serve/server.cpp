@@ -565,6 +565,8 @@ struct Server::Impl {
     text.swap(conn.submit_text);
     std::istringstream in(text);
     std::string error;
+    // The claim-free form: an `expect` line is an ERR parse here, since
+    // serve streams rows and has no verdict channel.
     auto specs = parse_scenario_stream(in, &error);
     if (!specs) {
       send_line(conn, "ERR parse " + sanitize_reply_text(error));
@@ -582,7 +584,7 @@ struct Server::Impl {
         send_line(conn, "ERR validate scenario \"" +
                             sanitize_reply_text(spec.name()) +
                             "\": curve tracing is not supported over "
-                            "serve (drop trace=curve)");
+                            "serve (drop curve=on)");
         return;
       }
       auto s = std::make_unique<ScenarioState>();

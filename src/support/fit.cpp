@@ -65,17 +65,6 @@ LinearFit fit_log_law(std::span<const double> n, std::span<const double> t) {
   return fit_linear(ln_n, std::vector<double>(t.begin(), t.end()));
 }
 
-std::string LawVerdict::describe() const {
-  char buf[160];
-  const char* name = "power";
-  if (best == GrowthLaw::logarithmic) name = "logarithmic";
-  if (best == GrowthLaw::linearithmic) name = "n*log(n)";
-  std::snprintf(buf, sizeof buf,
-                "%s (power exponent %.3f; R2: log %.3f, power %.3f, nlogn %.3f)",
-                name, power_exponent, r2_log, r2_power, r2_nlogn);
-  return buf;
-}
-
 LawVerdict classify_growth(std::span<const double> n,
                            std::span<const double> t) {
   RUMOR_REQUIRE(n.size() == t.size());

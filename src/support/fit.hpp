@@ -10,7 +10,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 
 namespace rumor {
 
@@ -46,11 +45,10 @@ struct LawVerdict {
   double r2_log = 0.0;          // R² of T vs ln n
   double r2_power = 0.0;        // R² of ln T vs ln n
   double r2_nlogn = 0.0;        // R² of T vs n·ln n (through-origin slope fit)
-  std::string describe() const;
 };
 
-// Classifies measured growth. Heuristic, intended for the claim-check lines
-// in bench output: a power fit with exponent < 0.15 and a good log-law fit
+// Classifies measured growth. Heuristic, intended for claim checks
+// (experiments/claims' power stat reads power_exponent): a power fit with exponent < 0.15 and a good log-law fit
 // is reported as logarithmic; exponent within 0.15 of 1 with a good
 // n·log n fit is reported as linearithmic when that fit dominates.
 [[nodiscard]] LawVerdict classify_growth(std::span<const double> n,

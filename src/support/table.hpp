@@ -1,4 +1,4 @@
-// Aligned text tables for bench/example output.
+// Aligned text tables for report/example output.
 //
 // Collects rows of string cells and renders either a column-aligned plain
 // table or GitHub-flavored markdown (used verbatim in EXPERIMENTS.md).

@@ -107,7 +107,7 @@ void step_walks(const Graph& g, std::span<Vertex> positions, Rng& rng,
 // stepper above (a different draw plane), which is why sharding is an
 // explicit engine choice, not a transparent fast path. Position writes are
 // range-disjoint, so the parallel pass is race-free. Edge-traffic tracing
-// is not offered here: callers reject shards x edge_traffic upstream.
+// is not offered here: the sharded process constructors REQUIRE it off.
 void step_walks_sharded(const Graph& g, std::span<Vertex> positions,
                         std::uint64_t trial_seed, std::uint64_t round,
                         Laziness lazy, std::uint32_t shards);

@@ -10,6 +10,7 @@
 #include "core/visit_exchange.hpp"
 #include "graph/generators.hpp"
 #include "support/stats.hpp"
+#include "support/trial_arena.hpp"
 
 namespace rumor {
 namespace {
@@ -155,6 +156,79 @@ TEST(MultiRumorVisitExchange, AgentsCarryRumorsAcrossReleases) {
   for (Agent a = 0; a < p.agents().count(); ++a) {
     EXPECT_EQ(p.agent_rumors(a), 3u);
   }
+}
+
+// Section 1's perpetual-dissemination claims at full size: a random
+// 16-regular graph with n = 4096, seed 20190729, 10 trials. Per-rumor
+// latency is not a scenario row statistic, so the claims live here.
+constexpr std::uint64_t kPaperSeed = 20190729;
+constexpr Vertex kPaperN = 1 << 12;
+
+// Mean per-rumor latency of `count` rumors released together at round 0
+// from sources spread over the graph.
+double mean_parallel_latency(const Graph& g, std::size_t count, bool walks) {
+  TrialArena arena;
+  std::vector<double> latencies;
+  for (std::size_t trial = 0; trial < 10; ++trial) {
+    Rng source_rng(derive_seed(kPaperSeed + 5, trial));
+    std::vector<RumorSpec> rumors;
+    for (std::size_t r = 0; r < count; ++r) {
+      rumors.push_back({static_cast<Vertex>(source_rng.below(kPaperN)), 0});
+    }
+    const std::uint64_t seed = derive_seed(kPaperSeed, trial);
+    const MultiRumorResult result =
+        walks ? MultiRumorVisitExchange(g, rumors, seed, {}, &arena).run()
+              : MultiRumorPushPull(g, rumors, seed, 0, &arena).run();
+    for (Round lat : result.latency) {
+      latencies.push_back(static_cast<double>(lat));
+    }
+  }
+  return Summary::of(latencies).mean;
+}
+
+// Non-interference: 64 parallel rumors each arrive about as fast as one
+// (the protocols exchange everything they hold, so rumors ride the same
+// exchanges).
+TEST(MultiRumorPushPull, SixtyFourParallelRumorsKeepSingleRumorLatency) {
+  Rng grng(kPaperSeed ^ 0x316B5u);
+  const Graph g = gen::random_regular(kPaperN, 16, grng);
+  const double at1 = mean_parallel_latency(g, 1, /*walks=*/false);
+  EXPECT_LT(mean_parallel_latency(g, 64, /*walks=*/false), 1.25 * at1 + 1.0);
+}
+
+TEST(MultiRumorVisitExchange, SixtyFourParallelRumorsKeepSingleRumorLatency) {
+  Rng grng(kPaperSeed ^ 0x316B5u);
+  const Graph g = gen::random_regular(kPaperN, 16, grng);
+  const double at1 = mean_parallel_latency(g, 1, /*walks=*/true);
+  EXPECT_LT(mean_parallel_latency(g, 64, /*walks=*/true), 1.25 * at1 + 1.0);
+}
+
+// Steady state: 32 rumors released every 4 rounds; the 16 late releases
+// arrive as fast as the 16 early ones, because perpetual walks stay
+// stationary (why the stationary start is the right model).
+TEST(MultiRumorVisitExchange, StreamLatencyIsFlatInReleaseTimeAtPaperSize) {
+  Rng grng(kPaperSeed ^ 0x57EAAu);
+  const Graph g = gen::random_regular(kPaperN, 16, grng);
+  TrialArena arena;
+  std::vector<double> early, late;
+  for (std::size_t trial = 0; trial < 10; ++trial) {
+    Rng source_rng(derive_seed(kPaperSeed + 9, trial));
+    std::vector<RumorSpec> rumors;
+    for (std::size_t r = 0; r < 32; ++r) {
+      rumors.push_back({static_cast<Vertex>(source_rng.below(kPaperN)),
+                        static_cast<Round>(4 * r)});
+    }
+    const MultiRumorResult result =
+        MultiRumorVisitExchange(g, rumors, derive_seed(kPaperSeed, trial),
+                                {}, &arena)
+            .run();
+    for (std::size_t r = 0; r < 32; ++r) {
+      (r < 16 ? early : late).push_back(static_cast<double>(result.latency[r]));
+    }
+  }
+  const double early_mean = Summary::of(early).mean;
+  EXPECT_LT(std::abs(early_mean - Summary::of(late).mean),
+            0.2 * early_mean + 1.0);
 }
 
 using MultiRumorDeathTest = ::testing::Test;

@@ -43,6 +43,13 @@ TEST(SharedChoices, RoughlyUniformOverNeighbors) {
   }
 }
 
+// The largest graph of the Section 5/6 coupling measurements: random
+// 14-regular on 2048 vertices.
+Graph paper_size_graph() {
+  Rng rng(20190729 ^ 0xC0DEu);
+  return gen::random_regular(2048, 14, rng);
+}
+
 // Lemma 13 (τ_u ≤ C_u(t_u)) across graph families and seeds. Parameterized
 // over (family index, seed).
 class Lemma13Test
@@ -59,8 +66,10 @@ class Lemma13Test
         return gen::clique_ring(8, 8);
       case 3:
         return gen::complete(96);
-      default:
+      case 4:
         return gen::circulant(120, 5);
+      default:
+        return paper_size_graph();
     }
   }
 };
@@ -82,7 +91,7 @@ TEST_P(Lemma13Test, TauBoundedByCCounter) {
 
 INSTANTIATE_TEST_SUITE_P(
     FamiliesAndSeeds, Lemma13Test,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5),
                        ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL, 5ULL, 6ULL)));
 
 TEST(Lemma14, CanonicalWalkCongestionEqualsCCounter) {
@@ -155,13 +164,15 @@ TEST(Lemma13, CongestionPerRoundIsModest) {
   // log-degree regular graphs. β from Lemma 18 is ~2eγ+1; empirically the
   // ratio is far smaller. Use a loose factor to stay robust.
   Rng grng(23);
-  const Graph g = gen::random_regular(256, 12, grng);
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const CoupledResult r = CoupledPushVisitx(g, 0, seed).run();
-    ASSERT_TRUE(r.visitx_completed);
-    const double ratio = static_cast<double>(r.max_ccounter) /
-                         static_cast<double>(r.visitx_rounds);
-    EXPECT_LT(ratio, 25.0) << "seed=" << seed;
+  for (const Graph& g :
+       {gen::random_regular(256, 12, grng), paper_size_graph()}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const CoupledResult r = CoupledPushVisitx(g, 0, seed).run();
+      ASSERT_TRUE(r.visitx_completed);
+      const double ratio = static_cast<double>(r.max_ccounter) /
+                           static_cast<double>(r.visitx_rounds);
+      EXPECT_LT(ratio, 25.0) << "n=" << g.num_vertices() << " seed=" << seed;
+    }
   }
 }
 
@@ -169,19 +180,25 @@ TEST(OddEven, CoupledRunsCompleteAndRatioBounded) {
   // Lemma 22 empirically: t'_u ≤ c (τ_u + log n) with a modest constant on
   // regular graphs of logarithmic degree.
   Rng grng(29);
-  const Graph g = gen::random_regular(256, 12, grng);
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const OddEvenResult r = run_odd_even_coupling(g, 0, seed);
-    ASSERT_TRUE(r.push_completed);
-    ASSERT_TRUE(r.visitx_completed);
-    EXPECT_GT(r.max_ratio, 0.0);
-    EXPECT_LT(r.max_ratio, 40.0) << "seed=" << seed;
+  for (const Graph& g :
+       {gen::random_regular(256, 12, grng), paper_size_graph()}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const OddEvenResult r = run_odd_even_coupling(g, 0, seed);
+      ASSERT_TRUE(r.push_completed);
+      ASSERT_TRUE(r.visitx_completed);
+      EXPECT_GT(r.max_ratio, 0.0);
+      EXPECT_LT(r.max_ratio, 40.0)
+          << "n=" << g.num_vertices() << " seed=" << seed;
+    }
   }
 }
 
 // Theorem 23's natural coupling: meetx-informed ⊆ visitx-informed, hence
 // R_visitx ≤ T_meetx, for regular and non-regular graphs alike (the subset
-// containment is structural).
+// containment is structural). Families 4 and 5 are the smallest sizes of
+// Theorem 23's measured families (random regular with d = 1.5 log2 n, a
+// ring of 16-cliques), where the pathwise bound implies the claim on
+// means, R_visitx ≲ T_meetx.
 class NaturalCouplingTest
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {
  protected:
@@ -194,8 +211,12 @@ class NaturalCouplingTest
         return gen::complete(64);
       case 2:
         return gen::clique_ring(6, 6);
-      default:
+      case 3:
         return gen::star(63);  // bipartite: exercises lazy walks
+      case 4:
+        return gen::random_regular(1024, 15, rng);
+      default:
+        return gen::clique_ring(32, 16);
     }
   }
 };
@@ -214,7 +235,7 @@ TEST_P(NaturalCouplingTest, MeetxInformedSubsetOfVisitx) {
 
 INSTANTIATE_TEST_SUITE_P(
     FamiliesAndSeeds, NaturalCouplingTest,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3),
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5),
                        ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL, 5ULL)));
 
 TEST(NaturalCoupling, StepwiseSubsetHolds) {

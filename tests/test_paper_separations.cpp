@@ -1,11 +1,17 @@
 // Fast statistical versions of the paper's separation results (Lemmas 2-9)
-// and regular-graph theorems (1, 23, 24, 25) at fixed test sizes. The bench
-// binaries sweep sizes and fit growth laws; these tests pin the *ordering*
-// and rough magnitudes so regressions in any protocol show up in ctest.
+// and regular-graph theorems (1, 23, 24, 25) at fixed test sizes, plus the
+// bandwidth-fairness claim, which no scenario row can show. The size
+// sweeps and growth-law fits are the `expect` lines of
+// examples/scenarios/*.scn, which rumor_run checks after each run; these
+// tests pin the *ordering* and rough magnitudes so regressions in any
+// protocol show up in ctest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "core/meet_exchange.hpp"
 #include "core/push.hpp"
@@ -179,6 +185,69 @@ TEST(Theorems24And25, LogarithmicLowerBoundsOnRegularGraphs) {
   }
   EXPECT_GT(Summary::of(visitx_min).min, log_n / 4);
   EXPECT_GT(Summary::of(meetx_min).min, log_n / 4);
+}
+
+// Section 1's "locally fair bandwidth", at full size: on the double star
+// (2048 leaves per star, source 2, a fixed 400-round window, 8 trials of
+// each protocol) push-pull calls the center-center bridge O(1/n) times per
+// round while visit-exchange walks across it at a constant rate, and only
+// push-pull starves an edge — why the agent protocols win Fig. 1(b). The
+// per-edge traffic trace never reaches a scenario row, so the claim lives
+// here.
+TEST(BandwidthFairness, PushPullStarvesTheDoubleStarBridge) {
+  constexpr Vertex kLeaves = 1 << 11;
+  constexpr Round kHorizon = 400;
+  constexpr std::uint64_t kSeed = 20190729;
+  const Graph g = gen::double_star(kLeaves);
+  EdgeId bridge = 0;
+  for (std::uint32_t i = 0; i < g.degree(0); ++i) {
+    if (g.neighbor(0, i) == 1) bridge = g.edge_id(0, i);
+  }
+  // Mean over trials of bridge crossings per round and of the smallest
+  // edge's traffic relative to the mean edge's.
+  struct Traffic {
+    EdgeId bridge;
+    std::vector<double> bridge_per_round;
+    std::vector<double> min_over_mean;
+    void add(std::span<const std::uint64_t> edges) {
+      bridge_per_round.push_back(static_cast<double>(edges[bridge]) /
+                                 static_cast<double>(kHorizon));
+      std::uint64_t total = 0;
+      for (const std::uint64_t c : edges) total += c;
+      const double mean =
+          static_cast<double>(total) / static_cast<double>(edges.size());
+      min_over_mean.push_back(
+          mean > 0 ? static_cast<double>(
+                         *std::min_element(edges.begin(), edges.end())) /
+                         mean
+                   : 0.0);
+    }
+  };
+  Traffic ppull{bridge, {}, {}};
+  Traffic visitx{bridge, {}, {}};
+  for (std::size_t i = 0; i < 8; ++i) {
+    PushPullOptions pp_options;
+    pp_options.trace.edge_traffic = true;
+    pp_options.max_rounds = kHorizon;  // run the full window even if done
+    PushPullProcess pp(g, 2, derive_seed(kSeed, i), pp_options);
+    for (Round t = 0; t < kHorizon; ++t) pp.step();
+    ppull.add(pp.run().edge_traffic);
+
+    WalkOptions vx_options;
+    vx_options.trace.edge_traffic = true;
+    VisitExchangeProcess vx(g, 2, derive_seed(kSeed + 7, i), vx_options);
+    for (Round t = 0; t < kHorizon; ++t) vx.step();
+    visitx.add(vx.run().edge_traffic);
+  }
+  const double ppull_bridge = Summary::of(ppull.bridge_per_round).mean;
+  const double visitx_bridge = Summary::of(visitx.bridge_per_round).mean;
+  EXPECT_LT(ppull_bridge, 20.0 / kLeaves);  // O(1/n) per round
+  EXPECT_GT(visitx_bridge, 0.3);            // Theta(1) per round
+  // The fairness gap that explains the Fig. 1(b) separation.
+  EXPECT_GT(visitx_bridge / std::max(ppull_bridge, 1e-9), kLeaves / 20.0);
+  // No edge starves under visit-exchange; push-pull starves the bridge.
+  EXPECT_GT(Summary::of(visitx.min_over_mean).mean, 0.3);
+  EXPECT_LT(Summary::of(ppull.min_over_mean).mean, 0.05);
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ TEST(ProtocolSpecText, NonDefaultOptionsRoundTrip) {
   const std::vector<std::string> lines = {
       "push(tp=0.75)",
       "push(max_rounds=500,curve=on)",
-      "push-pull(tp=0.9,inform_rounds=on)",
+      "push-pull(tp=0.9,curve=on)",
       "visit-exchange(alpha=0.25,lazy=always)",
       "visit-exchange(agents=128,placement=one_per_vertex)",
       "visit-exchange(placement=at_vertex,anchor=7)",
@@ -182,12 +182,17 @@ TEST(ProtocolSpecText, RejectsUnknownProtocolsKeysAndBadValues) {
   EXPECT_FALSE(ProtocolSpec::parse("frog(frogs=0)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("multi-push-pull(rumors=65)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("async(pull=sometimes)", &error));
-  // Retired keys: per-call loss q is tp=1-q, and every walk simulator runs
-  // the one batched stepper.
+  // Retired keys: per-call loss q is tp=1-q, every walk simulator runs
+  // the one batched stepper, and the inform-round and edge-traffic traces
+  // never reach a TrialSet (C++ callers set TraceOptions directly).
   for (const char* text :
        {"push(loss=0.1)", "push-pull(loss=0.1)",
         "visit-exchange(engine=scalar)", "meet-exchange(engine=counter)",
-        "hybrid(engine=batched)", "dynamic-agent(engine=counter)"}) {
+        "hybrid(engine=batched)", "dynamic-agent(engine=counter)",
+        "push(edge_traffic=on)", "push(tp=0.5,inform_rounds=on)",
+        "push-pull(edge_traffic=on)", "visit-exchange(inform_rounds=on)",
+        "meet-exchange(edge_traffic=off)", "hybrid(edge_traffic=on)",
+        "frog(inform_rounds=on)"}) {
     EXPECT_FALSE(ProtocolSpec::parse(text, &error)) << text;
   }
   // dynamic-agent: keys it would never read, and churn=1 (every agent
@@ -323,6 +328,63 @@ TEST(ScenarioValidation, AlphaAgentCountsBeyond32BitIdsRejected) {
       ScenarioSpec::parse("cycle(n=8) visit-exchange(alpha=5e8)", &error);
   ASSERT_TRUE(ok) << error;
   EXPECT_TRUE(validate_scenarios({*ok}, &error)) << error;
+}
+
+TEST(ScenarioValidation, RandomFamiliesRejectImpossibleParameters) {
+  // Each line parses, but used to abort rumor_run (exit 134, killing a
+  // serve daemon for every client) or spin forever drawing disconnected
+  // graphs. Validation now probes random families like the others and
+  // caps the connected-redraw loops, so each is a typed error naming the
+  // scenario (exit 2 one-shot, ERR validate from serve).
+  const auto reject = [](const std::string& line, const char* needle) {
+    std::string error;
+    const auto spec = ScenarioSpec::parse(line, &error);
+    ASSERT_TRUE(spec) << line << ": " << error;
+    EXPECT_FALSE(validate_scenarios({*spec}, &error)) << line;
+    EXPECT_NE(error.find(spec->name()), std::string::npos) << error;
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
+  };
+  reject("random_regular(n=5,d=3) push", "n*d even");
+  reject("random_regular(n=4,d=4) push", "1 <= d < n");
+  reject("random_regular(n=10,d=0) push", "1 <= d < n");
+  reject("random_regular(n=10,d=1) push", "d=1");
+  reject("erdos_renyi(n=1000,p=0.000001) push", "no connected draw");
+  reject("erdos_renyi(n=1000,p=0.000001) push fresh=on", "no connected draw");
+  // The first four are known without drawing (rumor_run --dry-run marks
+  // them '# invalid'); a perfect matching on two vertices is connected.
+  for (const char* graph :
+       {"random_regular(n=5,d=3)", "random_regular(n=4,d=4)",
+        "random_regular(n=10,d=0)", "random_regular(n=10,d=1)"}) {
+    EXPECT_FALSE(GraphSpec::parse(graph)->probe()) << graph;
+  }
+  std::string error;
+  const auto pair = ScenarioSpec::parse("random_regular(n=2,d=1) push");
+  ASSERT_TRUE(pair);
+  EXPECT_TRUE(validate_scenarios({*pair}, &error)) << error;
+}
+
+TEST(ScenarioValidation, FreshDrawPastTheCapIsANamedTrialFailure) {
+  // Under fresh=on every trial draws its own graph; a draw that gives up
+  // fails that trial with the typed error, and the scheduler names the
+  // batch.
+  const auto graph = GraphSpec::parse("erdos_renyi(n=1000,p=0.000001)");
+  ASSERT_TRUE(graph);
+  const ProtocolSpec protocol = default_spec(Protocol::push);
+  TrialSet out;
+  TrialBatch batch;
+  batch.fresh_spec = &*graph;
+  batch.protocol = &protocol;
+  batch.trials = 2;
+  batch.out = &out;
+  try {
+    run_trial_batches({batch});
+    FAIL() << "expected TrialBatchError";
+  } catch (const TrialBatchError& e) {
+    EXPECT_EQ(e.batch_index(), 0u);
+    EXPECT_NE(std::string(e.what()).find("no connected draw"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- ScenarioSpec -----------------------------------------------------

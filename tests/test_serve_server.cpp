@@ -301,10 +301,30 @@ TEST_F(ServeServerTest, InvalidSubmissionsAreRejectedWithNothingEnqueued) {
   EXPECT_FALSE(client.submit(
       "cycle(n=8) dynamic-agent(churn=1) trials=2\n", &error));
   EXPECT_EQ(error.rfind("ERR parse", 0), 0u) << error;
-  // Curve tracing is a one-shot-only feature (curves are not journaled).
+  // Curve tracing is a one-shot-only feature (curves are not journaled);
+  // the reply names the key to drop.
   EXPECT_FALSE(
       client.submit("complete(n=64) push(curve=on) trials=2\n", &error));
   EXPECT_EQ(error.rfind("ERR validate", 0), 0u) << error;
+  EXPECT_NE(error.find("drop curve=on"), std::string::npos) << error;
+  // Random families with impossible parameters used to abort the daemon
+  // (n*d odd, d outside [1, n)) or spin it forever (no connected draw);
+  // each is now a typed validation error.
+  for (const char* line :
+       {"random_regular(n=5,d=3) push trials=2\n",
+        "random_regular(n=4,d=4) push trials=2\n",
+        "random_regular(n=10,d=0) push trials=2\n",
+        "random_regular(n=10,d=1) push trials=2\n",
+        "erdos_renyi(n=1000,p=0.000001) push trials=2\n"}) {
+    EXPECT_FALSE(client.submit(line, &error)) << line;
+    EXPECT_EQ(error.rfind("ERR validate", 0), 0u) << line << ": " << error;
+  }
+  // expect claim lines need a verdict channel, which serve does not have.
+  EXPECT_FALSE(client.submit(
+      "complete(n=64) push trials=2 label=p\nexpect mean(p) < 100\n",
+      &error));
+  EXPECT_EQ(error.rfind("ERR parse", 0), 0u) << error;
+  EXPECT_NE(error.find("expect"), std::string::npos) << error;
   // A bad line ANYWHERE in the submission rejects the whole job.
   EXPECT_FALSE(client.submit(
       "complete(n=64) push trials=2\nbroken line here\n", &error));

@@ -215,23 +215,23 @@ TEST(ShardSpec, AutoWidthCutsPartitionsPerWorker) {
 }
 
 TEST(ShardSpec, ScenarioValidationRejectsIncompatibleCombos) {
-  const auto reject = [](const char* line, const char* needle) {
+  // The exact-bandwidth edge_traffic trace needs the serial engine, and it
+  // is not a scenario key (TraceOptions keeps it for C++ callers), so no
+  // sharded scenario can ask for it: the lines fail to parse.
+  for (const char* line :
+       {"cycle(n=64) push(shards=2,edge_traffic=on)",
+        "cycle(n=64) push-pull(shards=2,edge_traffic=on)",
+        "cycle(n=64) visit-exchange(shards=2,edge_traffic=on)",
+        "cycle(n=64) meet-exchange(shards=2,edge_traffic=on)"}) {
     std::string error;
-    const auto spec = ScenarioSpec::parse(line, &error);
-    ASSERT_TRUE(spec) << line << ": " << error;
-    EXPECT_FALSE(validate_scenarios({*spec}, &error)) << line;
-    EXPECT_NE(error.find(needle), std::string::npos) << line << ": " << error;
-  };
-  reject("cycle(n=64) push(shards=2,edge_traffic=on)", "edge_traffic");
-  reject("cycle(n=64) push-pull(shards=2,edge_traffic=on)", "edge_traffic");
-  reject("cycle(n=64) visit-exchange(shards=2,edge_traffic=on)",
-         "edge_traffic");
-  reject("cycle(n=64) meet-exchange(shards=2,edge_traffic=on)",
-         "edge_traffic");
-  // The compatible forms pass the same validator.
+    EXPECT_FALSE(ScenarioSpec::parse(line, &error)) << line;
+    EXPECT_NE(error.find("edge_traffic"), std::string::npos)
+        << line << ": " << error;
+  }
+  // The compatible forms pass validation.
   std::string error;
-  const auto ok = ScenarioSpec::parse(
-      "cycle(n=64) push(shards=2,curve=on,inform_rounds=on)", &error);
+  const auto ok =
+      ScenarioSpec::parse("cycle(n=64) push(shards=2,curve=on)", &error);
   ASSERT_TRUE(ok) << error;
   EXPECT_TRUE(validate_scenarios({*ok}, &error)) << error;
 }

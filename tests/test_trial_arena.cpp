@@ -367,9 +367,10 @@ TEST(TrialArena, PerEdgeFieldStepPathAllocatesNothing) {
   // result materialization — must be allocation-free.
   const Graph g = gen::circulant(256, 8);
   TrialArena arena;
-  const auto spec = ProtocolSpec::parse("push(tp=deg^-0.5,edge_traffic=on)");
-  ASSERT_TRUE(spec);
-  const PushOptions& options = std::get<PushOptions>(spec->options);
+  PushOptions options;
+  options.transmission.degree_scaled = true;
+  options.transmission.tp_exponent = -0.5;
+  options.trace.edge_traffic = true;
   for (std::uint64_t seed = 0; seed < 4; ++seed) {  // warm the buffers
     PushProcess process(g, 0, seed, options, &arena);
     for (int s = 0; s < 8; ++s) process.step();
