@@ -35,6 +35,7 @@ struct GoldenSamples {
   const char* name;
   std::vector<double> rounds;
   std::vector<double> agent_rounds;
+  std::size_t incomplete = 0;
 };
 
 const std::vector<GoldenSamples>& golden_samples() {
@@ -168,28 +169,103 @@ const std::vector<GoldenSamples>& het_batched_golden_samples() {
   return golden;
 }
 
-TEST(TransmissionEquivalence, HeterogeneousSkipPathReproducesGoldenSamples) {
-  const Graph g = gen::circulant(48, 2);
-  for (const GoldenSamples& golden : het_skip_golden_samples()) {
+void expect_golden_samples(const Graph& g,
+                           const std::vector<GoldenSamples>& table) {
+  for (const GoldenSamples& golden : table) {
     const auto spec = ProtocolSpec::parse(golden.name);
     ASSERT_TRUE(spec) << golden.name;
     const TrialSet set = run_trials(g, *spec, 0, 6, 20260730ULL);
     EXPECT_EQ(set.rounds, golden.rounds) << golden.name;
     EXPECT_EQ(set.agent_rounds, golden.agent_rounds) << golden.name;
-    EXPECT_EQ(set.incomplete, 0u) << golden.name;
+    EXPECT_EQ(set.incomplete, golden.incomplete) << golden.name;
   }
 }
 
+TEST(TransmissionEquivalence, HeterogeneousSkipPathReproducesGoldenSamples) {
+  expect_golden_samples(gen::circulant(48, 2), het_skip_golden_samples());
+}
+
 TEST(TransmissionEquivalence, HeterogeneousBatchedPathReproducesGoldenSamples) {
-  const Graph g = gen::heavy_binary_tree(31);
-  for (const GoldenSamples& golden : het_batched_golden_samples()) {
-    const auto spec = ProtocolSpec::parse(golden.name);
-    ASSERT_TRUE(spec) << golden.name;
-    const TrialSet set = run_trials(g, *spec, 0, 6, 20260730ULL);
-    EXPECT_EQ(set.rounds, golden.rounds) << golden.name;
-    EXPECT_EQ(set.agent_rounds, golden.agent_rounds) << golden.name;
-    EXPECT_EQ(set.incomplete, 0u) << golden.name;
-  }
+  expect_golden_samples(gen::heavy_binary_tree(31),
+                        het_batched_golden_samples());
+}
+
+// ---- Sharded golden samples -------------------------------------------
+//
+// Every Sharded*.TrajectoryIndependentOfShardCount test compares a width
+// with shards=1, so a change that moves all widths alike passes them.
+// These samples pin the shards=1 trajectory itself (and, through those
+// tests, every width): the same harness as above, for the five simulators
+// with a sharded round, under the trivial model and a constant field on
+// the circulant, a degree-scaled field on the skewed tree, plus one
+// stifling and one blocking line.
+
+const std::vector<GoldenSamples>& sharded_circulant_golden_samples() {
+  static const std::vector<GoldenSamples> golden = {
+      {"push(shards=1)", {29, 33, 33, 30, 27, 35}, {29, 33, 33, 30, 27, 35}},
+      {"push-pull(shards=1)",
+       {20, 18, 18, 18, 19, 19},
+       {20, 18, 18, 18, 19, 19}},
+      {"visit-exchange(shards=1)",
+       {33, 27, 29, 37, 26, 31},
+       {32, 26, 27, 35, 19, 20}},
+      {"meet-exchange(shards=1)",
+       {38, 35, 30, 42, 24, 26},
+       {38, 35, 30, 42, 24, 26}},
+      {"hybrid(shards=1)", {16, 16, 17, 14, 17, 17}, {16, 16, 17, 14, 17, 17}},
+      {"push(shards=1,tp=0.5)",
+       {61, 47, 51, 58, 54, 59},
+       {61, 47, 51, 58, 54, 59}},
+      {"push-pull(shards=1,tp=0.5)",
+       {37, 34, 34, 29, 28, 38},
+       {37, 34, 34, 29, 28, 38}},
+      {"visit-exchange(shards=1,tp=0.5)",
+       {38, 42, 45, 45, 44, 46},
+       {38, 42, 35, 40, 44, 38}},
+      {"meet-exchange(shards=1,tp=0.5)",
+       {50, 51, 46, 47, 48, 39},
+       {50, 51, 46, 47, 48, 39}},
+      {"hybrid(shards=1,tp=0.5)",
+       {30, 23, 25, 27, 23, 27},
+       {30, 23, 25, 27, 23, 27}},
+      {"hybrid(shards=1,stifle=3)",
+       {16, 16, 17, 16, 17, 18},
+       {16, 16, 17, 16, 17, 18}},
+  };
+  return golden;
+}
+
+const std::vector<GoldenSamples>& sharded_tree_golden_samples() {
+  static const std::vector<GoldenSamples> golden = {
+      {"push(shards=1,tp=deg^-0.5)",
+       {34, 27, 32, 30, 32, 26},
+       {34, 27, 32, 30, 32, 26}},
+      {"push-pull(shards=1,tp=deg^-0.5)",
+       {22, 14, 16, 17, 15, 18},
+       {22, 14, 16, 17, 15, 18}},
+      {"visit-exchange(shards=1,tp=deg^-0.5)",
+       {48, 45, 28, 28, 25, 38},
+       {38, 41, 28, 27, 25, 37}},
+      {"meet-exchange(shards=1,tp=deg^-0.5)",
+       {44, 51, 46, 40, 28, 49},
+       {44, 51, 46, 40, 28, 49}},
+      {"hybrid(shards=1,tp=deg^-0.5)",
+       {18, 12, 10, 17, 13, 15},
+       {18, 12, 10, 17, 13, 15}},
+      // Every trial is contained: the blocked hubs cut the tree.
+      {"push-pull(shards=1,block=0.1,block@t=3)",
+       {7, 7, 6, 7, 8, 9},
+       {7, 7, 6, 7, 8, 9},
+       6},
+  };
+  return golden;
+}
+
+TEST(TransmissionEquivalence, ShardedEnginesReproduceGoldenSamples) {
+  expect_golden_samples(gen::circulant(48, 2),
+                        sharded_circulant_golden_samples());
+  expect_golden_samples(gen::heavy_binary_tree(31),
+                        sharded_tree_golden_samples());
 }
 
 // On a regular graph tp=deg^-0.5 materializes to the SAME constant field
