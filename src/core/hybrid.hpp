@@ -2,23 +2,36 @@
 // informed-vertex state (paper §1 suggests agent-based dissemination "in
 // combination with push-pull" as a best-of-both protocol; experiment E12).
 //
-// Round structure: (1) all agents step; (2) agents informed in a previous
-// round inform their vertices; (3) every vertex performs its push-pull call,
-// exchanges judged on informed-before-round state; (4) agents standing on an
-// informed vertex (any round <= current) become informed. Hence each round
-// costs one call per useful vertex plus one step per agent — the same
-// per-round budget as running the two protocols side by side.
+// A round runs the two protocols' own parts in this order: (1) all agents
+// take a walk step; (2) visit-exchange's agent-inform phase: agents
+// informed in a previous round inform the vertices they stand on; (3)
+// push-pull's round (PushPullRound), exchanges judged on
+// informed-before-round state, so a vertex an agent informed in (2)
+// makes its first call next round; (4) visit-exchange's agent-catch
+// phase: agents standing on an informed vertex (informed in any round up
+// to this one) become informed. Each round thus costs one call per useful
+// vertex plus one step per agent, the per-round budget of running the two
+// protocols side by side.
+//
+// The sharded engine runs the same four steps on the shard plane. Only
+// its agent-inform pass is hybrid's own: an ordered merge in agent-id
+// order rather than visit-exchange's claims, because the order in which
+// (2) informs vertices orders the caller and puller lists and so keys the
+// push and pull slots of (3).
 //
 // All O(n + |A|) scratch state lives in a TrialArena — lent by the trial
 // runner for allocation-free repeated trials, or privately owned when
 // constructed without one. Laziness goes through resolve_laziness, so
 // LazyMode::auto_bipartite enables lazy walks on bipartite graphs exactly
-// as it does for the pure agent protocols.
+// as it does for the pure agent protocols. The run records no per-edge
+// traffic, so trace.edge_traffic must be off.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
+#include "core/push_pull.hpp"
+#include "core/visit_exchange.hpp"
 #include "core/walk_options.hpp"
 #include "graph/graph.hpp"
 #include "support/rng.hpp"
@@ -35,11 +48,11 @@ class HybridProcess {
   void step();
 
   [[nodiscard]] bool done() const {
-    return informed_vertex_count_ == graph_->num_vertices();
+    return calls_.informed_count() == graph_->num_vertices();
   }
   [[nodiscard]] Round round() const { return round_; }
   [[nodiscard]] std::uint32_t informed_vertex_count() const {
-    return informed_vertex_count_;
+    return calls_.informed_count();
   }
   [[nodiscard]] bool vertex_informed(Vertex v) const {
     return arena_->vertex_inform_round.touched(v);
@@ -50,18 +63,11 @@ class HybridProcess {
   [[nodiscard]] RunResult run();
 
  private:
-  void inform_vertex(Vertex v);
-  void inform_agent_at(std::size_t order_index);
   template <class Mode>
   void step_impl();
-  template <class Mode, class Access>
-  void step_sharded(const Access& acc);
-  void activate_blocking();
+  template <class Mode>
+  void step_sharded();
   [[nodiscard]] bool halted() const;
-  [[nodiscard]] bool informed_before_this_round(Vertex v) const {
-    const std::uint32_t r = arena_->vertex_inform_round.get(v);
-    return r != kNeverInformed && r < round_;
-  }
 
   const Graph* graph_;
   Rng rng_;
@@ -70,8 +76,7 @@ class HybridProcess {
   Laziness laziness_;
   Round round_ = 0;
   Round cutoff_;
-  std::uint32_t target_ = 0;  // blocking containment target (vertices)
-  Round last_inform_round_ = 0;
+  Round last_agent_inform_round_ = 0;
   // Frontier-sharded round engine (core/sharding): fixed at construction,
   // before the agents are placed (sharded trials place from the plane).
   bool sharded_ = false;
@@ -80,12 +85,8 @@ class HybridProcess {
   std::unique_ptr<TrialArena> owned_arena_;
   TrialArena* arena_;
   AgentSystem agents_;
-  // Serial engine only: identity-default informed-prefix partition over
-  // the arena's order arrays ([0, informed_agent_count_) are the informed
-  // agents). The sharded engine iterates agents by id instead.
-  AgentOrderView order_;
-  std::uint32_t informed_vertex_count_ = 0;
-  std::size_t informed_agent_count_ = 0;
+  PushPullRound calls_;
+  VisitExchangeAgents agent_side_;
 };
 
 [[nodiscard]] RunResult run_hybrid(const Graph& g, Vertex source,

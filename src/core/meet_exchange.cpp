@@ -31,8 +31,7 @@ MeetExchangeProcess::MeetExchangeProcess(const Graph& g, Vertex source,
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
   // Sharded mode steps walkers from per-walker addressable draws, which
-  // cannot express the per-edge traced stream; the CLI rejects the
-  // combination with a message, this REQUIRE is the API-user backstop.
+  // cannot express the per-edge traced stream.
   if (sharded_) RUMOR_REQUIRE(!options_.trace.edge_traffic);
   const std::size_t count = agents_.count();
   arena_->agent_inform_round.reset(count, kNeverInformed);

@@ -380,88 +380,44 @@ void PushProcess::step_sharded(const Access& acc) {
   }
 
   auto& active = arena_->active;
-  auto& scratch = arena_->shard_scratch;
-  const std::uint32_t width = shard_width_;
-  if (scratch.size() < width) scratch.resize(width);
-  // A shard's range never exceeds ceil(active/width) <= ceil(n/width), so
-  // reserving that bound (a no-op once grown; ~n total across shards, the
-  // same order as the other arena buffers) pins steady-state trials at
-  // zero allocations instead of leaving reallocation to the random
-  // high-water mark of each trial's frontier.
-  const std::size_t cap = graph_->num_vertices() / width + 1;
-  for (std::uint32_t s = 0; s < width; ++s) {
-    scratch[s].survivors.reserve(cap);
-    scratch[s].candidates.reserve(cap);
-  }
-
+  const std::size_t n = graph_->num_vertices();
   const auto sat = arena_->informed_nbr_count.view();
   const auto informed = arena_->vertex_inform_round.view();
 
-  // Pass 1 (parallel): survivor filter over the round-start caller list —
-  // the sharded form of step_impl's retirement sweep. Shard s filters its
-  // range into its own segment; the ordered concat below rebuilds the
-  // compacted list exactly as the serial in-place compaction would. The
-  // clears run serially UP FRONT because parallel_for_ranges clamps the
-  // shard count to the item count: when the frontier is smaller than the
-  // width, the tail segments' callbacks never fire, and a clear inside
-  // the callback would leave stale entries from an earlier round for the
-  // concat to pick up.
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].survivors.clear();
-  shard_pool().parallel_for_ranges(
-      active.size(), width,
-      [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].survivors;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vertex v = active[i];
-          if (sat.get(v) >= acc.degree(v)) continue;
-          if constexpr (kGeneral) {
-            if (!model_.can_transmit<Mode>(informed.get(v), v, round_)) {
-              continue;
-            }
-          }
-          out.push_back(v);
-        }
-      });
-  active.clear();
-  for (std::uint32_t s = 0; s < width; ++s) {
-    active.insert(active.end(), scratch[s].survivors.begin(),
-                  scratch[s].survivors.end());
-  }
-
-  // Pass 2 (parallel): every surviving caller draws its neighbor and
-  // success words from its own chain (slot = compacted index) and stages
-  // the vertex it would inform.
-  const ShardPlane plane(seed_, round_);
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
-  shard_pool().parallel_for_ranges(
-      active.size(), width,
-      [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].candidates;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vertex u = active[i];
-          SlotDraws draws(plane, kShardPhasePush,
-                          static_cast<std::uint32_t>(i));
-          const GraphRow row = acc.row(u);
-          const Vertex v = acc.pick(row, word_below(draws, row.deg));
-          if constexpr (kGeneral) {
-            if (model_.blocked<Mode>(v, round_) || informed.touched(v)) {
-              continue;
-            }
-            if (!model_.attempt_from<Mode>(v, draws)) continue;
-          } else {
-            if (informed.touched(v)) continue;
-          }
-          out.push_back(v);
-        }
-      });
-
-  // Serial merge, shard-major = ascending slot order: the first delivered
-  // slot targeting v informs it, exactly as in the serial round.
-  for (std::uint32_t s = 0; s < width; ++s) {
-    for (const Vertex v : scratch[s].candidates) {
-      if (!arena_->vertex_inform_round.touched(v)) inform(v);
+  // Pass 1: survivor filter over the round-start caller list — the
+  // sharded form of step_impl's retirement sweep.
+  filter_pass(*arena_, active, n, shard_width_, [&](Vertex v) {
+    if (sat.get(v) >= acc.degree(v)) return false;
+    if constexpr (kGeneral) {
+      return model_.can_transmit<Mode>(informed.get(v), v, round_);
     }
-  }
+    return true;
+  });
+
+  // Pass 2: every surviving caller draws its neighbor and success words
+  // from its own chain (slot = compacted index) and stages the vertex it
+  // would inform; the merge's first delivered slot targeting v informs
+  // it, exactly as in the serial round.
+  const ShardPlane plane(seed_, round_);
+  merge_pass(
+      *arena_, active.size(), n, shard_width_,
+      [&](std::size_t i) {
+        const Vertex u = active[i];
+        SlotDraws draws(plane, kShardPhasePush, static_cast<std::uint32_t>(i));
+        const GraphRow row = acc.row(u);
+        const Vertex v = acc.pick(row, word_below(draws, row.deg));
+        if (informed.touched(v)) return kNoVertex;
+        if constexpr (kGeneral) {
+          if (model_.blocked<Mode>(v, round_) ||
+              !model_.attempt_from<Mode>(v, draws)) {
+            return kNoVertex;
+          }
+        }
+        return v;
+      },
+      [&](Vertex v) {
+        if (!informed.touched(v)) inform(v);
+      });
 
   if (options_.trace.informed_curve) arena_->curve.push_back(informed_count_);
 }

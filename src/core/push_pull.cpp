@@ -5,59 +5,32 @@
 #include "graph/access.hpp"
 #include "support/philox.hpp"
 #include "support/spec_text.hpp"
-#include "support/thread_pool.hpp"
 #include "walk/step_kernel.hpp"  // word_below: the shared Lemire slot draw
 
 namespace rumor {
 
-PushPullProcess::PushPullProcess(const Graph& g, Vertex source,
-                                 std::uint64_t seed, PushPullOptions options,
-                                 TrialArena* arena)
+PushPullRound::PushPullRound(const Graph& g, TransmissionModel& model,
+                             TrialArena& arena, LatePulls late_pulls)
     : graph_(&g),
-      rng_(seed),
-      options_(options),
-      cutoff_(options.max_rounds != 0 ? options.max_rounds
-                                      : default_round_cutoff(g.num_vertices())),
-      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
-      arena_(arena != nullptr ? arena : owned_arena_.get()) {
-  RUMOR_REQUIRE(source < g.num_vertices());
-  model_.bind(g, options_.transmission, *arena_, seed,
-              /*need_edge_field=*/options_.trace.edge_traffic);
-  // The sharded engine covers the untraced fast path only: the
-  // exact-bandwidth traced round is defined by one serial call per vertex.
-  // edge_traffic is C++-only (no scenario key), so this REQUIRE guards
-  // API callers.
-  sharded_ = sharding_enabled(options_.shards, g.num_vertices());
-  if (sharded_) {
-    RUMOR_REQUIRE(!options_.trace.edge_traffic);
-    shard_width_ = resolve_shard_width(options_.shards);
-    seed_ = seed;
-  }
-  target_ = g.num_vertices();
-  arena_->vertex_inform_round.reset(g.num_vertices(), kNeverInformed);
-  arena_->informed_nbr_count.reset(g.num_vertices(), 0);
-  arena_->vertex_marks.reset(g.num_vertices());  // ever-in-frontier marks
-  arena_->active.clear();
-  arena_->active.reserve(g.num_vertices());  // high-water once, then free
-  arena_->frontier.clear();
-  arena_->frontier.reserve(g.num_vertices());
-  if (options_.trace.informed_curve) arena_->curve.clear();
-  if (options_.trace.edge_traffic) {
-    // The exact-bandwidth path makes every vertex call a neighbor each
-    // round; validated once here so the unchecked per-round loop needs no
-    // per-vertex degree branch.
-    RUMOR_REQUIRE(g.min_degree() > 0);
-    arena_->edge_traffic.assign(g.num_edges(), 0);
-  }
-  inform(source);
-  if (options_.trace.informed_curve) arena_->curve.push_back(informed_count_);
+      model_(&model),
+      arena_(&arena),
+      late_pulls_(late_pulls),
+      target_(g.num_vertices()) {
+  const Vertex n = g.num_vertices();
+  arena.vertex_inform_round.reset(n, kNeverInformed);
+  arena.informed_nbr_count.reset(n, 0);
+  arena.vertex_marks.reset(n);  // ever-in-frontier marks
+  arena.active.clear();
+  arena.active.reserve(n);  // high-water once, then free
+  arena.frontier.clear();
+  arena.frontier.reserve(n);
 }
 
-void PushPullProcess::inform(Vertex v) {
+void PushPullRound::inform(Vertex v, Round round) {
   RUMOR_CHECK(!arena_->vertex_inform_round.touched(v));
-  arena_->vertex_inform_round.set(v, static_cast<std::uint32_t>(round_));
+  arena_->vertex_inform_round.set(v, static_cast<std::uint32_t>(round));
   ++informed_count_;
-  last_inform_round_ = round_;
+  last_inform_round_ = round;
   arena_->active.push_back(v);
   const std::uint32_t deg = graph_->degree_unchecked(v);
   for (std::uint32_t i = 0; i < deg; ++i) {
@@ -71,27 +44,8 @@ void PushPullProcess::inform(Vertex v) {
   }
 }
 
-void PushPullProcess::step() {
-  if (sharded_) {
-    with_graph_access(*graph_, [&](const auto& acc) {
-      if (model_.trivial()) {
-        step_sharded<transmission::Uniform>(acc);
-      } else {
-        step_sharded<transmission::General>(acc);
-      }
-    });
-  } else if (model_.trivial()) {
-    step_impl<transmission::Uniform>();
-  } else {
-    step_impl<transmission::General>();
-  }
-}
-
-void PushPullProcess::activate_blocking() {
-  // As in PushProcess: quarantined-uninformed vertices count into the
-  // neighbor counters so saturation retirement treats them as permanently
-  // unreachable, and an empty caller list halts the run.
-  const std::uint8_t* blocked = model_.blocked_flags();
+void PushPullRound::activate_blocking() {
+  const std::uint8_t* blocked = model_->blocked_flags();
   const Vertex n = graph_->num_vertices();
   for (Vertex v = 0; v < n; ++v) {
     if (blocked[v] != 0 && !arena_->vertex_inform_round.touched(v)) {
@@ -102,301 +56,280 @@ void PushPullProcess::activate_blocking() {
     }
   }
   target_ =
-      n - model_.count_blocked_uninformed(arena_->vertex_inform_round, n);
+      n - model_->count_blocked_uninformed(arena_->vertex_inform_round, n);
+}
+
+void PushPullRound::serial(Round round, Rng& rng) {
+  if (model_->trivial()) {
+    serial_impl<transmission::Uniform>(round, rng);
+  } else {
+    serial_impl<transmission::General>(round, rng);
+  }
+}
+
+void PushPullRound::sharded(Round round, const ShardPlane& plane,
+                            std::uint32_t width) {
+  with_graph_access(*graph_, [&](const auto& acc) {
+    if (model_->trivial()) {
+      sharded_impl<transmission::Uniform>(round, acc, plane, width);
+    } else {
+      sharded_impl<transmission::General>(round, acc, plane, width);
+    }
+  });
 }
 
 template <class Mode>
-void PushPullProcess::step_impl() {
+void PushPullRound::serial_impl(Round round, Rng& rng) {
   constexpr bool kGeneral = std::is_same_v<Mode, transmission::General>;
-  ++round_;
-  if constexpr (kGeneral) {
-    if (model_.blocking() && round_ == model_.block_round()) {
-      activate_blocking();
+  auto& informed = arena_->vertex_inform_round;
+  auto& active = arena_->active;
+  auto& frontier = arena_->frontier;
+  std::size_t kept = 0;
+  for (Vertex v : active) {
+    if (arena_->informed_nbr_count.get(v) < graph_->degree_unchecked(v)) {
+      if constexpr (kGeneral) {
+        if (!model_->can_transmit<Mode>(informed.get(v), v, round)) continue;
+      }
+      active[kept++] = v;
     }
   }
-
-  if (options_.trace.edge_traffic) {
-    // Exact-bandwidth path: every vertex makes its call (the definition) so
-    // per-edge utilization counts every call, not only state-changing ones.
-    // Used by the fairness experiments; O(n) per round. Quarantined callers
-    // initiate no call at all; calls TO a quarantined callee still count as
-    // traffic but deliver nothing.
-    const Vertex n = graph_->num_vertices();
-    for (Vertex u = 0; u < n; ++u) {
+  active.resize(kept);
+  kept = 0;
+  for (Vertex w : frontier) {
+    if (!informed.touched(w)) {
       if constexpr (kGeneral) {
-        if (model_.blocked<Mode>(u, round_)) continue;
+        if (model_->blocked<Mode>(w, round)) continue;
       }
-      const auto [v, slot] = graph_->random_neighbor_slot_unchecked(u, rng_);
-      ++arena_->edge_traffic[graph_->edge_id_unchecked(u, slot)];
-      const bool u_was = informed_before_this_round(u);
-      const bool v_was = informed_before_this_round(v);
-      if (u_was == v_was) continue;
-      const Vertex target = u_was ? v : u;
-      if (arena_->vertex_inform_round.touched(target)) continue;
-      if constexpr (kGeneral) {
-        const Vertex transmitter = u_was ? u : v;
-        if (!model_.can_transmit<Mode>(
-                arena_->vertex_inform_round.get(transmitter), transmitter,
-                round_) ||
-            model_.blocked<Mode>(target, round_)) {
-          continue;
-        }
-        // The callee-side delivery reads the per-edge field through the
-        // caller's slot; the pull direction reads the per-vertex field.
-        const bool delivered =
-            target == v ? model_.attempt_slot<Mode>(u, slot)
-                        : model_.attempt<Mode>(v, u);
-        if (!delivered) continue;
-      }
-      inform(target);
-    }
-  } else {
-    // Fast path: iterate exactly the calls that can change state. Stifled
-    // and quarantined pushers retire like saturated ones (both conditions
-    // are permanent); quarantined frontier vertices can never be informed
-    // and drop out the same way.
-    auto& active = arena_->active;
-    auto& frontier = arena_->frontier;
-    std::size_t kept = 0;
-    for (Vertex v : active) {
-      if (arena_->informed_nbr_count.get(v) < graph_->degree_unchecked(v)) {
-        if constexpr (kGeneral) {
-          if (!model_.can_transmit<Mode>(arena_->vertex_inform_round.get(v),
-                                         v, round_)) {
-            continue;
-          }
-        }
-        active[kept++] = v;
-      }
-    }
-    active.resize(kept);
-    kept = 0;
-    for (Vertex w : frontier) {
-      if (!arena_->vertex_inform_round.touched(w)) {
-        if constexpr (kGeneral) {
-          if (model_.blocked<Mode>(w, round_)) continue;
-        }
-        frontier[kept++] = w;
-      }
-    }
-    frontier.resize(kept);
-
-    const std::size_t pushers = active.size();
-    const std::size_t pullers = frontier.size();
-
-    for (std::size_t i = 0; i < pushers; ++i) {
-      const Vertex u = active[i];
-      const Vertex v = graph_->random_neighbor_unchecked(u, rng_);
-      if constexpr (kGeneral) {
-        if (model_.blocked<Mode>(v, round_) ||
-            arena_->vertex_inform_round.touched(v) ||
-            !model_.attempt<Mode>(u, v)) {
-          continue;
-        }
-        inform(v);
-      } else {
-        if (!arena_->vertex_inform_round.touched(v)) inform(v);
-      }
-    }
-    for (std::size_t i = 0; i < pullers; ++i) {
-      const Vertex w = frontier[i];
-      if (arena_->vertex_inform_round.touched(w)) continue;  // pushed now
-      const Vertex v = graph_->random_neighbor_unchecked(w, rng_);
-      if (!informed_before_this_round(v)) continue;
-      if constexpr (kGeneral) {
-        if (!model_.can_transmit<Mode>(arena_->vertex_inform_round.get(v), v,
-                                       round_) ||
-            !model_.attempt<Mode>(v, w)) {
-          continue;
-        }
-      }
-      inform(w);
+      frontier[kept++] = w;
     }
   }
+  frontier.resize(kept);
 
-  if (options_.trace.informed_curve) arena_->curve.push_back(informed_count_);
+  // Vertices the pushes inform join the callers, which push from next
+  // round, and their neighbours join the pullers (see LatePulls).
+  const std::size_t pushers = active.size();
+  std::size_t pullers = frontier.size();
+  for (std::size_t i = 0; i < pushers; ++i) {
+    const Vertex u = active[i];
+    if (!informed_before(u, round)) continue;
+    const Vertex v = graph_->random_neighbor_unchecked(u, rng);
+    if (informed.touched(v)) continue;
+    if constexpr (kGeneral) {
+      if (model_->blocked<Mode>(v, round) || !model_->attempt<Mode>(u, v)) {
+        continue;
+      }
+    }
+    inform(v, round);
+  }
+  if (late_pulls_ == LatePulls::draw) pullers = frontier.size();
+  for (std::size_t i = 0; i < pullers; ++i) {
+    const Vertex w = frontier[i];
+    if (informed.touched(w)) continue;  // pushed now
+    const Vertex v = graph_->random_neighbor_unchecked(w, rng);
+    if (!informed_before(v, round)) continue;
+    if constexpr (kGeneral) {
+      if (!model_->can_transmit<Mode>(informed.get(v), v, round) ||
+          !model_->attempt<Mode>(v, w)) {
+        continue;
+      }
+    }
+    inform(w, round);
+  }
 }
 
-// One frontier-sharded round — law-equivalent to the untraced fast path of
-// step_impl<Mode>. Structure (P = parallel over balanced ranges on the
-// ambient shard pool, S = serial):
+// One frontier-sharded round, law-equivalent to serial(). Structure (P =
+// parallel over balanced ranges on the ambient shard pool, S = serial):
 //
 //   P filter callers (round-start state)     -> S ordered concat
 //   P filter pullers (round-start state)     -> S ordered concat
 //   P pusher draws   (round-start state)     -> S push merge (informs)
 //   P puller draws   (post-push-merge state) -> S pull merge (informs)
 //
-// Every parallel slot draws from its own addressable chain (phase
-// separates pushers from pullers), every shard writes only its own scratch
-// segment, and each merge visits candidates in shard-major = global slot
-// order, so the whole round is a pure function of the round-start state
-// and the draw plane — independent of partition and worker count. The
-// puller phase reading post-push state mirrors the serial ordering (pulls
-// run after pushes and skip vertices "pushed now"); it is deterministic
-// because the push merge it reads is itself partition-independent. As in
-// sharded push, a slot whose target was claimed earlier in slot order
-// still draws its words and is discarded at the merge — independent
-// variates that decide nothing observable, so the process law matches.
+// A pusher's slot is its compacted caller index and a puller's its
+// filtered frontier index; the phase keeps the two apart. Every merge
+// visits candidates in shard-major = global slot order, so the round is a
+// pure function of the round-start state and the draw plane, independent
+// of partition and worker count. The puller phase reading post-push state
+// mirrors the serial ordering (pulls run after pushes and skip vertices
+// "pushed now"); it is deterministic because the push merge it reads is
+// itself partition-independent. As in sharded push, a slot whose target
+// was claimed earlier in slot order still draws its words and is discarded
+// at the merge: independent variates that decide nothing observable, so
+// the process law matches.
 template <class Mode, class Access>
-void PushPullProcess::step_sharded(const Access& acc) {
+void PushPullRound::sharded_impl(Round round, const Access& acc,
+                                 const ShardPlane& plane,
+                                 std::uint32_t width) {
   constexpr bool kGeneral = std::is_same_v<Mode, transmission::General>;
-  ++round_;
-  if constexpr (kGeneral) {
-    if (model_.blocking() && round_ == model_.block_round()) {
-      activate_blocking();
-    }
-  }
-
   auto& active = arena_->active;
   auto& frontier = arena_->frontier;
-  auto& scratch = arena_->shard_scratch;
-  const std::uint32_t width = shard_width_;
-  if (scratch.size() < width) scratch.resize(width);
-  // Reserve the analytic per-shard bound (<= ceil(n/width) items per
-  // range; ~n total) once, so steady-state trials stay allocation-free
-  // instead of reallocating at each trial's random high-water mark.
-  const std::size_t cap = graph_->num_vertices() / width + 1;
-  for (std::uint32_t s = 0; s < width; ++s) {
-    scratch[s].survivors.reserve(cap);
-    scratch[s].candidates.reserve(cap);
-  }
-
+  const std::size_t n = graph_->num_vertices();
   const auto sat = arena_->informed_nbr_count.view();
   const auto informed = arena_->vertex_inform_round.view();
 
-  // Caller filter (the serial retirement sweep, shard-concatenated). Every
-  // pass clears ALL width segments serially up front: parallel_for_ranges
-  // clamps the shard count to the item count, so a clear inside the
-  // callback would skip the tail segments whenever the list is shorter
-  // than the width and leave stale entries for the concat/merge.
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].survivors.clear();
-  shard_pool().parallel_for_ranges(
-      active.size(), width,
-      [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].survivors;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vertex v = active[i];
-          if (sat.get(v) >= acc.degree(v)) continue;
-          if constexpr (kGeneral) {
-            if (!model_.can_transmit<Mode>(informed.get(v), v, round_)) {
-              continue;
-            }
-          }
-          out.push_back(v);
-        }
-      });
-  active.clear();
-  for (std::uint32_t s = 0; s < width; ++s) {
-    active.insert(active.end(), scratch[s].survivors.begin(),
-                  scratch[s].survivors.end());
-  }
-
-  // Puller filter: still round-start state (runs before any inform).
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].survivors.clear();
-  shard_pool().parallel_for_ranges(
-      frontier.size(), width,
-      [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].survivors;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vertex w = frontier[i];
-          if (informed.touched(w)) continue;
-          if constexpr (kGeneral) {
-            if (model_.blocked<Mode>(w, round_)) continue;
-          }
-          out.push_back(w);
-        }
-      });
-  frontier.clear();
-  for (std::uint32_t s = 0; s < width; ++s) {
-    frontier.insert(frontier.end(), scratch[s].survivors.begin(),
-                    scratch[s].survivors.end());
-  }
-  // The push merge's informs append NEW frontier vertices; as in the
-  // serial round, those pull starting NEXT round.
+  filter_pass(*arena_, active, n, width, [&](Vertex v) {
+    if (sat.get(v) >= acc.degree(v)) return false;
+    if constexpr (kGeneral) {
+      return model_->can_transmit<Mode>(informed.get(v), v, round);
+    }
+    return true;
+  });
+  filter_pass(*arena_, frontier, n, width, [&](Vertex w) {
+    if (informed.touched(w)) return false;
+    if constexpr (kGeneral) return !model_->blocked<Mode>(w, round);
+    return true;
+  });
   const std::size_t pullers = frontier.size();
 
-  const ShardPlane plane(seed_, round_);
-
-  // Pusher phase: slot = compacted caller index.
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
-  shard_pool().parallel_for_ranges(
-      active.size(), width,
-      [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].candidates;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vertex u = active[i];
-          SlotDraws draws(plane, kShardPhasePush,
-                          static_cast<std::uint32_t>(i));
-          const GraphRow row = acc.row(u);
-          const Vertex v = acc.pick(row, word_below(draws, row.deg));
-          if constexpr (kGeneral) {
-            if (model_.blocked<Mode>(v, round_) || informed.touched(v)) {
-              continue;
-            }
-            if (!model_.attempt_from<Mode>(v, draws)) continue;
-          } else {
-            if (informed.touched(v)) continue;
+  merge_pass(
+      *arena_, active.size(), n, width,
+      [&](std::size_t i) {
+        const Vertex u = active[i];
+        if (!informed_before(u, round)) return kNoVertex;
+        SlotDraws draws(plane, kShardPhasePush, static_cast<std::uint32_t>(i));
+        const GraphRow row = acc.row(u);
+        const Vertex v = acc.pick(row, word_below(draws, row.deg));
+        if (informed.touched(v)) return kNoVertex;
+        if constexpr (kGeneral) {
+          if (model_->blocked<Mode>(v, round) ||
+              !model_->attempt_from<Mode>(v, draws)) {
+            return kNoVertex;
           }
-          out.push_back(v);
         }
+        return v;
+      },
+      [&](Vertex v) {
+        if (!informed.touched(v)) inform(v, round);
       });
-  for (std::uint32_t s = 0; s < width; ++s) {
-    for (const Vertex v : scratch[s].candidates) {
-      if (!arena_->vertex_inform_round.touched(v)) inform(v);
-    }
-  }
-
-  // Puller phase: slot = filtered frontier index; reads the post-push
-  // state, as the serial pull loop does. Frontier entries are distinct
-  // (ever-in-frontier marks), so candidate pullers never collide; a puller
-  // informed by a push THIS round is skipped exactly like serial "pushed
-  // now". A vertex informed this round (r == round_) is not a valid pull
-  // source in either engine (informed_before_this_round).
-  for (std::uint32_t s = 0; s < width; ++s) scratch[s].candidates.clear();
-  shard_pool().parallel_for_ranges(
-      pullers, width, [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].candidates;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vertex w = frontier[i];
-          if (arena_->vertex_inform_round.touched(w)) continue;  // pushed now
-          SlotDraws draws(plane, kShardPhasePull,
-                          static_cast<std::uint32_t>(i));
-          const GraphRow row = acc.row(w);
-          const Vertex v = acc.pick(row, word_below(draws, row.deg));
-          if (!informed_before_this_round(v)) continue;
-          if constexpr (kGeneral) {
-            if (!model_.can_transmit<Mode>(
-                    arena_->vertex_inform_round.get(v), v, round_) ||
-                !model_.attempt_from<Mode>(v, draws)) {
-              continue;
-            }
+  // Frontier entries are distinct (ever-in-frontier marks), so candidate
+  // pullers never collide.
+  merge_pass(
+      *arena_, pullers, n, width,
+      [&](std::size_t i) {
+        const Vertex w = frontier[i];
+        if (informed.touched(w)) return kNoVertex;  // pushed now
+        SlotDraws draws(plane, kShardPhasePull, static_cast<std::uint32_t>(i));
+        const GraphRow row = acc.row(w);
+        const Vertex v = acc.pick(row, word_below(draws, row.deg));
+        if (!informed_before(v, round)) return kNoVertex;
+        if constexpr (kGeneral) {
+          if (!model_->can_transmit<Mode>(informed.get(v), v, round) ||
+              !model_->attempt_from<Mode>(v, draws)) {
+            return kNoVertex;
           }
-          out.push_back(w);
         }
-      });
-  for (std::uint32_t s = 0; s < width; ++s) {
-    for (const Vertex w : scratch[s].candidates) {
-      RUMOR_CHECK(!arena_->vertex_inform_round.touched(w));
-      inform(w);
-    }
-  }
+        return w;
+      },
+      [&](Vertex w) { inform(w, round); });
+}
 
-  if (options_.trace.informed_curve) arena_->curve.push_back(informed_count_);
+PushPullProcess::PushPullProcess(const Graph& g, Vertex source,
+                                 std::uint64_t seed, PushPullOptions options,
+                                 TrialArena* arena)
+    : graph_(&g),
+      rng_(seed),
+      options_(options),
+      cutoff_(options.max_rounds != 0 ? options.max_rounds
+                                      : default_round_cutoff(g.num_vertices())),
+      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
+      arena_(arena != nullptr ? arena : owned_arena_.get()),
+      calls_(g, model_, *arena_) {
+  RUMOR_REQUIRE(source < g.num_vertices());
+  model_.bind(g, options_.transmission, *arena_, seed,
+              /*need_edge_field=*/options_.trace.edge_traffic);
+  // The sharded engine covers the untraced fast path only: the
+  // exact-bandwidth traced round is defined by one serial call per vertex.
+  // edge_traffic is C++-only (no scenario key), so this REQUIRE guards
+  // API callers.
+  sharded_ = sharding_enabled(options_.shards, g.num_vertices());
+  if (sharded_) {
+    RUMOR_REQUIRE(!options_.trace.edge_traffic);
+    shard_width_ = resolve_shard_width(options_.shards);
+    seed_ = seed;
+  }
+  if (options_.trace.informed_curve) arena_->curve.clear();
+  if (options_.trace.edge_traffic) {
+    // The exact-bandwidth path makes every vertex call a neighbor each
+    // round; validated once here so the unchecked per-round loop needs no
+    // per-vertex degree branch.
+    RUMOR_REQUIRE(g.min_degree() > 0);
+    arena_->edge_traffic.assign(g.num_edges(), 0);
+  }
+  calls_.inform(source, 0);
+  if (options_.trace.informed_curve) {
+    arena_->curve.push_back(calls_.informed_count());
+  }
+}
+
+void PushPullProcess::step() {
+  ++round_;
+  if (model_.blocking() && round_ == model_.block_round()) {
+    calls_.activate_blocking();
+  }
+  if (options_.trace.edge_traffic) {
+    if (model_.trivial()) {
+      step_traced<transmission::Uniform>();
+    } else {
+      step_traced<transmission::General>();
+    }
+  } else if (sharded_) {
+    calls_.sharded(round_, ShardPlane(seed_, round_), shard_width_);
+  } else {
+    calls_.serial(round_, rng_);
+  }
+  if (options_.trace.informed_curve) {
+    arena_->curve.push_back(calls_.informed_count());
+  }
+}
+
+// Exact-bandwidth path: every vertex makes its call (the definition), so
+// per-edge utilization counts every call, not only state-changing ones.
+// Used by the fairness experiments; O(n) per round. Quarantined callers
+// initiate no call at all; calls TO a quarantined callee still count as
+// traffic but deliver nothing.
+template <class Mode>
+void PushPullProcess::step_traced() {
+  const Vertex n = graph_->num_vertices();
+  for (Vertex u = 0; u < n; ++u) {
+    if (model_.blocked<Mode>(u, round_)) continue;
+    const auto [v, slot] = graph_->random_neighbor_slot_unchecked(u, rng_);
+    ++arena_->edge_traffic[graph_->edge_id_unchecked(u, slot)];
+    const bool u_was = calls_.informed_before(u, round_);
+    const bool v_was = calls_.informed_before(v, round_);
+    if (u_was == v_was) continue;
+    const Vertex target = u_was ? v : u;
+    if (arena_->vertex_inform_round.touched(target)) continue;
+    if constexpr (std::is_same_v<Mode, transmission::General>) {
+      const Vertex transmitter = u_was ? u : v;
+      if (!model_.can_transmit<Mode>(
+              arena_->vertex_inform_round.get(transmitter), transmitter,
+              round_) ||
+          model_.blocked<Mode>(target, round_)) {
+        continue;
+      }
+      // The callee-side delivery reads the per-edge field through the
+      // caller's slot; the pull direction reads the per-vertex field.
+      const bool delivered = target == v ? model_.attempt_slot<Mode>(u, slot)
+                                         : model_.attempt<Mode>(v, u);
+      if (!delivered) continue;
+    }
+    calls_.inform(target, round_);
+  }
 }
 
 bool PushPullProcess::halted() const {
   if (done() || round_ >= cutoff_) return true;
   if (model_.trivial()) return false;
-  if (informed_count_ >= target_) return true;  // blocking containment
+  if (calls_.informed_count() >= calls_.target()) return true;  // contained
   // No active transmitters: pushes are gone, and a successful pull would
   // need an informed, transmitting vertex with an uninformed unblocked
   // neighbor — which is exactly a vertex the caller filter would have
   // kept. (Only meaningful on the untraced fast path, where the filter
   // runs; the exact-bandwidth path iterates all vertices regardless.)
-  if (!options_.trace.edge_traffic && round_ > 0 && arena_->active.empty()) {
+  if (!options_.trace.edge_traffic && round_ > 0 && calls_.no_callers()) {
     return true;
   }
-  return model_.extinct(round_, last_inform_round_);
+  return model_.extinct(round_, calls_.last_inform_round());
 }
 
 RunResult PushPullProcess::run() {
@@ -405,7 +338,7 @@ RunResult PushPullProcess::run() {
   result.rounds = round_;
   result.completed = done();
   result.agent_rounds = round_;
-  result.informed = informed_count_;
+  result.informed = calls_.informed_count();
   if (options_.trace.informed_curve) {
     result.informed_curve = arena_->curve;
     result.stifled_curve =

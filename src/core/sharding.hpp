@@ -20,6 +20,7 @@
 #include <span>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "core/transmission.hpp"
 #include "support/philox.hpp"
@@ -99,6 +100,71 @@ TrialArena::ShardTally tally_pass(TrialArena& arena, std::size_t count,
     total.source_met = total.source_met || scratch[s].tally.source_met;
   }
   return total;
+}
+
+// The item segments of one filter or merge pass over at most `bound`
+// items on `width` ranges. Every segment is cleared here, serially, not
+// in the fan-out callback: parallel_for_ranges clamps the range count to
+// the item count, so a callback clear would skip the tail segments
+// whenever there are fewer items than ranges and leave stale entries from
+// an earlier pass for the concat or merge. Each segment is reserved to
+// the analytic per-range bound ceil(bound/width) <= bound/width + 1 (a
+// no-op once grown), so steady-state trials stay allocation-free instead
+// of reallocating at each trial's random high-water mark.
+inline std::vector<TrialArena::ShardScratch>& pass_segments(
+    TrialArena& arena, std::size_t bound, std::uint32_t width) {
+  auto& scratch = arena.shard_scratch;
+  if (scratch.size() < width) scratch.resize(width);
+  for (std::uint32_t s = 0; s < width; ++s) {
+    scratch[s].items.clear();
+    scratch[s].items.reserve(bound / width + 1);
+  }
+  return scratch;
+}
+
+// Order-preserving parallel filter of `list` (at most `bound` entries over
+// the trial): keeps each entry v with keep(v) true, each of `width` ranges
+// into its own segment, then concatenates the segments in shard order —
+// exactly what the serial in-place compaction leaves.
+template <class Keep>
+void filter_pass(TrialArena& arena, std::vector<std::uint32_t>& list,
+                 std::size_t bound, std::uint32_t width, Keep&& keep) {
+  auto& scratch = pass_segments(arena, bound, width);
+  shard_pool().parallel_for_ranges(
+      list.size(), width,
+      [&](std::size_t s, std::size_t begin, std::size_t end) {
+        auto& out = scratch[s].items;
+        for (std::size_t i = begin; i < end; ++i) {
+          if (keep(list[i])) out.push_back(list[i]);
+        }
+      });
+  list.clear();
+  for (std::uint32_t s = 0; s < width; ++s) {
+    list.insert(list.end(), scratch[s].items.begin(), scratch[s].items.end());
+  }
+}
+
+// One staged pass over the slots [0, count) (count <= bound): stage(slot)
+// runs on `width` ranges and returns the vertex the slot would inform, or
+// kNoVertex; then merge(v) runs serially for every staged vertex in
+// shard-major = ascending slot order. Every stage runs before the first
+// merge, so all of them read the pass's start state, and the result is a
+// pure function of that state and the slots' keyed draws.
+template <class Stage, class Merge>
+void merge_pass(TrialArena& arena, std::size_t count, std::size_t bound,
+                std::uint32_t width, Stage&& stage, Merge&& merge) {
+  auto& scratch = pass_segments(arena, bound, width);
+  shard_pool().parallel_for_ranges(
+      count, width, [&](std::size_t s, std::size_t begin, std::size_t end) {
+        auto& out = scratch[s].items;
+        for (std::size_t i = begin; i < end; ++i) {
+          const Vertex v = stage(i);
+          if (v != kNoVertex) out.push_back(v);
+        }
+      });
+  for (std::uint32_t s = 0; s < width; ++s) {
+    for (const Vertex v : scratch[s].items) merge(v);
+  }
 }
 
 // The agent-catch pass of sharded visit-exchange and hybrid, keyed by

@@ -8,6 +8,34 @@
 
 namespace rumor {
 
+VisitExchangeAgents::VisitExchangeAgents(TrialArena& arena,
+                                         const AgentSystem& agents,
+                                         Vertex source, bool sharded,
+                                         std::uint32_t width)
+    : arena_(&arena), agents_(&agents) {
+  const std::size_t count = agents.count();
+  arena.agent_inform_round.reset(count, kNeverInformed);
+  if (sharded) {
+    informed_ = inform_agents_on_source(arena, agents.positions(), source,
+                                        width);
+    return;
+  }
+  order_.reset(arena, count);
+  for (Agent a = 0; a < count; ++a) {
+    if (agents.position(a) == source) inform_agent_at(order_.index_of(a), 0);
+  }
+}
+
+void VisitExchangeAgents::inform_agent_at(std::size_t order_index,
+                                          Round round) {
+  RUMOR_CHECK(order_index >= informed_);
+  const Agent a = order_.at(order_index);
+  RUMOR_CHECK(!arena_->agent_inform_round.touched(a));
+  arena_->agent_inform_round.set(a, static_cast<std::uint32_t>(round));
+  order_.swap(order_index, informed_);
+  ++informed_;
+}
+
 VisitExchangeProcess::VisitExchangeProcess(const Graph& g, Vertex source,
                                            std::uint64_t seed,
                                            WalkOptions options,
@@ -26,35 +54,22 @@ VisitExchangeProcess::VisitExchangeProcess(const Graph& g, Vertex source,
       agents_(g, resolve_agent_count(g, options), options.placement, rng_,
               resolve_anchor(options, source), arena_,
               sharded_ ? ShardedPlacement{seed, shard_width_}
-                       : ShardedPlacement{}) {
+                       : ShardedPlacement{}),
+      // Round 0: agents standing on the source are informed.
+      agent_side_(*arena_, agents_, source, sharded_, shard_width_) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
   // Sharded mode steps walkers from per-walker addressable draws, which
-  // cannot express the per-edge traced stream; the CLI rejects the
-  // combination with a message, this REQUIRE is the API-user backstop.
+  // cannot express the per-edge traced stream.
   if (sharded_) RUMOR_REQUIRE(!options_.trace.edge_traffic);
   target_ = g.num_vertices();
-  const std::size_t count = agents_.count();
   arena_->vertex_inform_round.reset(g.num_vertices(), kNeverInformed);
-  arena_->agent_inform_round.reset(count, kNeverInformed);
   if (options_.trace.informed_curve) arena_->curve.clear();
   if (options_.trace.edge_traffic) {
     arena_->edge_traffic.assign(g.num_edges(), 0);
   }
 
-  // Round 0: source informed; agents standing on the source informed.
-  inform_vertex(source);
-  if (sharded_) {
-    informed_agent_count_ = inform_agents_on_source(
-        *arena_, agents_.positions(), source, shard_width_);
-  } else {
-    order_.reset(*arena_, count);
-    for (Agent a = 0; a < count; ++a) {
-      if (agents_.position(a) == source) {
-        inform_agent_at(order_.index_of(a));
-      }
-    }
-  }
+  inform_vertex(source);  // round 0: the source is informed
   if (all_agents_informed()) agent_complete_round_ = 0;
   if (options_.trace.informed_curve) {
     arena_->curve.push_back(informed_vertex_count_);
@@ -65,16 +80,6 @@ void VisitExchangeProcess::inform_vertex(Vertex v) {
   RUMOR_CHECK(!arena_->vertex_inform_round.touched(v));
   arena_->vertex_inform_round.set(v, static_cast<std::uint32_t>(round_));
   ++informed_vertex_count_;
-  last_inform_round_ = round_;
-}
-
-void VisitExchangeProcess::inform_agent_at(std::size_t order_index) {
-  RUMOR_CHECK(order_index >= informed_agent_count_);
-  const Agent a = order_.at(order_index);
-  RUMOR_CHECK(!arena_->agent_inform_round.touched(a));
-  arena_->agent_inform_round.set(a, static_cast<std::uint32_t>(round_));
-  order_.swap(order_index, informed_agent_count_);
-  ++informed_agent_count_;
   last_inform_round_ = round_;
 }
 
@@ -115,40 +120,11 @@ void VisitExchangeProcess::step_impl() {
       options_.trace.edge_traffic ? arena_->edge_traffic.data() : nullptr;
   step_walks(*graph_, agents_.positions_mut(), rng_, laziness_, traffic);
 
-  // Phase A: agents informed in a previous round inform their vertex
-  // (stifled agents and quarantined vertices excepted; the success draw
-  // fires only for state-changing deliveries).
-  const std::size_t count = agents_.count();
-  const std::size_t informed_at_start = informed_agent_count_;
-  for (std::size_t idx = 0; idx < informed_at_start; ++idx) {
-    const Agent a = order_.at(idx);
-    const Vertex v = agents_.position(a);
-    if (arena_->vertex_inform_round.touched(v)) continue;
-    if constexpr (kGeneral) {
-      if (!model_.can_transmit<Mode>(arena_->agent_inform_round.get(a), v,
-                                     round_) ||
-          !model_.attempt<Mode>(v, v)) {
-        continue;
-      }
-    }
-    inform_vertex(v);
-  }
-
-  // Phase B: agents standing on an informed vertex (informed in this round
-  // or earlier) become informed — unless the vertex has stifled or is
-  // quarantined.
-  for (std::size_t idx = informed_at_start; idx < count; ++idx) {
-    const Agent a = order_.at(idx);
-    const Vertex v = agents_.position(a);
-    if (!arena_->vertex_inform_round.touched(v)) continue;
-    if constexpr (kGeneral) {
-      if (!model_.can_transmit<Mode>(arena_->vertex_inform_round.get(v), v,
-                                     round_) ||
-          !model_.attempt<Mode>(v, v)) {
-        continue;
-      }
-    }
-    inform_agent_at(idx);
+  // Phase A, then phase B on the post-phase-A vertex state.
+  agent_side_.inform_vertices<Mode>(model_, round_,
+                                    [&](Vertex v) { inform_vertex(v); });
+  if (agent_side_.catch_agents<Mode>(model_, round_) > 0) {
+    last_inform_round_ = round_;
   }
 
   if (all_agents_informed() && agent_complete_round_ == kNoRoundYet) {
@@ -217,11 +193,10 @@ void VisitExchangeProcess::step_sharded() {
   // Phase B: uninformed agents standing on an informed vertex (informed in
   // this round or earlier) become informed, unless the vertex has stifled
   // or is quarantined.
-  const std::size_t agent_informs = catch_agents_sharded<Mode>(
-      *arena_, model_, agents_.positions(), plane, round_, shard_width_);
+  const std::size_t agent_informs =
+      agent_side_.catch_agents<Mode>(model_, plane, round_, shard_width_);
 
   informed_vertex_count_ += static_cast<std::uint32_t>(vertex_informs);
-  informed_agent_count_ += agent_informs;
   if (vertex_informs + agent_informs > 0) last_inform_round_ = round_;
   if (all_agents_informed() && agent_complete_round_ == kNoRoundYet) {
     agent_complete_round_ = round_;

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "core/sharding.hpp"
 #include "core/walk_options.hpp"
 #include "graph/graph.hpp"
 #include "support/rng.hpp"
@@ -25,6 +26,88 @@
 #include "walk/agents.hpp"
 
 namespace rumor {
+
+// Visit-exchange's agent side, shared with HybridProcess: the agents'
+// inform rounds and the agent phases of a round. The serial engine keeps
+// the agents in an informed-prefix partition of the arena's agent order
+// ([0, informed()) are the informed agents), so each phase visits only
+// the agents it can change; the sharded engine iterates agents by id.
+class VisitExchangeAgents {
+ public:
+  // Resets the agents' inform rounds and informs, at round 0, every agent
+  // standing on `source`: by agent id on `width` ranges when sharded, else
+  // serially, starting the partition.
+  VisitExchangeAgents(TrialArena& arena, const AgentSystem& agents,
+                      Vertex source, bool sharded, std::uint32_t width);
+
+  // Serial phase A: every agent informed in an earlier round informs the
+  // vertex it stands on through inform_vertex(v), unless that vertex is
+  // informed already. Stifled agents and quarantined vertices are
+  // excepted, and the success draw fires only for state-changing
+  // deliveries.
+  template <class Mode, class InformVertex>
+  void inform_vertices(TransmissionModel& model, Round round,
+                       InformVertex&& inform_vertex) const {
+    const auto& informed = arena_->vertex_inform_round;
+    for (std::size_t idx = 0; idx < informed_; ++idx) {
+      const Agent a = order_.at(idx);
+      const Vertex v = agents_->position(a);
+      if (informed.touched(v)) continue;
+      if constexpr (std::is_same_v<Mode, transmission::General>) {
+        if (!model.can_transmit<Mode>(arena_->agent_inform_round.get(a), v,
+                                      round) ||
+            !model.attempt<Mode>(v, v)) {
+          continue;
+        }
+      }
+      inform_vertex(v);
+    }
+  }
+
+  // Serial phase B: every uninformed agent standing on an informed vertex
+  // (informed in this round or earlier) becomes informed, unless the
+  // vertex has stifled or is quarantined. Returns how many were informed.
+  template <class Mode>
+  std::size_t catch_agents(TransmissionModel& model, Round round) {
+    const auto& informed = arena_->vertex_inform_round;
+    const std::size_t before = informed_;
+    for (std::size_t idx = before; idx < agents_->count(); ++idx) {
+      const Agent a = order_.at(idx);
+      const Vertex v = agents_->position(a);
+      if (!informed.touched(v)) continue;
+      if constexpr (std::is_same_v<Mode, transmission::General>) {
+        if (!model.can_transmit<Mode>(informed.get(v), v, round) ||
+            !model.attempt<Mode>(v, v)) {
+          continue;
+        }
+      }
+      inform_agent_at(idx, round);
+    }
+    return informed_ - before;
+  }
+
+  // Phase B on the sharded engine: one pass over agent ids on `width`
+  // ranges (catch_agents_sharded). Returns how many were informed.
+  template <class Mode>
+  std::size_t catch_agents(const TransmissionModel& model,
+                           const ShardPlane& plane, Round round,
+                           std::uint32_t width) {
+    const std::size_t caught = catch_agents_sharded<Mode>(
+        *arena_, model, agents_->positions(), plane, round, width);
+    informed_ += caught;
+    return caught;
+  }
+
+  [[nodiscard]] std::size_t informed() const { return informed_; }
+
+ private:
+  void inform_agent_at(std::size_t order_index, Round round);
+
+  TrialArena* arena_;
+  const AgentSystem* agents_;
+  AgentOrderView order_;  // serial engine only
+  std::size_t informed_ = 0;
+};
 
 class VisitExchangeProcess {
  public:
@@ -37,14 +120,14 @@ class VisitExchangeProcess {
     return informed_vertex_count_ == graph_->num_vertices();
   }
   [[nodiscard]] bool all_agents_informed() const {
-    return informed_agent_count_ == agents_.count();
+    return agent_side_.informed() == agents_.count();
   }
   [[nodiscard]] Round round() const { return round_; }
   [[nodiscard]] std::uint32_t informed_vertex_count() const {
     return informed_vertex_count_;
   }
   [[nodiscard]] std::size_t informed_agent_count() const {
-    return informed_agent_count_;
+    return agent_side_.informed();
   }
   [[nodiscard]] bool vertex_informed(Vertex v) const {
     return arena_->vertex_inform_round.touched(v);
@@ -65,7 +148,6 @@ class VisitExchangeProcess {
 
  private:
   void inform_vertex(Vertex v);
-  void inform_agent_at(std::size_t order_index);
   template <class Mode>
   void step_impl();
   // Frontier-sharded round (sharded_ == true): the sharded walk kernel
@@ -95,12 +177,8 @@ class VisitExchangeProcess {
   std::unique_ptr<TrialArena> owned_arena_;
   TrialArena* arena_;
   AgentSystem agents_;
-  // Serial engine only: identity-default informed-prefix partition over
-  // the arena's order arrays ([0, informed_agent_count_) are the informed
-  // agents). The sharded engine iterates agents by id instead.
-  AgentOrderView order_;
+  VisitExchangeAgents agent_side_;
   std::uint32_t informed_vertex_count_ = 0;
-  std::size_t informed_agent_count_ = 0;
   Round agent_complete_round_ = kNoRoundYet;
 };
 
