@@ -153,6 +153,21 @@ void fill_edge_field(const Graph& g, TransmissionScratch& s) {
   }
 }
 
+// Skip sampling draws its gaps through fast_log2f(1 - p), so the success
+// probability it implies is 1 - 2^fast_log2f(1 - p), not p. Near p = 0
+// the rounding of the float 1 - p and the log's absolute error dominate:
+// the implied probability is 17% low at p = 1e-7 and 0.8% low at 1e-6,
+// and below about 6e-8 the log is 0, so the gap scale would be infinite.
+// A constant field keeps skip sampling only where the implied
+// probability is within this relative tolerance of p.
+constexpr double kSkipTolerance = 1e-3;
+
+bool skip_sampling_represents(float p) {
+  const double implied =
+      1.0 - std::exp2(static_cast<double>(fast_log2f(1.0f - p)));
+  return std::abs(implied - p) <= kSkipTolerance * p;
+}
+
 void rebuild_fields(const Graph& g, const TransmissionOptions& options,
                     TransmissionScratch& s, bool need_edge_field) {
   const Vertex n = g.num_vertices();
@@ -253,12 +268,13 @@ void TransmissionModel::bind(const Graph& g,
   // degree-scaled spec on a regular graph produces a constant field and
   // earns the skip fast path; a constant 1.0 field (tp=1 + interventions)
   // must stay draw-free, so it routes to batched where attempt() folds to
-  // "always succeed" per entry.
-  const bool constant_sub_one =
-      s.field_min == s.field_max && s.field_max < 1.0f && s.field_max > 0.0f;
-  sample_mode_ =
-      constant_sub_one ? SampleMode::skip_uniform : SampleMode::batched;
-  if (constant_sub_one) {
+  // "always succeed" per entry; so does a constant field too small for
+  // the gaps to represent.
+  const bool skip = s.field_min == s.field_max && s.field_max < 1.0f &&
+                    s.field_max > 0.0f &&
+                    skip_sampling_represents(s.field_max);
+  sample_mode_ = skip ? SampleMode::skip_uniform : SampleMode::batched;
+  if (skip) {
     uniform_p_ = s.field_max;
     gap_scale_ = 1.0f / fast_log2f(1.0f - uniform_p_);
   }

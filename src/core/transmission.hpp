@@ -113,15 +113,18 @@ void format_transmission_intervention_options(
 // the materialized field:
 //   * trivial      — tp=1, no interventions: no draws at all (the Uniform
 //                    mode tag; byte-identical golden path);
-//   * skip_uniform — the field is a single constant p in (0, 1): contact
-//                    sites may replace per-contact coin flips with
-//                    geometric skip sampling (next_gap() = failures before
-//                    the next success). Degree-scaled options land here too
-//                    when the graph is regular — the field is what decides,
-//                    not the option flags;
-//   * batched      — non-constant field (or a constant 0/1 field with
-//                    interventions): per-contact draws against the field,
-//                    served from the block-buffered SIMD Philox stream.
+//   * skip_uniform — the field is a single constant p in (0, 1) that the
+//                    gaps represent to 0.1% (every p from about 1.2e-4
+//                    up, and some below it): contact sites may replace
+//                    per-contact coin flips with geometric skip sampling
+//                    (next_gap() = failures before the next success).
+//                    Degree-scaled options land here too when the graph is
+//                    regular — the field is what decides, not the option
+//                    flags;
+//   * batched      — any other field (non-constant, a constant 1 with
+//                    interventions, or a constant too small for the gaps):
+//                    per-contact draws against the field, served from the
+//                    block-buffered SIMD Philox stream.
 enum class SampleMode : std::uint8_t { trivial, skip_uniform, batched };
 
 // The bound model a simulator holds for one trial. Binding a non-trivial

@@ -509,6 +509,31 @@ TEST(TransmissionBehavior, CompletedRunsReportFullInformedCount) {
   EXPECT_EQ(set.informed_summary().mean, 32.0);
 }
 
+TEST(TransmissionBehavior, SkipSamplingOnlyWhereTheGapsRepresentTheField) {
+  // The gaps come from fast_log2f(1 - p): at tp=1e-10 the log is 0 (an
+  // infinite gap scale, and every gap an undefined float-to-integer
+  // conversion), at tp=1e-7 the implied probability is 17% low. Both
+  // constant fields draw per entry instead.
+  const Graph g = gen::cycle(64);
+  TrialArena arena;
+  const auto mode = [&](double tp) {
+    TransmissionOptions options;
+    options.tp = tp;
+    TransmissionModel model;
+    model.bind(g, options, arena, 1);
+    return model.sample_mode();
+  };
+  EXPECT_EQ(mode(1e-10), SampleMode::batched);
+  EXPECT_EQ(mode(1e-7), SampleMode::batched);
+  EXPECT_EQ(mode(0.5), SampleMode::skip_uniform);
+  EXPECT_EQ(mode(0.25), SampleMode::skip_uniform);
+
+  const auto spec = ProtocolSpec::parse("push(tp=1e-10,max_rounds=50)");
+  ASSERT_TRUE(spec);
+  const TrialSet set = run_trials(g, *spec, 0, 6, 20260730ULL);
+  for (const double informed : set.informed) EXPECT_EQ(informed, 1.0);
+}
+
 // ---- Scenario-level integration ---------------------------------------
 
 TEST(TransmissionScenario, HeterogeneousSweepRunsEndToEnd) {
