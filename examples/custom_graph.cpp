@@ -4,13 +4,18 @@
 //   custom_graph <edge-list-file> [source] [trials]
 //   custom_graph --demo            (writes a demo graph and analyzes it)
 //
-// Edge-list format: "n m" header line, then m lines "u v" (see graph/io.hpp).
+// Edge-list format: SNAP-style lines "u v" with arbitrary 64-bit vertex
+// ids; '#' starts a comment, blank lines and duplicate edges are skipped,
+// self loops are an error. Ids are compacted to 0..n-1 in ascending
+// order (`source` names a compacted id), and the parsed graph is cached
+// beside the file as <file>.rcsr (see graph/file_graph.hpp).
 // Prints structural properties, a protocol comparison, and a DOT rendering
 // path for small graphs.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "core/push.hpp"
 #include "core/push_pull.hpp"
 #include "core/visit_exchange.hpp"
+#include "graph/file_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
@@ -100,11 +106,19 @@ int main(int argc, char** argv) {
   try {
     if (std::string(argv[1]) == "--demo") {
       const char* path = "demo_barbell.edges";
-      save_edge_list_file(gen::barbell(12), path);
+      {
+        const Graph demo = gen::barbell(12);
+        std::ofstream out(path);
+        for (EdgeId e = 0; e < demo.num_edges(); ++e) {
+          const auto [u, v] = demo.edge_endpoints(e);
+          out << u << ' ' << v << '\n';
+        }
+        if (!out) throw std::runtime_error("cannot write " + std::string(path));
+      }
       std::printf("wrote demo graph to %s\n\n", path);
-      return analyze(load_edge_list_file(path), 0, 20);
+      return analyze(load_file_graph(path), 0, 20);
     }
-    const Graph g = load_edge_list_file(argv[1]);
+    const Graph g = load_file_graph(argv[1]);
     const Vertex source =
         argc > 2 ? static_cast<Vertex>(std::strtoul(argv[2], nullptr, 10))
                  : 0;

@@ -1,82 +1,8 @@
 #include "graph/io.hpp"
 
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-#include <string>
-#include <vector>
+#include <ostream>
 
 namespace rumor {
-
-void save_edge_list(const Graph& g, std::ostream& out) {
-  out << g.num_vertices() << ' ' << g.num_edges() << '\n';
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto [u, v] = g.edge_endpoints(e);
-    out << u << ' ' << v << '\n';
-  }
-}
-
-namespace {
-
-[[noreturn]] void parse_error(std::size_t line, const std::string& message) {
-  throw std::runtime_error("edge list parse error at line " +
-                           std::to_string(line) + ": " + message);
-}
-
-}  // namespace
-
-Graph load_edge_list(std::istream& in) {
-  std::string line;
-  std::size_t line_no = 0;
-  Vertex n = 0;
-  std::size_t m = 0;
-  bool have_header = false;
-  std::vector<std::pair<Vertex, Vertex>> edges;
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream fields(line);
-    if (!have_header) {
-      std::uint64_t n64 = 0, m64 = 0;
-      if (!(fields >> n64 >> m64)) parse_error(line_no, "expected 'n m'");
-      if (n64 == 0 || n64 > 0xFFFFFFFEull) {
-        parse_error(line_no, "vertex count out of range");
-      }
-      n = static_cast<Vertex>(n64);
-      m = static_cast<std::size_t>(m64);
-      edges.reserve(m);
-      have_header = true;
-      continue;
-    }
-    std::uint64_t u = 0, v = 0;
-    if (!(fields >> u >> v)) parse_error(line_no, "expected 'u v'");
-    if (u >= n || v >= n) parse_error(line_no, "endpoint out of range");
-    if (u == v) parse_error(line_no, "self loop");
-    edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
-  }
-  if (!have_header) throw std::runtime_error("edge list: missing header");
-  if (edges.size() != m) {
-    throw std::runtime_error("edge list: header declared " +
-                             std::to_string(m) + " edges, found " +
-                             std::to_string(edges.size()));
-  }
-  return Graph(n, edges);
-}
-
-void save_edge_list_file(const Graph& g, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  save_edge_list(g, out);
-  if (!out) throw std::runtime_error("write failed: " + path);
-}
-
-Graph load_edge_list_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open for reading: " + path);
-  return load_edge_list(in);
-}
 
 void export_dot(const Graph& g, std::ostream& out, const std::string& name) {
   out << "graph " << name << " {\n";

@@ -1,8 +1,5 @@
-// Graph serialization: whitespace edge lists and Graphviz DOT export.
-//
-// Edge-list format: first non-comment line "n m", then m lines "u v".
-// Lines starting with '#' are comments. This is the interchange format the
-// custom_graph example consumes.
+// Graphviz DOT export for small illustration graphs. Edge lists are read
+// by graph/file_graph (the `file:` graph input).
 #pragma once
 
 #include <iosfwd>
@@ -11,17 +8,6 @@
 #include "graph/graph.hpp"
 
 namespace rumor {
-
-// Writes the canonical edge list (ids ascending).
-void save_edge_list(const Graph& g, std::ostream& out);
-
-// Parses an edge list; throws std::runtime_error with a line number on
-// malformed input.
-[[nodiscard]] Graph load_edge_list(std::istream& in);
-
-// Convenience file wrappers; throw std::runtime_error on I/O failure.
-void save_edge_list_file(const Graph& g, const std::string& path);
-[[nodiscard]] Graph load_edge_list_file(const std::string& path);
 
 // Graphviz DOT (undirected). Intended for small illustration graphs.
 void export_dot(const Graph& g, std::ostream& out,

@@ -1,10 +1,9 @@
-// Statistics, fitting, and bootstrap unit tests.
+// Statistics and fitting unit tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "support/bootstrap.hpp"
 #include "support/fit.hpp"
 #include "support/stats.hpp"
 
@@ -126,23 +125,6 @@ TEST(ClassifyGrowth, DetectsLinearithmic) {
   }
   const LawVerdict v = classify_growth(n, t);
   EXPECT_EQ(v.best, GrowthLaw::linearithmic);
-}
-
-TEST(Bootstrap, CiCoversMeanOfTightSample) {
-  const std::vector<double> v{10, 10.1, 9.9, 10.05, 9.95, 10, 10.02, 9.98};
-  const BootstrapCi ci = bootstrap_mean_ci(v);
-  EXPECT_NEAR(ci.point, 10.0, 0.05);
-  EXPECT_LE(ci.lo, ci.point);
-  EXPECT_GE(ci.hi, ci.point);
-  EXPECT_LT(ci.hi - ci.lo, 0.2);
-}
-
-TEST(Bootstrap, Deterministic) {
-  const std::vector<double> v{1, 2, 3, 4, 5, 6, 7, 8};
-  const BootstrapCi a = bootstrap_mean_ci(v, 0.95, 500, 123);
-  const BootstrapCi b = bootstrap_mean_ci(v, 0.95, 500, 123);
-  EXPECT_DOUBLE_EQ(a.lo, b.lo);
-  EXPECT_DOUBLE_EQ(a.hi, b.hi);
 }
 
 TEST(Histogram, BinsAndEdges) {
