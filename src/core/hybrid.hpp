@@ -44,6 +44,10 @@ class HybridProcess {
  public:
   HybridProcess(const Graph& g, Vertex source, std::uint64_t seed,
                 WalkOptions options = {}, TrialArena* arena = nullptr);
+  // calls_ and agent_side_ point at model_ and agents_, so a process
+  // stays where it was built.
+  HybridProcess(const HybridProcess&) = delete;
+  HybridProcess& operator=(const HybridProcess&) = delete;
 
   void step();
 

@@ -111,7 +111,7 @@ void PushPullRound::serial_impl(Round round, Rng& rng) {
   std::size_t pullers = frontier.size();
   for (std::size_t i = 0; i < pushers; ++i) {
     const Vertex u = active[i];
-    if (!informed_before(u, round)) continue;
+    if (!informed_before(u, round)) continue;  // an agent informed it now
     const Vertex v = graph_->random_neighbor_unchecked(u, rng);
     if (informed.touched(v)) continue;
     if constexpr (kGeneral) {
@@ -185,7 +185,7 @@ void PushPullRound::sharded_impl(Round round, const Access& acc,
       *arena_, active.size(), n, width,
       [&](std::size_t i) {
         const Vertex u = active[i];
-        if (!informed_before(u, round)) return kNoVertex;
+        if (!informed_before(u, round)) return kNoVertex;  // agent-informed
         SlotDraws draws(plane, kShardPhasePush, static_cast<std::uint32_t>(i));
         const GraphRow row = acc.row(u);
         const Vertex v = acc.pick(row, word_below(draws, row.deg));

@@ -125,6 +125,9 @@ class PushPullProcess {
  public:
   PushPullProcess(const Graph& g, Vertex source, std::uint64_t seed,
                   PushPullOptions options = {}, TrialArena* arena = nullptr);
+  // calls_ points at model_, so a process stays where it was built.
+  PushPullProcess(const PushPullProcess&) = delete;
+  PushPullProcess& operator=(const PushPullProcess&) = delete;
 
   void step();
 

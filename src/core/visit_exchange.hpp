@@ -49,7 +49,8 @@ class VisitExchangeAgents {
   void inform_vertices(TransmissionModel& model, Round round,
                        InformVertex&& inform_vertex) const {
     const auto& informed = arena_->vertex_inform_round;
-    for (std::size_t idx = 0; idx < informed_; ++idx) {
+    const std::size_t end = informed_;
+    for (std::size_t idx = 0; idx < end; ++idx) {
       const Agent a = order_.at(idx);
       const Vertex v = agents_->position(a);
       if (informed.touched(v)) continue;
@@ -71,7 +72,8 @@ class VisitExchangeAgents {
   std::size_t catch_agents(TransmissionModel& model, Round round) {
     const auto& informed = arena_->vertex_inform_round;
     const std::size_t before = informed_;
-    for (std::size_t idx = before; idx < agents_->count(); ++idx) {
+    const std::size_t count = agents_->count();
+    for (std::size_t idx = before; idx < count; ++idx) {
       const Agent a = order_.at(idx);
       const Vertex v = agents_->position(a);
       if (!informed.touched(v)) continue;
@@ -113,6 +115,9 @@ class VisitExchangeProcess {
  public:
   VisitExchangeProcess(const Graph& g, Vertex source, std::uint64_t seed,
                        WalkOptions options = {}, TrialArena* arena = nullptr);
+  // agent_side_ points at agents_, so a process stays where it was built.
+  VisitExchangeProcess(const VisitExchangeProcess&) = delete;
+  VisitExchangeProcess& operator=(const VisitExchangeProcess&) = delete;
 
   void step();
 
