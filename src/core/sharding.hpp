@@ -102,22 +102,24 @@ TrialArena::ShardTally tally_pass(TrialArena& arena, std::size_t count,
   return total;
 }
 
-// The item segments of one filter or merge pass over at most `bound`
-// items on `width` ranges. Every segment is cleared here, serially, not
-// in the fan-out callback: parallel_for_ranges clamps the range count to
-// the item count, so a callback clear would skip the tail segments
-// whenever there are fewer items than ranges and leave stale entries from
-// an earlier pass for the concat or merge. Each segment is reserved to
-// the analytic per-range bound ceil(bound/width) <= bound/width + 1 (a
-// no-op once grown), so steady-state trials stay allocation-free instead
-// of reallocating at each trial's random high-water mark.
+// One segment per shard (`segment` names survivors or candidates) for a
+// pass over at most `bound` items on `width` ranges. Every segment is
+// cleared here, serially, not in the fan-out callback: parallel_for_ranges
+// clamps the range count to the item count, so a callback clear would
+// skip the tail segments whenever there are fewer items than ranges and
+// leave stale entries from an earlier pass for the concat or merge. Each
+// segment is reserved to the analytic per-range bound
+// ceil(bound/width) <= bound/width + 1 (a no-op once grown), so
+// steady-state trials stay allocation-free instead of reallocating at
+// each trial's random high-water mark.
 inline std::vector<TrialArena::ShardScratch>& pass_segments(
-    TrialArena& arena, std::size_t bound, std::uint32_t width) {
+    TrialArena& arena, std::size_t bound, std::uint32_t width,
+    std::vector<std::uint32_t> TrialArena::ShardScratch::*segment) {
   auto& scratch = arena.shard_scratch;
   if (scratch.size() < width) scratch.resize(width);
   for (std::uint32_t s = 0; s < width; ++s) {
-    scratch[s].items.clear();
-    scratch[s].items.reserve(bound / width + 1);
+    (scratch[s].*segment).clear();
+    (scratch[s].*segment).reserve(bound / width + 1);
   }
   return scratch;
 }
@@ -129,18 +131,20 @@ inline std::vector<TrialArena::ShardScratch>& pass_segments(
 template <class Keep>
 void filter_pass(TrialArena& arena, std::vector<std::uint32_t>& list,
                  std::size_t bound, std::uint32_t width, Keep&& keep) {
-  auto& scratch = pass_segments(arena, bound, width);
+  auto& scratch = pass_segments(arena, bound, width,
+                                &TrialArena::ShardScratch::survivors);
   shard_pool().parallel_for_ranges(
       list.size(), width,
       [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].items;
+        auto& out = scratch[s].survivors;
         for (std::size_t i = begin; i < end; ++i) {
           if (keep(list[i])) out.push_back(list[i]);
         }
       });
   list.clear();
   for (std::uint32_t s = 0; s < width; ++s) {
-    list.insert(list.end(), scratch[s].items.begin(), scratch[s].items.end());
+    list.insert(list.end(), scratch[s].survivors.begin(),
+                scratch[s].survivors.end());
   }
 }
 
@@ -153,17 +157,18 @@ void filter_pass(TrialArena& arena, std::vector<std::uint32_t>& list,
 template <class Stage, class Merge>
 void merge_pass(TrialArena& arena, std::size_t count, std::size_t bound,
                 std::uint32_t width, Stage&& stage, Merge&& merge) {
-  auto& scratch = pass_segments(arena, bound, width);
+  auto& scratch = pass_segments(arena, bound, width,
+                                &TrialArena::ShardScratch::candidates);
   shard_pool().parallel_for_ranges(
       count, width, [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].items;
+        auto& out = scratch[s].candidates;
         for (std::size_t i = begin; i < end; ++i) {
           const Vertex v = stage(i);
           if (v != kNoVertex) out.push_back(v);
         }
       });
   for (std::uint32_t s = 0; s < width; ++s) {
-    for (const Vertex v : scratch[s].items) merge(v);
+    for (const Vertex v : scratch[s].candidates) merge(v);
   }
 }
 

@@ -103,19 +103,23 @@ struct TrialArena {
   std::vector<std::uint64_t> rumor_completion;
 
   // Per-shard output segments for the frontier-sharded round kernels:
-  // shard s writes a filter pass's survivors or a merge pass's delivery
-  // candidates into shard_scratch[s].items, and the serial shard-major
-  // concat or merge drains them in slot order before the next pass starts.
-  // Passes that write in place instead (atomic claims, per-agent informs)
-  // leave their per-shard counts in shard_scratch[s].tally. Sized and
-  // cleared by the pass helpers in core/sharding; capacity persists across
-  // rounds and trials, so steady-state rounds allocate nothing.
+  // shard s filters survivors into shard_scratch[s].survivors and appends
+  // its delivery candidates to shard_scratch[s].candidates; the serial
+  // shard-major concat or merge then drains them in slot order. (One
+  // vector could serve both, since every pass drains its segments before
+  // the next starts, but that made a width-4 sharded hybrid trial on the
+  // 10^7-leaf star about 1.3x slower on a 4-vCPU host.) Passes that write
+  // in place instead (atomic claims, per-agent informs) leave their
+  // per-shard counts in shard_scratch[s].tally. Sized and cleared by the
+  // pass helpers in core/sharding; capacity persists across rounds and
+  // trials, so steady-state rounds allocate nothing.
   struct ShardTally {
     std::size_t informs = 0;
     bool source_met = false;  // meet-exchange: an agent learned at the source
   };
   struct ShardScratch {
-    std::vector<std::uint32_t> items;
+    std::vector<std::uint32_t> survivors;
+    std::vector<std::uint32_t> candidates;
     ShardTally tally;
   };
   std::vector<ShardScratch> shard_scratch;
