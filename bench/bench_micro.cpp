@@ -45,7 +45,7 @@ void walk_kernel_bench(benchmark::State& state, std::uint32_t half_degree,
   std::vector<Vertex> positions(n);
   for (Vertex v = 0; v < n; ++v) positions[v] = v;
   for (auto _ : state) {
-    step_walks(g, positions, rng, lazy, nullptr, engine);
+    step_walks(g, positions, rng, lazy, engine);
   }
   state.SetItemsProcessed(state.iterations() * n);
   state.counters["steps_per_sec"] = benchmark::Counter(

@@ -2,15 +2,23 @@
 //
 // The paper attributes the agent protocols' wins to "locally fair use of
 // bandwidth: all edges are used with the same frequency". This example
-// traces per-edge utilization of push-pull and visit-exchange on the double
+// counts per-edge utilization of push-pull and visit-exchange on the double
 // star over a fixed window and prints utilization histograms plus the
 // bridge-edge rate — the starving critical edge is plainly visible.
+//
+// Both counts are taken outside the simulators. Push-pull's calls do not
+// depend on the rumor: every vertex calls one uniform neighbor per round,
+// drawn here as the simulator draws it (g.random_neighbor(u, rng) in vertex
+// order on Rng(seed)). A walker's crossings show in its positions: a move
+// from u to v crosses {u, v}.
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
-#include "core/push_pull.hpp"
 #include "core/visit_exchange.hpp"
 #include "graph/generators.hpp"
+#include "support/rng.hpp"
 #include "support/stats.hpp"
 
 namespace {
@@ -19,24 +27,63 @@ using namespace rumor;
 
 constexpr Vertex kLeaves = 1024;
 constexpr Round kWindow = 300;
+constexpr std::uint64_t kSeed = 1;
 
-EdgeId bridge_edge(const Graph& g) {
-  for (std::uint32_t i = 0; i < g.degree(0); ++i) {
-    if (g.neighbor(0, i) == 1) return g.edge_id(0, i);
+// Per-edge counters, indexed by the edge's rank in edge_endpoints order.
+struct EdgeTraffic {
+  std::vector<std::pair<Vertex, Vertex>> edges;  // sorted (min, max) pairs
+  std::vector<std::uint64_t> counts;
+
+  explicit EdgeTraffic(const Graph& g) : counts(g.num_edges(), 0) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      edges.push_back(g.edge_endpoints(e));
+    }
   }
-  return 0;
+  [[nodiscard]] std::size_t index(Vertex u, Vertex v) const {
+    const std::pair<Vertex, Vertex> key{std::min(u, v), std::max(u, v)};
+    return static_cast<std::size_t>(
+        std::lower_bound(edges.begin(), edges.end(), key) - edges.begin());
+  }
+  void cross(Vertex u, Vertex v) { ++counts[index(u, v)]; }
+};
+
+EdgeTraffic push_pull_traffic(const Graph& g) {
+  EdgeTraffic traffic(g);
+  Rng rng(kSeed);
+  for (Round t = 0; t < kWindow; ++t) {
+    for (Vertex u = 0; u < g.num_vertices(); ++u) {
+      traffic.cross(u, g.random_neighbor(u, rng));
+    }
+  }
+  return traffic;
 }
 
-void show(const char* title, const Graph& g,
-          const std::vector<std::uint64_t>& traffic) {
+EdgeTraffic visit_exchange_traffic(const Graph& g) {
+  EdgeTraffic traffic(g);
+  VisitExchangeProcess process(g, 2, kSeed);
+  std::vector<Vertex> before;
+  for (Round t = 0; t < kWindow; ++t) {
+    const auto start = process.agents().positions();
+    before.assign(start.begin(), start.end());
+    process.step();
+    const auto end = process.agents().positions();
+    for (std::size_t a = 0; a < before.size(); ++a) {
+      if (end[a] != before[a]) traffic.cross(before[a], end[a]);
+    }
+  }
+  return traffic;
+}
+
+void show(const char* title, const EdgeTraffic& traffic) {
   std::printf("--- %s (per-edge crossings over %llu rounds) ---\n", title,
               static_cast<unsigned long long>(kWindow));
   Histogram h(0.0, 2.0 * kWindow, 8);
-  for (std::uint64_t c : traffic) h.add(static_cast<double>(c));
+  for (std::uint64_t c : traffic.counts) h.add(static_cast<double>(c));
   std::printf("%s", h.render(36).c_str());
+  const std::uint64_t bridge = traffic.counts[traffic.index(0, 1)];
   std::printf("bridge edge: %llu crossings (%.4f per round)\n\n",
-              static_cast<unsigned long long>(traffic[bridge_edge(g)]),
-              static_cast<double>(traffic[bridge_edge(g)]) / kWindow);
+              static_cast<unsigned long long>(bridge),
+              static_cast<double>(bridge) / kWindow);
 }
 
 }  // namespace
@@ -50,23 +97,8 @@ int main() {
       "the only route between the halves.\n\n",
       kLeaves);
 
-  {
-    PushPullOptions options;
-    options.trace.edge_traffic = true;
-    options.max_rounds = kWindow;
-    PushPullProcess process(g, 2, /*seed=*/1, options);
-    for (Round t = 0; t < kWindow; ++t) process.step();
-    const RunResult r = process.run();
-    show("push-pull", g, r.edge_traffic);
-  }
-  {
-    WalkOptions options;
-    options.trace.edge_traffic = true;
-    VisitExchangeProcess process(g, 2, /*seed=*/1, options);
-    for (Round t = 0; t < kWindow; ++t) process.step();
-    const RunResult r = process.run();
-    show("visit-exchange", g, r.edge_traffic);
-  }
+  show("push-pull", push_pull_traffic(g));
+  show("visit-exchange", visit_exchange_traffic(g));
 
   std::printf(
       "push-pull calls concentrate on leaf edges (every leaf calls its only\n"

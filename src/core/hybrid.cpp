@@ -31,7 +31,6 @@ HybridProcess::HybridProcess(const Graph& g, Vertex source,
       // Round 0: agents standing on the source are informed.
       agent_side_(*arena_, agents_, source, sharded_, shard_width_) {
   RUMOR_REQUIRE(source < g.num_vertices());
-  RUMOR_REQUIRE(!options_.trace.edge_traffic);
   model_.bind(g, options_.transmission, *arena_, seed);
   if (options_.trace.informed_curve) arena_->curve.clear();
   calls_.inform(source, 0);

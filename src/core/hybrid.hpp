@@ -23,8 +23,7 @@
 // runner for allocation-free repeated trials, or privately owned when
 // constructed without one. Laziness goes through resolve_laziness, so
 // LazyMode::auto_bipartite enables lazy walks on bipartite graphs exactly
-// as it does for the pure agent protocols. The run records no per-edge
-// traffic, so trace.edge_traffic must be off.
+// as it does for the pure agent protocols.
 #pragma once
 
 #include <cstdint>

@@ -30,16 +30,10 @@ MeetExchangeProcess::MeetExchangeProcess(const Graph& g, Vertex source,
       source_(source) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
-  // Sharded mode steps walkers from per-walker addressable draws, which
-  // cannot express the per-edge traced stream.
-  if (sharded_) RUMOR_REQUIRE(!options_.trace.edge_traffic);
   const std::size_t count = agents_.count();
   arena_->agent_inform_round.reset(count, kNeverInformed);
   arena_->vertex_marks.reset(g.num_vertices());
   if (options_.trace.informed_curve) arena_->curve.clear();
-  if (options_.trace.edge_traffic) {
-    arena_->edge_traffic.assign(g.num_edges(), 0);
-  }
 
   // Round 0: agents standing on s are informed; otherwise s stays "active"
   // until its first visitor.
@@ -89,11 +83,7 @@ void MeetExchangeProcess::step_impl() {
   constexpr bool kGeneral = std::is_same_v<Mode, transmission::General>;
   ++round_;
 
-  // Traced and untraced stepping run the same kernel and consume the RNG
-  // identically, so tracing never changes the trajectory.
-  std::uint64_t* traffic =
-      options_.trace.edge_traffic ? arena_->edge_traffic.data() : nullptr;
-  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_, traffic);
+  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_);
 
   // Mark the vertices occupied by agents that were informed before this
   // round; exchanges only flow from those agents (paper: "exactly one of
@@ -259,7 +249,6 @@ RunResult MeetExchangeProcess::run() {
   if (options_.trace.inform_rounds) {
     result.agent_inform_round = arena_->agent_inform_round.to_vector();
   }
-  if (options_.trace.edge_traffic) result.edge_traffic = arena_->edge_traffic;
   return result;
 }
 

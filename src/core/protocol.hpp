@@ -27,7 +27,6 @@ constexpr Round kNoRoundYet = std::numeric_limits<Round>::max();
 struct TraceOptions {
   bool informed_curve = false;  // per-round count of informed vertices/agents
   bool inform_rounds = false;   // per-vertex (and per-agent) inform rounds
-  bool edge_traffic = false;    // per-undirected-edge utilization counters
 
   friend bool operator==(const TraceOptions&, const TraceOptions&) = default;
 };
@@ -55,7 +54,6 @@ struct RunResult {
   std::vector<std::uint32_t> stifled_curve;
   std::vector<std::uint32_t> vertex_inform_round;
   std::vector<std::uint32_t> agent_inform_round;
-  std::vector<std::uint64_t> edge_traffic;
 };
 
 // Default safety cutoff: generous enough for every family in the claim files

@@ -37,24 +37,18 @@ PushProcess::PushProcess(const Graph& g, Vertex source, std::uint64_t seed,
       owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
       arena_(arena != nullptr ? arena : owned_arena_.get()) {
   RUMOR_REQUIRE(source < g.num_vertices());
-  model_.bind(g, options_.transmission, *arena_, seed,
-              /*need_edge_field=*/options_.trace.edge_traffic);
-  // Engine choice is pure in (options, n) — see core/sharding. The sharded
-  // engine draws per-slot from the addressable plane, which the per-edge
-  // traced stream cannot express; edge_traffic is C++-only (no scenario
-  // key), so this REQUIRE guards API callers.
+  model_.bind(g, options_.transmission, *arena_, seed);
+  // Engine choice is pure in (options, n) — see core/sharding.
   sharded_ = sharding_enabled(options_.shards, g.num_vertices());
   if (sharded_) {
-    RUMOR_REQUIRE(!options_.trace.edge_traffic);
     shard_width_ = resolve_shard_width(options_.shards);
     seed_ = seed;
   }
-  // The calendar path models exactly the untraced process (a failed call
-  // is then unobservable), and needs a single constant success probability
-  // for the geometric gaps. The sharded engine replaces it wholesale
-  // (per-slot draws, not a serial calendar).
-  skip_ = !sharded_ && model_.sample_mode() == SampleMode::skip_uniform &&
-          !options_.trace.edge_traffic;
+  // The calendar path schedules only successful calls (a failed call is
+  // unobservable), so it needs a single constant success probability for
+  // the geometric gaps. The sharded engine replaces it wholesale (per-slot
+  // draws, not a serial calendar).
+  skip_ = !sharded_ && model_.sample_mode() == SampleMode::skip_uniform;
   target_ = g.num_vertices();
   arena_->vertex_inform_round.reset(g.num_vertices(), kNeverInformed);
   arena_->informed_nbr_count.reset(g.num_vertices(), 0);
@@ -71,9 +65,6 @@ PushProcess::PushProcess(const Graph& g, Vertex source, std::uint64_t seed,
     arena_->wake_round.resize(g.num_vertices());
   }
   if (options_.trace.informed_curve) arena_->curve.clear();
-  if (options_.trace.edge_traffic) {
-    arena_->edge_traffic.assign(g.num_edges(), 0);
-  }
   inform(source);
   if (options_.trace.informed_curve) arena_->curve.push_back(informed_count_);
 }
@@ -189,7 +180,7 @@ void PushProcess::step() {
 // geometric gap to its next success, and the uniform neighbor pick happens
 // at the success (the success coin is independent of which neighbor was
 // drawn, so drawing success-first is the same joint distribution — and the
-// neighbor picks of failed calls are unobservable in an untraced run).
+// neighbor picks of failed calls are unobservable).
 // Saturated / stifled / quarantined callers retire lazily at their wake:
 // all three conditions are permanent once true.
 template <class Access>
@@ -324,27 +315,14 @@ void PushProcess::step_impl() {
   const std::size_t callers = active.size();  // newly informed start next round
   for (std::size_t i = 0; i < callers; ++i) {
     const Vertex u = active[i];
-    Vertex v;
-    std::uint32_t slot = 0;
-    if (options_.trace.edge_traffic) {
-      const auto [nbr, s] = graph_->random_neighbor_slot_unchecked(u, rng_);
-      v = nbr;
-      slot = s;
-      ++arena_->edge_traffic[graph_->edge_id_unchecked(u, slot)];
-    } else {
-      v = graph_->random_neighbor_unchecked(u, rng_);
-    }
+    const Vertex v = graph_->random_neighbor_unchecked(u, rng_);
     if constexpr (kGeneral) {
-      // The success draw fires only for state-changing deliveries, on both
-      // the traced and untraced paths, so tracing never shifts the stream.
+      // The success draw fires only for state-changing deliveries.
       if (model_.blocked<Mode>(v, round_) ||
           arena_->vertex_inform_round.touched(v)) {
         continue;
       }
-      const bool delivered = options_.trace.edge_traffic
-                                 ? model_.attempt_slot<Mode>(u, slot)
-                                 : model_.attempt<Mode>(u, v);
-      if (delivered) inform(v);
+      if (model_.attempt<Mode>(u, v)) inform(v);
     } else {
       if (!arena_->vertex_inform_round.touched(v)) inform(v);
     }
@@ -450,7 +428,6 @@ RunResult PushProcess::run() {
   if (options_.trace.inform_rounds) {
     result.vertex_inform_round = arena_->vertex_inform_round.to_vector();
   }
-  if (options_.trace.edge_traffic) result.edge_traffic = arena_->edge_traffic;
   return result;
 }
 

@@ -33,7 +33,7 @@ struct PushOptions {
   // Frontier-sharded round engine (core/sharding): 0 = serial legacy,
   // kShardsAuto = on for huge graphs, N >= 1 = on with N partitions. The
   // sharded trajectory depends only on whether the engine is ON, never on
-  // the partition count. Incompatible with trace.edge_traffic.
+  // the partition count.
   std::uint32_t shards = 0;
   // Contact rule: success probabilities + interventions (core/transmission).
   // Independent per-call message loss with probability q is tp = 1 - q.
@@ -85,7 +85,7 @@ class PushProcess {
   // determinism contract.
   template <class Mode, class Access>
   void step_sharded(const Access& acc);
-  // Geometric skip-sampling round (sample_mode == skip_uniform, untraced):
+  // Geometric skip-sampling round (sample_mode == skip_uniform):
   // instead of one Bernoulli(p) coin per caller per round, each caller
   // sits in a calendar queue keyed by the round of its next *successful*
   // call, so a round costs O(successes), not O(callers).

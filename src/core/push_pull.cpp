@@ -235,26 +235,13 @@ PushPullProcess::PushPullProcess(const Graph& g, Vertex source,
       arena_(arena != nullptr ? arena : owned_arena_.get()),
       calls_(g, model_, *arena_) {
   RUMOR_REQUIRE(source < g.num_vertices());
-  model_.bind(g, options_.transmission, *arena_, seed,
-              /*need_edge_field=*/options_.trace.edge_traffic);
-  // The sharded engine covers the untraced fast path only: the
-  // exact-bandwidth traced round is defined by one serial call per vertex.
-  // edge_traffic is C++-only (no scenario key), so this REQUIRE guards
-  // API callers.
+  model_.bind(g, options_.transmission, *arena_, seed);
   sharded_ = sharding_enabled(options_.shards, g.num_vertices());
   if (sharded_) {
-    RUMOR_REQUIRE(!options_.trace.edge_traffic);
     shard_width_ = resolve_shard_width(options_.shards);
     seed_ = seed;
   }
   if (options_.trace.informed_curve) arena_->curve.clear();
-  if (options_.trace.edge_traffic) {
-    // The exact-bandwidth path makes every vertex call a neighbor each
-    // round; validated once here so the unchecked per-round loop needs no
-    // per-vertex degree branch.
-    RUMOR_REQUIRE(g.min_degree() > 0);
-    arena_->edge_traffic.assign(g.num_edges(), 0);
-  }
   calls_.inform(source, 0);
   if (options_.trace.informed_curve) {
     arena_->curve.push_back(calls_.informed_count());
@@ -266,54 +253,13 @@ void PushPullProcess::step() {
   if (model_.blocking() && round_ == model_.block_round()) {
     calls_.activate_blocking();
   }
-  if (options_.trace.edge_traffic) {
-    if (model_.trivial()) {
-      step_traced<transmission::Uniform>();
-    } else {
-      step_traced<transmission::General>();
-    }
-  } else if (sharded_) {
+  if (sharded_) {
     calls_.sharded(round_, ShardPlane(seed_, round_), shard_width_);
   } else {
     calls_.serial(round_, rng_);
   }
   if (options_.trace.informed_curve) {
     arena_->curve.push_back(calls_.informed_count());
-  }
-}
-
-// Exact-bandwidth path: every vertex makes its call (the definition), so
-// per-edge utilization counts every call, not only state-changing ones.
-// Used by the fairness experiments; O(n) per round. Quarantined callers
-// initiate no call at all; calls TO a quarantined callee still count as
-// traffic but deliver nothing.
-template <class Mode>
-void PushPullProcess::step_traced() {
-  const Vertex n = graph_->num_vertices();
-  for (Vertex u = 0; u < n; ++u) {
-    if (model_.blocked<Mode>(u, round_)) continue;
-    const auto [v, slot] = graph_->random_neighbor_slot_unchecked(u, rng_);
-    ++arena_->edge_traffic[graph_->edge_id_unchecked(u, slot)];
-    const bool u_was = calls_.informed_before(u, round_);
-    const bool v_was = calls_.informed_before(v, round_);
-    if (u_was == v_was) continue;
-    const Vertex target = u_was ? v : u;
-    if (arena_->vertex_inform_round.touched(target)) continue;
-    if constexpr (std::is_same_v<Mode, transmission::General>) {
-      const Vertex transmitter = u_was ? u : v;
-      if (!model_.can_transmit<Mode>(
-              arena_->vertex_inform_round.get(transmitter), transmitter,
-              round_) ||
-          model_.blocked<Mode>(target, round_)) {
-        continue;
-      }
-      // The callee-side delivery reads the per-edge field through the
-      // caller's slot; the pull direction reads the per-vertex field.
-      const bool delivered = target == v ? model_.attempt_slot<Mode>(u, slot)
-                                         : model_.attempt<Mode>(v, u);
-      if (!delivered) continue;
-    }
-    calls_.inform(target, round_);
   }
 }
 
@@ -324,11 +270,8 @@ bool PushPullProcess::halted() const {
   // No active transmitters: pushes are gone, and a successful pull would
   // need an informed, transmitting vertex with an uninformed unblocked
   // neighbor — which is exactly a vertex the caller filter would have
-  // kept. (Only meaningful on the untraced fast path, where the filter
-  // runs; the exact-bandwidth path iterates all vertices regardless.)
-  if (!options_.trace.edge_traffic && round_ > 0 && calls_.no_callers()) {
-    return true;
-  }
+  // kept.
+  if (round_ > 0 && calls_.no_callers()) return true;
   return model_.extinct(round_, calls_.last_inform_round());
 }
 
@@ -347,7 +290,6 @@ RunResult PushPullProcess::run() {
   if (options_.trace.inform_rounds) {
     result.vertex_inform_round = arena_->vertex_inform_round.to_vector();
   }
-  if (options_.trace.edge_traffic) result.edge_traffic = arena_->edge_traffic;
   return result;
 }
 

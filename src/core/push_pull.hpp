@@ -32,7 +32,6 @@ struct PushPullOptions {
   // Frontier-sharded round engine (core/sharding): 0 = serial legacy,
   // kShardsAuto = on for huge graphs, N >= 1 = on with N partitions.
   // Trajectory depends only on on/off, never on the partition count.
-  // Incompatible with trace.edge_traffic (the exact-bandwidth path).
   std::uint32_t shards = 0;
   // Contact rule: success probabilities + interventions (core/transmission).
   // Independent per-call message loss with probability q is tp = 1 - q.
@@ -100,12 +99,12 @@ class PushPullRound {
   [[nodiscard]] Round last_inform_round() const { return last_inform_round_; }
   // True when the last round's retirement sweep kept no caller.
   [[nodiscard]] bool no_callers() const { return arena_->active.empty(); }
+
+ private:
   [[nodiscard]] bool informed_before(Vertex v, Round round) const {
     const std::uint32_t r = arena_->vertex_inform_round.get(v);
     return r != kNeverInformed && r < round;
   }
-
- private:
   template <class Mode>
   void serial_impl(Round round, Rng& rng);
   template <class Mode, class Access>
@@ -149,10 +148,6 @@ class PushPullProcess {
   [[nodiscard]] RunResult run();
 
  private:
-  // The exact-bandwidth round (trace.edge_traffic): every vertex makes
-  // its call, so per-edge utilization counts every call.
-  template <class Mode>
-  void step_traced();
   [[nodiscard]] bool halted() const;
 
   const Graph* graph_;

@@ -122,37 +122,6 @@ std::vector<std::string> transmission_key_signatures() {
 
 namespace {
 
-// The per-edge field is the per-vertex field scattered to CSR slots; only
-// the edge-traffic traced contact sites read it, so it is filled on demand.
-// On the implicit backend there is no CSR to scatter along, so the slot
-// layout (and the offsets array attempt_slot indexes through) is
-// materialized from the closed-form adjacency — the one place a traced
-// run pays O(m) memory for an implicit graph.
-void fill_edge_field(const Graph& g, TransmissionScratch& s) {
-  const std::size_t slots = 2 * g.num_edges();
-  s.edge_success.resize(slots);
-  if (g.is_implicit()) {
-    const Vertex n = g.num_vertices();
-    s.implicit_offsets.resize(static_cast<std::size_t>(n) + 1);
-    std::uint32_t off = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      s.implicit_offsets[v] = off;
-      const std::uint32_t deg = g.degree_unchecked(v);
-      for (std::uint32_t i = 0; i < deg; ++i) {
-        s.edge_success[off + i] =
-            s.vertex_success[g.neighbor_unchecked(v, i)];
-      }
-      off += deg;
-    }
-    s.implicit_offsets[n] = off;
-    return;
-  }
-  const CsrView csr = g.csr();
-  for (std::size_t i = 0; i < slots; ++i) {
-    s.edge_success[i] = s.vertex_success[csr.neighbors[i]];
-  }
-}
-
 // Skip sampling draws its gaps through fast_log2f(1 - p), so the success
 // probability it implies is 1 - 2^fast_log2f(1 - p), not p. Near p = 0
 // the rounding of the float 1 - p and the log's absolute error dominate:
@@ -169,7 +138,7 @@ bool skip_sampling_represents(float p) {
 }
 
 void rebuild_fields(const Graph& g, const TransmissionOptions& options,
-                    TransmissionScratch& s, bool need_edge_field) {
+                    TransmissionScratch& s) {
   const Vertex n = g.num_vertices();
   s.vertex_success.assign(n, static_cast<float>(options.tp));
   if (options.degree_scaled) {
@@ -191,8 +160,6 @@ void rebuild_fields(const Graph& g, const TransmissionOptions& options,
     s.field_max = std::max(s.field_max, s.vertex_success[v]);
   }
   if (n == 0) s.field_min = s.field_max = 1.0f;
-  s.edge_success.clear();
-  if (need_edge_field) fill_edge_field(g, s);
 
   s.blocked.assign(n, 0);
   s.blocked_count = 0;
@@ -223,8 +190,7 @@ void rebuild_fields(const Graph& g, const TransmissionOptions& options,
 
 void TransmissionModel::bind(const Graph& g,
                              const TransmissionOptions& options,
-                             TrialArena& arena, std::uint64_t seed,
-                             bool need_edge_field) {
+                             TrialArena& arena, std::uint64_t seed) {
   trivial_ = options.trivial();
   sample_mode_ = SampleMode::trivial;
   stifle_ = options.stifle;
@@ -232,9 +198,7 @@ void TransmissionModel::bind(const Graph& g,
   uniform_p_ = 1.0f;
   gap_scale_ = 0.0f;
   vertex_success_ = nullptr;
-  edge_success_ = nullptr;
   blocked_ = nullptr;
-  offsets_ = nullptr;
   if (trivial_) return;  // golden path: no fields, no streams, no draws
 
   TransmissionScratch& s = arena.transmission;
@@ -244,25 +208,15 @@ void TransmissionModel::bind(const Graph& g,
       s.degree_scaled == options.degree_scaled &&
       s.block_fraction == options.block_fraction;
   if (!cache_hit) {
-    rebuild_fields(g, options, s, need_edge_field);
+    rebuild_fields(g, options, s);
     s.graph_uid = g.uid();
     s.tp = options.tp;
     s.exponent = options.tp_exponent;
     s.degree_scaled = options.degree_scaled;
     s.block_fraction = options.block_fraction;
-  } else if (need_edge_field && s.edge_success.size() != 2 * g.num_edges()) {
-    // Cache built by an untraced bind: scatter the per-edge view now.
-    fill_edge_field(g, s);
   }
   vertex_success_ = s.vertex_success.data();
-  if (need_edge_field) edge_success_ = s.edge_success.data();
   blocked_ = s.blocked_count > 0 ? s.blocked.data() : nullptr;
-  // attempt_slot's slot->entry indexing; only traced binds read it. The
-  // implicit backend has no CSR, so the offsets materialized alongside the
-  // edge field stand in (and untraced implicit binds leave it null).
-  offsets_ = g.is_implicit()
-                 ? (need_edge_field ? s.implicit_offsets.data() : nullptr)
-                 : g.csr().offsets;
 
   // Mode pick from the materialized field, not the option flags: a
   // degree-scaled spec on a regular graph produces a constant field and

@@ -128,8 +128,8 @@ void format_transmission_intervention_options(
 enum class SampleMode : std::uint8_t { trivial, skip_uniform, batched };
 
 // The bound model a simulator holds for one trial. Binding a non-trivial
-// model materializes the per-vertex receive field, the CSR-slot-aligned
-// per-edge field, and the blocked set into the arena's TransmissionScratch;
+// model materializes the per-vertex receive field and the blocked set into
+// the arena's TransmissionScratch;
 // the build is cached by (graph uid, parameters), so steady-state trials on
 // the same graph rebuild nothing and allocate nothing.
 //
@@ -143,13 +143,9 @@ class TransmissionModel {
  public:
   TransmissionModel() = default;
   // `seed` is the per-trial seed (the same derive_seed(master, trial) value
-  // the simulator's Rng was constructed with). `need_edge_field`
-  // materializes the 2m-entry per-edge field too — only the edge-traffic
-  // traced contact sites read it (attempt_slot), so untraced binds skip the
-  // O(m) build and its memory entirely.
+  // the simulator's Rng was constructed with).
   void bind(const Graph& g, const TransmissionOptions& options,
-            TrialArena& arena, std::uint64_t seed,
-            bool need_edge_field = false);
+            TrialArena& arena, std::uint64_t seed);
 
   [[nodiscard]] bool trivial() const { return trivial_; }
   [[nodiscard]] SampleMode sample_mode() const { return sample_mode_; }
@@ -206,20 +202,6 @@ class TransmissionModel {
       const float p = vertex_success_[v];
       if (p >= 1.0f) return true;
       return static_cast<float>(words.next_u32() >> 8) * 0x1.0p-24f < p;
-    }
-  }
-
-  // As attempt(), but reads the CSR-aligned per-edge field through the
-  // transmitter's adjacency slot — for contact sites that already hold the
-  // slot (edge-traffic tracing paths).
-  template <class Mode>
-  [[nodiscard]] bool attempt_slot(Vertex u, std::uint32_t slot) {
-    if constexpr (std::is_same_v<Mode, transmission::Uniform>) {
-      return true;
-    } else {
-      const float p = edge_success_[offsets_[u] + slot];
-      if (p >= 1.0f) return true;
-      return attempt_stream_.next_unit_float() < p;
     }
   }
 
@@ -308,9 +290,7 @@ class TransmissionModel {
   float uniform_p_ = 1.0f;   // constant field value (skip_uniform mode)
   float gap_scale_ = 0.0f;   // 1 / log2(1 - uniform_p_)
   const float* vertex_success_ = nullptr;  // n entries
-  const float* edge_success_ = nullptr;    // 2m entries, CSR-slot aligned
   const std::uint8_t* blocked_ = nullptr;  // n entries; nullptr = none
-  const std::uint32_t* offsets_ = nullptr;
   PhiloxStream attempt_stream_;  // stream 0: per-contact success draws
   PhiloxStream gap_stream_;      // stream 1: geometric gap uniforms
   std::uint32_t gap_pos_ = kGapBatch;

@@ -59,15 +59,9 @@ VisitExchangeProcess::VisitExchangeProcess(const Graph& g, Vertex source,
       agent_side_(*arena_, agents_, source, sharded_, shard_width_) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
-  // Sharded mode steps walkers from per-walker addressable draws, which
-  // cannot express the per-edge traced stream.
-  if (sharded_) RUMOR_REQUIRE(!options_.trace.edge_traffic);
   target_ = g.num_vertices();
   arena_->vertex_inform_round.reset(g.num_vertices(), kNeverInformed);
   if (options_.trace.informed_curve) arena_->curve.clear();
-  if (options_.trace.edge_traffic) {
-    arena_->edge_traffic.assign(g.num_edges(), 0);
-  }
 
   inform_vertex(source);  // round 0: the source is informed
   if (all_agents_informed()) agent_complete_round_ = 0;
@@ -114,11 +108,8 @@ void VisitExchangeProcess::step_impl() {
   }
 
   // All agents take one walk step (ascending id = the paper's canonical
-  // agent order). Traced and untraced paths run the same kernel and consume
-  // the RNG identically, so tracing never changes the trajectory.
-  std::uint64_t* traffic =
-      options_.trace.edge_traffic ? arena_->edge_traffic.data() : nullptr;
-  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_, traffic);
+  // agent order).
+  step_walks(*graph_, agents_.positions_mut(), rng_, laziness_);
 
   // Phase A, then phase B on the post-phase-A vertex state.
   agent_side_.inform_vertices<Mode>(model_, round_,
@@ -230,7 +221,6 @@ RunResult VisitExchangeProcess::run() {
     result.vertex_inform_round = arena_->vertex_inform_round.to_vector();
     result.agent_inform_round = arena_->agent_inform_round.to_vector();
   }
-  if (options_.trace.edge_traffic) result.edge_traffic = arena_->edge_traffic;
   return result;
 }
 

@@ -38,8 +38,7 @@ struct WalkOptions {
   // Honored by visit-exchange, meet-exchange, and hybrid (their shared
   // sharded_walk_entry hooks parse the key); the plain walk grammar
   // rejects it, so the remaining walk specs (frog, dynamic-agent,
-  // multi-rumor) cannot silently carry a dead option. Incompatible with
-  // trace.edge_traffic.
+  // multi-rumor) cannot silently carry a dead option.
   std::uint32_t shards = 0;
   // Contact rule (success probabilities + interventions); the default is
   // the paper's always-successful homogeneous transmission.
@@ -102,8 +101,8 @@ void format_agent_walk_options(const WalkOptions& options,
 
 // TraceOptions plumbing (also used by the non-walk protocols). The one
 // trace key is `curve`: the informed curves are the only trace a
-// scenario's TrialSet keeps. inform_rounds and edge_traffic stay C++-only
-// (set TraceOptions directly and read the RunResult).
+// scenario's TrialSet keeps. inform_rounds stays C++-only (set
+// TraceOptions directly and read the RunResult).
 [[nodiscard]] bool set_trace_option(TraceOptions& trace, std::string_view key,
                                     std::string_view value);
 void format_trace_options(const TraceOptions& trace,

@@ -72,9 +72,9 @@ ImplicitKind implicit_kind_of(Family family) {
 }
 
 // Exact private footprint of an owned-CSR build: offsets (n+1 u32) +
-// neighbors and edge_ids (2m u32 each) + the (min, max) edge list (m x 8).
+// neighbors (2m u32) + the (min, max) edge list (m x 8).
 std::uint64_t owned_csr_bytes(std::uint64_t n, std::uint64_t m) {
-  return 4 * (n + 1) + 24 * m;
+  return 4 * (n + 1) + 16 * m;
 }
 
 const char* backend_choice_name(GraphBackendChoice choice) {

@@ -20,16 +20,19 @@ namespace rumor {
 
 namespace {
 
-// Cache layout, version 1 (all integers little-endian, arrays uint32):
+// Cache layout, version 2 (all integers little-endian, arrays uint32):
 //   FileHeader (64 bytes)
 //   offsets      (n + 1)   CSR row starts
 //   neighbors    (2m)      sorted per vertex
-//   edge_ids     (2m)      undirected edge id per adjacency slot
 //   fwd_offsets  (n + 1)   # edges whose min endpoint < u (edge_endpoints)
-// Bump kCacheVersion whenever this layout (or the id-assignment contract)
-// changes; a version mismatch is treated exactly like a stale cache.
+// Bump kCacheVersion whenever this layout changes; a version mismatch is
+// treated exactly like a stale cache.
 constexpr char kMagic[8] = {'R', 'U', 'M', 'R', 'C', 'S', 'R', '1'};
-constexpr std::uint32_t kCacheVersion = 1;
+constexpr std::uint32_t kCacheVersion = 2;
+
+// The edge-count ceiling parse_edge_list enforces, the same one the owned
+// and mapped Graph backends REQUIRE.
+constexpr std::uint64_t kMaxEdges = std::numeric_limits<EdgeId>::max() / 2;
 
 constexpr std::uint32_t kFlagConnected = 1u << 0;
 constexpr std::uint32_t kFlagBipartite = 1u << 1;
@@ -51,7 +54,7 @@ struct FileHeader {
 static_assert(sizeof(FileHeader) == 64);
 
 std::uint64_t cache_payload_bytes(std::uint64_t n, std::uint64_t m) {
-  return sizeof(FileHeader) + 4 * (2 * (n + 1) + 4 * m);
+  return sizeof(FileHeader) + 4 * (2 * (n + 1) + 2 * m);
 }
 
 [[noreturn]] void fail(const std::string& what) { throw GraphFileError(what); }
@@ -179,7 +182,7 @@ ParsedEdgeList parse_edge_list(const std::string& path) {
   std::sort(out.edges.begin(), out.edges.end());
   out.edges.erase(std::unique(out.edges.begin(), out.edges.end()),
                   out.edges.end());
-  if (out.edges.size() >= std::numeric_limits<EdgeId>::max() / 2) {
+  if (out.edges.size() >= kMaxEdges) {
     fail(path + ": too many edges for 32-bit edge ids");
   }
   return out;
@@ -235,7 +238,6 @@ void build_cache(const std::string& path, const std::string& cache_path,
   }
   write_u32s(f, csr.offsets, n + 1, tmp);
   write_u32s(f, csr.neighbors, 2 * m, tmp);
-  write_u32s(f, csr.edge_ids, 2 * m, tmp);
   write_u32s(f, fwd.data(), n + 1, tmp);
   ok = std::fflush(f) == 0;
   ok = (std::fclose(f) == 0) && ok;
@@ -245,8 +247,27 @@ void build_cache(const std::string& path, const std::string& cache_path,
   }
 }
 
-// Reads + validates the header of an existing cache against the source
-// stamp. Returns false when missing/stale/foreign (caller rebuilds).
+// True iff the header describes a graph parse_edge_list can produce: at
+// least one edge and under the ceiling, every vertex an endpoint of some
+// edge (so 2 <= n <= 2m), and a simple graph's degree range.
+bool header_shape_valid(const FileHeader& h) {
+  return h.m >= 1 && h.m < kMaxEdges && h.n >= 2 && h.n <= 2 * h.m &&
+         h.min_degree >= 1 && h.min_degree <= h.max_degree &&
+         h.max_degree < h.n;
+}
+
+bool read_u32_at(std::FILE* f, std::uint64_t pos, std::uint32_t& out) {
+  return ::fseeko(f, static_cast<off_t>(pos), SEEK_SET) == 0 &&
+         std::fread(&out, sizeof(out), 1, f) == 1;
+}
+
+// Reads + validates an existing cache against the source stamp. Returns
+// false when it is missing, stale, foreign or corrupt (caller rebuilds).
+// Besides the stamp it checks what every cache build_cache writes
+// satisfies: a header shape a parsed edge list can produce, the exact
+// file size that shape implies, and the array sentinels offsets[0] == 0,
+// offsets[n] == 2m and fwd_offsets[n] == m. The rest of the payload is
+// trusted.
 bool read_cache_header(const std::string& cache_path,
                        const SourceStamp& stamp, FileHeader& h,
                        std::uint64_t& file_size) {
@@ -256,15 +277,25 @@ bool read_cache_header(const std::string& cache_path,
   }
   std::FILE* f = std::fopen(cache_path.c_str(), "rb");
   if (f == nullptr) return false;
-  const bool got = std::fread(&h, sizeof(h), 1, f) == 1;
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  std::uint32_t first_row = 1;
+  std::uint32_t rows_end = 0;
+  std::uint32_t fwd_end = 0;
+  // The shape check bounds n and m first, so the size cannot wrap; the
+  // file ends with fwd_offsets[n].
+  const bool ok =
+      std::fread(&h, sizeof(h), 1, f) == 1 &&
+      std::memcmp(h.magic, kMagic, sizeof(kMagic)) == 0 &&
+      h.version == kCacheVersion && h.source_size == stamp.size &&
+      h.source_mtime_ns == stamp.mtime_ns && header_shape_valid(h) &&
+      size == cache_payload_bytes(h.n, h.m) &&
+      read_u32_at(f, sizeof(FileHeader), first_row) && first_row == 0 &&
+      read_u32_at(f, sizeof(FileHeader) + 4 * std::uint64_t{h.n}, rows_end) &&
+      rows_end == 2 * h.m && read_u32_at(f, size - 4, fwd_end) &&
+      fwd_end == h.m;
   std::fclose(f);
-  if (!got || std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0 ||
-      h.version != kCacheVersion || h.source_size != stamp.size ||
-      h.source_mtime_ns != stamp.mtime_ns) {
-    return false;
-  }
-  file_size = static_cast<std::uint64_t>(st.st_size);
-  return file_size == cache_payload_bytes(h.n, h.m);
+  if (ok) file_size = size;
+  return ok;
 }
 
 // Ensures a valid cache exists; returns its header + size.
@@ -312,8 +343,6 @@ Graph load_file_graph(const std::string& path) {
   ext.offsets = reinterpret_cast<const std::uint32_t*>(p);
   p += 4 * (n + 1);
   ext.neighbors = reinterpret_cast<const Vertex*>(p);
-  p += 4 * (2 * m);
-  ext.edge_ids = reinterpret_cast<const EdgeId*>(p);
   p += 4 * (2 * m);
   ext.fwd_offsets = reinterpret_cast<const std::uint32_t*>(p);
   ext.n = h.n;

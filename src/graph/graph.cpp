@@ -21,7 +21,6 @@ namespace {
 struct OwnedCsr {
   std::vector<std::uint32_t> offsets;                 // n+1 entries
   std::vector<Vertex> neighbors;                      // 2m, sorted per vertex
-  std::vector<EdgeId> edge_ids;                       // 2m
   std::vector<std::pair<Vertex, Vertex>> edge_list;   // m entries, u < v
 };
 
@@ -32,7 +31,6 @@ struct OwnedCsr {
 struct ShardedCsr {
   std::unique_ptr<std::uint32_t[]> offsets;                // n+1 entries
   std::unique_ptr<Vertex[]> neighbors;                     // 2m, sorted
-  std::unique_ptr<EdgeId[]> edge_ids;                      // 2m
   std::unique_ptr<std::pair<Vertex, Vertex>[]> edge_list;  // m, u < v
 };
 
@@ -157,18 +155,11 @@ void Graph::build_owned_serial(std::span<const std::pair<Vertex, Vertex>> edges)
   for (std::size_t v = 0; v < n_; ++v) offsets[v + 1] += offsets[v];
 
   owned->neighbors.resize(2 * m_);
-  owned->edge_ids.resize(2 * m_);
   auto& neighbors = owned->neighbors;
-  auto& edge_ids = owned->edge_ids;
   std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t e = 0; e < edge_list.size(); ++e) {
-    const auto [u, v] = edge_list[e];
-    neighbors[cursor[u]] = v;
-    edge_ids[cursor[u]] = static_cast<EdgeId>(e);
-    ++cursor[u];
-    neighbors[cursor[v]] = u;
-    edge_ids[cursor[v]] = static_cast<EdgeId>(e);
-    ++cursor[v];
+  for (const auto& [u, v] : edge_list) {
+    neighbors[cursor[u]++] = v;
+    neighbors[cursor[v]++] = u;
   }
 
   // With edge_list sorted by (u, v) and u < v, each vertex w receives its
@@ -179,25 +170,19 @@ void Graph::build_owned_serial(std::span<const std::pair<Vertex, Vertex>> edges)
   for (Vertex v = 0; v < n_; ++v) {
     const std::uint32_t lo = offsets[v];
     const std::uint32_t hi = offsets[v + 1];
-    // insertion sort on the (neighbor, edge id) pairs; lists are nearly
-    // sorted already, and this avoids a temporary pair buffer.
     for (std::uint32_t i = lo + 1; i < hi; ++i) {
-      Vertex nv = neighbors[i];
-      EdgeId ne = edge_ids[i];
+      const Vertex nv = neighbors[i];
       std::uint32_t j = i;
       while (j > lo && neighbors[j - 1] > nv) {
         neighbors[j] = neighbors[j - 1];
-        edge_ids[j] = edge_ids[j - 1];
         --j;
       }
       neighbors[j] = nv;
-      edge_ids[j] = ne;
     }
   }
 
   offsets_p_ = offsets.data();
   neighbors_p_ = neighbors.data();
-  edge_ids_p_ = edge_ids.data();
   edge_list_p_ = edge_list.data();
   payload_ = std::move(owned);
   finish_owned_build(offsets_p_);
@@ -205,7 +190,7 @@ void Graph::build_owned_serial(std::span<const std::pair<Vertex, Vertex>> edges)
 
 // Sharded owned-CSR build: every pass fans the same shard_range partition
 // the round kernels use over shard_pool(), so shard s first-touches exactly
-// the offset/neighbor/edge-id row range it will later step — on a NUMA
+// the offset/neighbor row range it will later step — on a NUMA
 // machine the pages land on the worker's node instead of all on the
 // allocating thread's. The arrays are byte-identical to the serial build
 // for every width: the sorted edge order and the sorted (v, u) reverse
@@ -222,13 +207,11 @@ void Graph::build_owned_sharded(
   auto owned = std::make_shared<ShardedCsr>();
   owned->offsets = std::make_unique_for_overwrite<std::uint32_t[]>(n + 1);
   owned->neighbors = std::make_unique_for_overwrite<Vertex[]>(2 * m);
-  owned->edge_ids = std::make_unique_for_overwrite<EdgeId[]>(2 * m);
   owned->edge_list =
       std::make_unique_for_overwrite<std::pair<Vertex, Vertex>[]>(m);
   auto* el = owned->edge_list.get();
   auto* off = owned->offsets.get();
   auto* nbr = owned->neighbors.get();
-  auto* eid = owned->edge_ids.get();
 
   // Validate + normalize to (min, max), parallel over the input order.
   pool.parallel_for_ranges(
@@ -241,7 +224,7 @@ void Graph::build_owned_sharded(
         }
       });
 
-  // Canonical edge order (edge id = lexicographic rank), then the
+  // Canonical edge order (the edge_endpoints numbering), then the
   // duplicate check parallelized over adjacent pairs.
   sharded_sort(pool, el, m, width);
   pool.parallel_for_ranges(
@@ -252,17 +235,14 @@ void Graph::build_owned_sharded(
       });
 
   // Reverse index sorted by (v, u): row w's back-neighbors (u < w,
-  // ascending, with their edge ids) become one contiguous run per vertex.
-  // Keys pack (v, u) into one uint64; pairs are unique, so the sort never
-  // compares the payload edge id and the order is deterministic.
-  auto rev = std::make_unique_for_overwrite<
-      std::pair<std::uint64_t, std::uint32_t>[]>(m);
+  // ascending) become one contiguous run per vertex. Keys pack (v, u) into
+  // one uint64; pairs are unique, so the order is deterministic.
+  auto rev = std::make_unique_for_overwrite<std::uint64_t[]>(m);
   pool.parallel_for_ranges(
       m, width, [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t e = begin; e < end; ++e) {
-          rev[e] = {(static_cast<std::uint64_t>(el[e].second) << 32) |
-                        el[e].first,
-                    static_cast<std::uint32_t>(e)};
+          rev[e] = (static_cast<std::uint64_t>(el[e].second) << 32) |
+                   el[e].first;
         }
       });
   sharded_sort(pool, rev.get(), m, width);
@@ -277,8 +257,7 @@ void Graph::build_owned_sharded(
   const auto back_start = [&](Vertex v) {
     return static_cast<std::size_t>(
         std::lower_bound(rev.get(), rev.get() + m,
-                         std::pair<std::uint64_t, std::uint32_t>{
-                             static_cast<std::uint64_t>(v) << 32, 0}) -
+                         static_cast<std::uint64_t>(v) << 32) -
         rev.get());
   };
   off[0] = 0;
@@ -292,7 +271,7 @@ void Graph::build_owned_sharded(
             ++e;
             ++d;
           }
-          while (r < m && (rev[r].first >> 32) == v) {
+          while (r < m && (rev[r] >> 32) == v) {
             ++r;
             ++d;
           }
@@ -302,31 +281,22 @@ void Graph::build_owned_sharded(
   for (std::size_t v = 0; v < n; ++v) off[v + 1] += off[v];
 
   // Row fill, same partition: shard s writes (first-touches) exactly the
-  // neighbor/edge-id range its round kernels will read.
+  // neighbor range its round kernels will read.
   pool.parallel_for_ranges(
       n, width, [&](std::size_t, std::size_t begin, std::size_t end) {
         std::size_t e = fwd_start(static_cast<Vertex>(begin));
         std::size_t r = back_start(static_cast<Vertex>(begin));
         for (std::size_t v = begin; v < end; ++v) {
           std::uint32_t c = off[v];
-          while (r < m && (rev[r].first >> 32) == v) {
-            nbr[c] = static_cast<Vertex>(rev[r].first & 0xFFFFFFFFu);
-            eid[c] = rev[r].second;
-            ++c;
-            ++r;
+          while (r < m && (rev[r] >> 32) == v) {
+            nbr[c++] = static_cast<Vertex>(rev[r++] & 0xFFFFFFFFu);
           }
-          while (e < m && el[e].first == v) {
-            nbr[c] = el[e].second;
-            eid[c] = static_cast<EdgeId>(e);
-            ++c;
-            ++e;
-          }
+          while (e < m && el[e].first == v) nbr[c++] = el[e++].second;
         }
       });
 
   offsets_p_ = off;
   neighbors_p_ = nbr;
-  edge_ids_p_ = eid;
   edge_list_p_ = el;
   payload_ = std::move(owned);
   finish_owned_build(offsets_p_);
@@ -368,7 +338,7 @@ Graph Graph::make_implicit(const ImplicitDesc& desc) {
 
 Graph Graph::from_external(ExternalCsr ext) {
   RUMOR_REQUIRE(ext.offsets != nullptr && ext.neighbors != nullptr &&
-                ext.edge_ids != nullptr && ext.fwd_offsets != nullptr);
+                ext.fwd_offsets != nullptr);
   RUMOR_REQUIRE(ext.m < std::numeric_limits<EdgeId>::max() / 2);
   Graph g;
   g.backend_ = GraphBackend::mapped;
@@ -376,7 +346,6 @@ Graph Graph::from_external(ExternalCsr ext) {
   g.m_ = ext.m;
   g.offsets_p_ = ext.offsets;
   g.neighbors_p_ = ext.neighbors;
-  g.edge_ids_p_ = ext.edge_ids;
   g.fwd_offsets_p_ = ext.fwd_offsets;
   g.min_degree_ = ext.min_degree;
   g.max_degree_ = ext.max_degree;

@@ -6,8 +6,8 @@
 //      - owned: in-RAM CSR arrays, built from an edge list (the original
 //        behavior; GraphBuilder and the generators produce these).
 //      - implicit: star/cycle/complete/grid/torus/circulant synthesize
-//        degree/neighbor/edge-id arithmetically from an ImplicitDesc —
-//        O(1) memory at any n (see graph/implicit.hpp).
+//        degree and neighbors arithmetically from an ImplicitDesc — O(1)
+//        memory at any n (see graph/implicit.hpp).
 //      - mapped: CSR arrays borrowed from an external owner, typically a
 //        memory-mapped cache file (see graph/file_graph.hpp); a shared
 //        keep-alive handle pins the mapping.
@@ -16,11 +16,11 @@
 //    ascending, which makes structural tests exact and deterministic, and —
 //    because the implicit closed forms reproduce the same order — keeps
 //    seeded trajectories byte-identical across backends.
-//  * Every directed adjacency slot carries the id of its undirected edge
-//    (edge ids dense in [0, m), equal to the lexicographic rank of the
-//    (min, max) endpoint pair), so simulators can count per-edge traffic in
-//    O(1) — needed for the paper's "locally fair bandwidth" experiments
-//    (E11).
+//  * Undirected edges are numbered densely in [0, m) by the lexicographic
+//    rank of their (min, max) endpoint pair; edge_endpoints(e) maps a
+//    number back to its pair on every backend (sharded stationary
+//    placement draws an edge number plus an endpoint bit and reads the
+//    vertex through it).
 #pragma once
 
 #include <cstdint>
@@ -74,7 +74,6 @@ struct GraphProperties {
 struct CsrView {
   const std::uint32_t* offsets;  // n + 1 entries
   const Vertex* neighbors;       // 2m entries, sorted per vertex
-  const EdgeId* edge_ids;        // 2m entries
   Vertex n;
 };
 
@@ -84,7 +83,6 @@ struct CsrView {
 struct ExternalCsr {
   const std::uint32_t* offsets = nullptr;      // n + 1
   const Vertex* neighbors = nullptr;           // 2m, sorted per vertex
-  const EdgeId* edge_ids = nullptr;            // 2m
   const std::uint32_t* fwd_offsets = nullptr;  // n + 1: # edges with min < u
   Vertex n = 0;
   std::uint64_t m = 0;
@@ -152,15 +150,10 @@ class Graph {
     return neighbor_unchecked(v, i);
   }
 
-  // Undirected edge id of the i-th adjacency slot of v; ids are dense in
-  // [0, num_edges()).
-  [[nodiscard]] EdgeId edge_id(Vertex v, std::uint32_t i) const {
-    RUMOR_CHECK(i < degree(v));
-    return edge_id_unchecked(v, i);
-  }
-
-  // Endpoints (u, v) with u < v of an undirected edge id. O(1) for owned
-  // graphs, O(log n) for implicit and mapped (offset binary search).
+  // Endpoints (u, v) with u < v of undirected edge e in [0, num_edges()),
+  // edges ranked by their (u, v) pair, so ascending e enumerates the pairs
+  // in lexicographic order. O(1) for owned graphs, O(log n) for implicit
+  // and mapped (offset binary search).
   [[nodiscard]] std::pair<Vertex, Vertex> edge_endpoints(EdgeId e) const;
 
   // Uniform random neighbor of v; requires degree(v) > 0. This is the single
@@ -169,15 +162,6 @@ class Graph {
     const std::uint32_t deg = degree(v);
     RUMOR_CHECK(deg > 0);
     return neighbor_unchecked(v, static_cast<std::uint32_t>(rng.below(deg)));
-  }
-
-  // As above but also reports the adjacency slot chosen (for edge tracing).
-  [[nodiscard]] std::pair<Vertex, std::uint32_t> random_neighbor_slot(
-      Vertex v, Rng& rng) const {
-    const std::uint32_t deg = degree(v);
-    RUMOR_CHECK(deg > 0);
-    const auto slot = static_cast<std::uint32_t>(rng.below(deg));
-    return {neighbor_unchecked(v, slot), slot};
   }
 
   // ---- Unchecked hot-path kernels -------------------------------------
@@ -212,13 +196,6 @@ class Graph {
     return neighbors_p_[offsets_p_[v] + i];
   }
 
-  [[nodiscard]] EdgeId edge_id_unchecked(Vertex v, std::uint32_t i) const {
-    if (backend_ == GraphBackend::implicit) {
-      return implicit_edge_id(implicit_, v, i);
-    }
-    return edge_ids_p_[offsets_p_[v] + i];
-  }
-
   [[nodiscard]] Vertex random_neighbor_unchecked(Vertex v, Rng& rng) const {
     if (backend_ == GraphBackend::implicit) {
       return implicit_neighbor(
@@ -229,18 +206,11 @@ class Graph {
     return neighbors_p_[lo + rng.below(offsets_p_[v + 1] - lo)];
   }
 
-  [[nodiscard]] std::pair<Vertex, std::uint32_t> random_neighbor_slot_unchecked(
-      Vertex v, Rng& rng) const {
-    const auto slot =
-        static_cast<std::uint32_t>(rng.below(degree_unchecked(v)));
-    return {neighbor_unchecked(v, slot), slot};
-  }
-
   // Raw CSR arrays for the batched walk kernel. Materialized backends only;
   // implicit graphs take the access-policy path (graph/access.hpp).
   [[nodiscard]] CsrView csr() const {
     RUMOR_CHECK(offsets_p_ != nullptr);
-    return {offsets_p_, neighbors_p_, edge_ids_p_, n_};
+    return {offsets_p_, neighbors_p_, n_};
   }
 
   // True iff every degree is a (positive) power of two — the regular-graph
@@ -304,7 +274,6 @@ class Graph {
   // pinned by payload_ (mapped backend); all null for implicit.
   const std::uint32_t* offsets_p_ = nullptr;             // n+1 entries
   const Vertex* neighbors_p_ = nullptr;                  // 2m, sorted
-  const EdgeId* edge_ids_p_ = nullptr;                   // 2m
   const std::pair<Vertex, Vertex>* edge_list_p_ = nullptr;  // owned: m, u < v
   const std::uint32_t* fwd_offsets_p_ = nullptr;         // mapped: n+1
   std::uint32_t min_degree_ = 0;

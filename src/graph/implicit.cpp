@@ -205,7 +205,9 @@ std::pair<std::uint32_t, std::uint32_t> implicit_edge_endpoints(
           static_cast<std::uint32_t>(e - torus_fwd_offset(d, u));
       const std::uint32_t r = u / d.q;
       const std::uint32_t c = u % d.q;
-      // Forward candidates ascending (see torus_edge_id).
+      // Forward candidates of u ascending: u+1 (c < C-1), u+C-1 (c == 0,
+      // the row wrap), u+C (r < R-1), u+(R-1)C (r == 0, the column wrap;
+      // u+C is always present then, since rows >= 3).
       if (c + 1 < d.q) {
         if (rank == 0) return {u, u + 1};
         --rank;

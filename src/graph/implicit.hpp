@@ -2,17 +2,18 @@
 //
 // Six deterministic families — star, cycle, complete, grid, torus, circulant
 // — have closed forms for degree(v), the i-th sorted neighbor, and the
-// lexicographic edge id of every adjacency slot. An ImplicitDesc captures the
-// family parameters plus every derived structural fact (n, m, degree range,
-// connectivity, bipartiteness), so a Graph backed by a desc answers the full
-// accessor API without materializing a single adjacency array.
+// endpoints of the e-th edge in lexicographic (min, max) order. An
+// ImplicitDesc captures the family parameters plus every derived structural
+// fact (n, m, degree range, connectivity, bipartiteness), so a Graph backed
+// by a desc answers the full accessor API without materializing a single
+// adjacency array.
 //
 // Equivalence contract (pinned by tests/test_graph_backend.cpp): for every
 // family and every valid parameter choice, the implicit accessors agree
 // slot-for-slot with the materialized generator output — neighbor lists
-// enumerate in sorted CSR order and edge ids equal the rank of the (min,max)
-// endpoint pair in lexicographic edge order, exactly as the owned-CSR
-// constructor assigns them. That identity is what keeps seeded trajectories
+// enumerate in sorted CSR order, and edge e's endpoints are the e-th pair
+// of the sorted edge list, exactly as Graph::edge_endpoints numbers the
+// owned backend's edges. That identity is what keeps seeded trajectories
 // (and therefore every golden sample) byte-identical across backends.
 #pragma once
 
@@ -52,7 +53,8 @@ struct ImplicitDesc {
 // Fills `out` for the family, mirroring the generator preconditions
 // (star leaves >= 2; cycle n >= 3; complete n >= 2; grid rows, cols >= 1 and
 // rows * cols >= 2; torus rows, cols >= 3; circulant k >= 1 and n >= 2k + 2)
-// plus the representation limits (n fits Vertex, m < 2^31 so edge ids fit).
+// plus the owned backend's representation limits (n fits Vertex, and
+// m < 2^31 - 1 so the 2m directed slots fit 32-bit arithmetic).
 // Returns false and explains in *error (if non-null) on violation.
 bool make_implicit_desc(ImplicitKind kind, std::uint64_t a, std::uint64_t b,
                         ImplicitDesc& out, std::string* error = nullptr);
@@ -73,26 +75,15 @@ inline std::uint32_t star_degree(const ImplicitDesc& d, std::uint32_t v) {
 inline std::uint32_t star_neighbor(std::uint32_t v, std::uint32_t i) {
   return v == 0 ? i + 1 : 0u;
 }
-inline std::uint32_t star_edge_id(std::uint32_t v, std::uint32_t i) {
-  return v == 0 ? i : v - 1;  // edge {0, w} has id w - 1
-}
 
-// cycle over n >= 3 vertices; edge ids: {0,1} -> 0, {0,n-1} -> 1,
-// {v,v+1} -> v+1 for v >= 1 (lexicographic rank of the sorted pair list).
+// cycle over n >= 3 vertices; edges in sorted order: {0,1}, {0,n-1}, then
+// {v,v+1} at rank v+1 for v >= 1.
 inline std::uint32_t cycle_neighbor(const ImplicitDesc& d, std::uint32_t v,
                                     std::uint32_t i) {
   const std::uint32_t n = d.p;
   if (v == 0) return i == 0 ? 1u : n - 1;
   if (v == n - 1) return i == 0 ? 0u : n - 2;
   return i == 0 ? v - 1 : v + 1;
-}
-inline std::uint32_t cycle_edge_id(const ImplicitDesc& d, std::uint32_t v,
-                                   std::uint32_t i) {
-  const std::uint32_t n = d.p;
-  if (v == 0) return i;  // {0,1} -> 0, {0,n-1} -> 1
-  if (v == n - 1) return i == 0 ? 1u : n - 1;
-  if (i == 0) return v == 1 ? 0u : v;  // {v-1, v}
-  return v + 1;                        // {v, v+1}
 }
 
 // complete graph on n >= 2 vertices.
@@ -103,13 +94,6 @@ inline std::uint64_t complete_fwd_offset(const ImplicitDesc& d,
 }
 inline std::uint32_t complete_neighbor(std::uint32_t v, std::uint32_t i) {
   return i < v ? i : i + 1;
-}
-inline std::uint32_t complete_edge_id(const ImplicitDesc& d, std::uint32_t v,
-                                      std::uint32_t i) {
-  const std::uint32_t w = complete_neighbor(v, i);
-  const std::uint32_t u = v < w ? v : w;
-  const std::uint32_t x = v < w ? w : v;
-  return static_cast<std::uint32_t>(complete_fwd_offset(d, u) + (x - u - 1));
 }
 
 // grid rows x cols, vertex id r * cols + c, edges right and down.
@@ -144,16 +128,6 @@ inline std::uint64_t grid_fwd_offset(const ImplicitDesc& d, std::uint64_t u) {
   const std::uint64_t c = u - r * C;
   const std::uint64_t vcap = static_cast<std::uint64_t>(d.p - 1) * C;
   return r * (C - 1) + c + (u < vcap ? u : vcap);
-}
-inline std::uint32_t grid_edge_id(const ImplicitDesc& d, std::uint32_t v,
-                                  std::uint32_t i) {
-  const std::uint32_t w = grid_neighbor(d, v, i);
-  const std::uint32_t u = v < w ? v : w;
-  const std::uint32_t x = v < w ? w : v;
-  // Forward edges of u in sorted order: right (u+1) then down (u+C).
-  const std::uint32_t rank =
-      x == u + 1 ? 0u : ((u % d.q) + 1 < d.q ? 1u : 0u);
-  return static_cast<std::uint32_t>(grid_fwd_offset(d, u) + rank);
 }
 
 // torus rows x cols with rows, cols >= 3 (all wrap diffs distinct).
@@ -191,29 +165,6 @@ inline std::uint64_t torus_fwd_offset(const ImplicitDesc& d, std::uint64_t u) {
   return r * C + c + (c > 0 ? 1 : 0) + (u < vcap ? u : vcap) +
          (u < C ? u : C);
 }
-inline std::uint32_t torus_edge_id(const ImplicitDesc& d, std::uint32_t v,
-                                   std::uint32_t i) {
-  const std::uint32_t C = d.q;
-  const std::uint32_t w = torus_neighbor(d, v, i);
-  const std::uint32_t u = v < w ? v : w;
-  const std::uint32_t x = v < w ? w : v;
-  const std::uint32_t cu = u % C;
-  const std::uint32_t diff = x - u;
-  // Forward candidates of u ascending: u+1 (c<C-1), u+C-1 (c==0, the row
-  // wrap), u+C (r<R-1), u+(R-1)C (r==0, the column wrap).
-  const std::uint32_t horiz = cu == 0 ? 2u : (cu + 1 < C ? 1u : 0u);
-  std::uint32_t rank;
-  if (diff == 1) {
-    rank = 0;
-  } else if (diff == C - 1) {
-    rank = 1;  // row wrap: u is in column 0, so u+1 precedes it
-  } else if (diff == C) {
-    rank = horiz;
-  } else {  // diff == (rows-1)*C: column wrap; u+C always present (rows>=3)
-    rank = horiz + 1;
-  }
-  return static_cast<std::uint32_t>(torus_fwd_offset(d, u) + rank);
-}
 
 // circulant C_n(1..k) with n >= 2k + 2: v adjacent to v +- j (mod n).
 inline std::uint32_t circulant_neighbor(const ImplicitDesc& d, std::uint32_t v,
@@ -236,14 +187,6 @@ inline std::uint32_t circulant_neighbor(const ImplicitDesc& d, std::uint32_t v,
   if (t < k) return v + 1 + t;
   return n - k + v + (t - k);
 }
-inline std::uint32_t circulant_fwd_count(const ImplicitDesc& d,
-                                         std::uint32_t u) {
-  const std::uint32_t n = d.p;
-  const std::uint32_t k = d.q;
-  if (u < k) return 2 * k - u;
-  if (u < n - k) return k;
-  return n - 1 - u;
-}
 inline std::uint64_t circulant_fwd_offset(const ImplicitDesc& d,
                                           std::uint64_t u) {
   const std::uint64_t n = d.p;
@@ -261,17 +204,6 @@ inline std::uint32_t circulant_fwd_neighbor(const ImplicitDesc& d,
   const std::uint32_t k = d.q;
   if (u < n - k) return rank < k ? u + 1 + rank : n - k + u + (rank - k);
   return u + 1 + rank;
-}
-inline std::uint32_t circulant_edge_id(const ImplicitDesc& d, std::uint32_t v,
-                                       std::uint32_t i) {
-  const std::uint32_t n = d.p;
-  const std::uint32_t k = d.q;
-  const std::uint32_t w = circulant_neighbor(d, v, i);
-  const std::uint32_t u = v < w ? v : w;
-  const std::uint32_t x = v < w ? w : v;
-  const std::uint32_t rank =
-      x <= u + k ? x - u - 1 : k + (x - (n - k + u));
-  return static_cast<std::uint32_t>(circulant_fwd_offset(d, u) + rank);
 }
 
 }  // namespace implicit_detail
@@ -305,23 +237,7 @@ inline std::uint32_t implicit_neighbor(const ImplicitDesc& d, std::uint32_t v,
   return 0;
 }
 
-inline std::uint32_t implicit_edge_id(const ImplicitDesc& d, std::uint32_t v,
-                                      std::uint32_t i) {
-  switch (d.kind) {
-    case ImplicitKind::star: return implicit_detail::star_edge_id(v, i);
-    case ImplicitKind::cycle: return implicit_detail::cycle_edge_id(d, v, i);
-    case ImplicitKind::complete:
-      return implicit_detail::complete_edge_id(d, v, i);
-    case ImplicitKind::grid: return implicit_detail::grid_edge_id(d, v, i);
-    case ImplicitKind::torus: return implicit_detail::torus_edge_id(d, v, i);
-    case ImplicitKind::circulant:
-      return implicit_detail::circulant_edge_id(d, v, i);
-    case ImplicitKind::none: break;
-  }
-  return 0;
-}
-
-// Endpoints (u, v) with u < v of edge id e: binary search on the monotone
+// Endpoints (u, v) with u < v of edge e: binary search on the monotone
 // forward-offset curve, then index the owner's forward list. O(log n).
 std::pair<std::uint32_t, std::uint32_t> implicit_edge_endpoints(
     const ImplicitDesc& d, std::uint32_t e);

@@ -24,11 +24,10 @@
 namespace rumor {
 
 // Transmission-model fields (core/transmission) materialized per (graph,
-// parameters) binding: the per-vertex receive probabilities, the CSR-slot
-// aligned per-edge copies, and the blocked set. Cached by graph uid +
-// parameters so steady-state trials on one graph rebuild nothing; vectors
-// keep their capacity across rebinds, so rebinding allocates only at a new
-// high-water mark.
+// parameters) binding: the per-vertex receive probabilities and the
+// blocked set. Cached by graph uid + parameters so steady-state trials on
+// one graph rebuild nothing; vectors keep their capacity across rebinds,
+// so rebinding allocates only at a new high-water mark.
 struct TransmissionScratch {
   std::uint64_t graph_uid = 0;  // 0 = empty cache
   double tp = 1.0;
@@ -36,12 +35,6 @@ struct TransmissionScratch {
   double block_fraction = 0.0;
   bool degree_scaled = false;
   std::vector<float> vertex_success;   // n entries
-  std::vector<float> edge_success;     // 2m entries, CSR-slot aligned
-  // Implicit-backend graphs have no CSR offsets array; when a traced bind
-  // needs the slot-aligned edge field, the degree prefix sums are
-  // materialized here (n + 1 entries) so attempt_slot keeps its one-load
-  // indexing on every backend.
-  std::vector<std::uint32_t> implicit_offsets;
   // Field extrema, recorded at build time: a constant sub-1 field
   // (min == max < 1) is what licenses the geometric skip-sampling mode.
   float field_min = 1.0f;
@@ -91,7 +84,6 @@ struct TrialArena {
   std::vector<std::uint32_t> wake_next;   // per-vertex chain link
   std::vector<std::uint64_t> wake_round;  // per-vertex wake round (far only)
   std::vector<std::uint32_t> curve;     // informed-curve trace
-  std::vector<std::uint64_t> edge_traffic;  // per-edge trace counters
 
   // Multi-rumor scratch: per-vertex / per-agent rumor bitmasks, their
   // round-start snapshots, and the (≤ 64-entry) per-rumor bookkeeping.

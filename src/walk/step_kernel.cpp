@@ -33,9 +33,8 @@ inline void prefetch(const void* p) {
 // Checked scalar reference: one agent at a time through the public Graph
 // API. Shares the draw helpers with the batched engine, so trajectories are
 // bit-identical across engines.
-template <bool kLazy, bool kTraced>
-void step_scalar(const Graph& g, std::span<Vertex> positions, Rng& rng,
-                 std::uint64_t* traffic) {
+template <bool kLazy>
+void step_scalar(const Graph& g, std::span<Vertex> positions, Rng& rng) {
   for (Vertex& p : positions) {
     const Vertex v = p;
     const std::uint32_t deg = g.degree(v);
@@ -45,16 +44,14 @@ void step_scalar(const Graph& g, std::span<Vertex> positions, Rng& rng,
     } else {
       slot = word_below(rng, deg);
     }
-    if constexpr (kTraced) ++traffic[g.edge_id(v, slot)];
     p = g.neighbor(v, slot);
   }
 }
 
 // Batched engine, irregular degrees: unchecked CSR, two-stage prefetch
 // pipeline, Lemire slot draw (identical to Rng::below).
-template <bool kLazy, bool kTraced>
-void step_batched(const CsrView csr, std::span<Vertex> positions, Rng& rng,
-                  std::uint64_t* traffic) {
+template <bool kLazy>
+void step_batched(const CsrView csr, std::span<Vertex> positions, Rng& rng) {
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
   for (std::size_t i = 0; i < count; ++i) {
@@ -75,7 +72,6 @@ void step_batched(const CsrView csr, std::span<Vertex> positions, Rng& rng,
     } else {
       slot = word_below(rng, deg);
     }
-    if constexpr (kTraced) ++traffic[csr.edge_ids[off + slot]];
     pos[i] = csr.neighbors[off + slot];
   }
 }
@@ -83,10 +79,9 @@ void step_batched(const CsrView csr, std::span<Vertex> positions, Rng& rng,
 // Batched engine, regular graphs: every row starts at v * deg, so the
 // offsets array is never touched — one random memory stream instead of
 // two, and the row prefetch needs no pipeline stage.
-template <bool kLazy, bool kTraced>
+template <bool kLazy>
 void step_batched_regular(const CsrView csr, std::uint32_t deg,
-                          std::span<Vertex> positions, Rng& rng,
-                          std::uint64_t* traffic) {
+                          std::span<Vertex> positions, Rng& rng) {
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
   auto body = [&](std::size_t i) {
@@ -98,7 +93,6 @@ void step_batched_regular(const CsrView csr, std::uint32_t deg,
     } else {
       slot = word_below(rng, deg);
     }
-    if constexpr (kTraced) ++traffic[csr.edge_ids[off + slot]];
     pos[i] = csr.neighbors[off + slot];
   };
   const std::size_t main_end =
@@ -118,10 +112,9 @@ void step_batched_regular(const CsrView csr, std::uint32_t deg,
 // 64-bit word — no 128-bit multiply, no rejection branch, and bit-identical
 // to the general path. This is the mask/shift fast path for the
 // regular-graph bench families.
-template <bool kLazy, bool kTraced>
+template <bool kLazy>
 void step_batched_regular_pow2(const CsrView csr, std::uint32_t deg,
-                               std::span<Vertex> positions, Rng& rng,
-                               std::uint64_t* traffic) {
+                               std::span<Vertex> positions, Rng& rng) {
   const int log2deg = std::countr_zero(deg);
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
@@ -138,7 +131,6 @@ void step_batched_regular_pow2(const CsrView csr, std::uint32_t deg,
       // Rng::below(2^k) == x >> (64 - k); double shift handles deg == 1.
       slot = static_cast<std::uint32_t>((x >> 1) >> (63 - log2deg));
     }
-    if constexpr (kTraced) ++traffic[csr.edge_ids[off + slot]];
     pos[i] = csr.neighbors[off + slot];
   };
   // Main loop prefetches unconditionally, 4x unrolled to amortize loop
@@ -176,15 +168,15 @@ void step_batched_regular_pow2(const CsrView csr, std::uint32_t deg,
   for (; i < count; ++i) body(i);
 }
 
-// Batched engine, implicit backend: degree, neighbor, and edge id are
-// closed-form arithmetic, so there is no memory stream to prefetch — the
+// Batched engine, implicit backend: degree and neighbor are closed-form
+// arithmetic, so there is no memory stream to prefetch — the
 // loop is draw-dominated. The draw helpers are shared with every other
 // path (and the pow2 shift path is bit-identical to them by construction),
 // so the trajectory for a seed is the same one the materialized backend
 // would produce.
-template <bool kLazy, bool kTraced>
+template <bool kLazy>
 void step_implicit(const ImplicitDesc& d, std::span<Vertex> positions,
-                   Rng& rng, std::uint64_t* traffic) {
+                   Rng& rng) {
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
   for (std::size_t i = 0; i < count; ++i) {
@@ -196,7 +188,6 @@ void step_implicit(const ImplicitDesc& d, std::span<Vertex> positions,
     } else {
       slot = word_below(rng, deg);
     }
-    if constexpr (kTraced) ++traffic[implicit_edge_id(d, v, slot)];
     pos[i] = implicit_neighbor(d, v, slot);
   }
 }
@@ -205,29 +196,27 @@ void step_implicit(const ImplicitDesc& d, std::span<Vertex> positions,
 // arithmetic loop, regular power-of-two degrees take the shift path,
 // regular degrees skip the offsets stream, everything else runs the
 // two-stage prefetch pipeline.
-template <bool kLazy, bool kTraced>
-void dispatch_batched(const Graph& g, std::span<Vertex> positions, Rng& rng,
-                      std::uint64_t* traffic) {
+template <bool kLazy>
+void dispatch_batched(const Graph& g, std::span<Vertex> positions, Rng& rng) {
   if (g.is_implicit()) {
-    step_implicit<kLazy, kTraced>(g.implicit_desc(), positions, rng, traffic);
+    step_implicit<kLazy>(g.implicit_desc(), positions, rng);
   } else if (g.is_regular() && g.degrees_all_pow2()) {
-    step_batched_regular_pow2<kLazy, kTraced>(g.csr(), g.min_degree(),
-                                              positions, rng, traffic);
+    step_batched_regular_pow2<kLazy>(g.csr(), g.min_degree(), positions,
+                                     rng);
   } else if (g.is_regular()) {
-    step_batched_regular<kLazy, kTraced>(g.csr(), g.min_degree(), positions,
-                                         rng, traffic);
+    step_batched_regular<kLazy>(g.csr(), g.min_degree(), positions, rng);
   } else {
-    step_batched<kLazy, kTraced>(g.csr(), positions, rng, traffic);
+    step_batched<kLazy>(g.csr(), positions, rng);
   }
 }
 
-template <bool kLazy, bool kTraced>
+template <bool kLazy>
 void dispatch(const Graph& g, std::span<Vertex> positions, Rng& rng,
-              std::uint64_t* traffic, StepEngine engine) {
+              StepEngine engine) {
   if (engine == StepEngine::scalar_checked) {
-    step_scalar<kLazy, kTraced>(g, positions, rng, traffic);
+    step_scalar<kLazy>(g, positions, rng);
   } else {
-    dispatch_batched<kLazy, kTraced>(g, positions, rng, traffic);
+    dispatch_batched<kLazy>(g, positions, rng);
   }
 }
 
@@ -274,25 +263,15 @@ void step_walks_sharded(const Graph& g, std::span<Vertex> positions,
 }
 
 void step_walks(const Graph& g, std::span<Vertex> positions, Rng& rng,
-                Laziness lazy, std::uint64_t* edge_traffic,
-                StepEngine engine) {
+                Laziness lazy, StepEngine engine) {
   // The single process-boundary validation the unchecked inner loops rely
   // on: a walk step is defined from every vertex, and every position a
   // simulator hands us was produced by placement or a previous step.
   RUMOR_CHECK(g.min_degree() > 0);
-  const bool lazy_half = lazy == Laziness::half;
-  if (edge_traffic != nullptr) {
-    if (lazy_half) {
-      dispatch<true, true>(g, positions, rng, edge_traffic, engine);
-    } else {
-      dispatch<false, true>(g, positions, rng, edge_traffic, engine);
-    }
+  if (lazy == Laziness::half) {
+    dispatch<true>(g, positions, rng, engine);
   } else {
-    if (lazy_half) {
-      dispatch<true, false>(g, positions, rng, nullptr, engine);
-    } else {
-      dispatch<false, false>(g, positions, rng, nullptr, engine);
-    }
+    dispatch<false>(g, positions, rng, engine);
   }
 }
 

@@ -18,10 +18,9 @@
 //    cannot change a seeded trajectory.
 //
 // The batched loop and the checked scalar reference consume the RNG
-// identically, and the traced variant consumes it identically to the
-// untraced one — so enabling tracing never changes the simulated
-// trajectory for a given seed. The scalar loop is retained as the
-// differential baseline for the equivalence tests and benchmarks.
+// identically, so they produce the same trajectory for a given seed. The
+// scalar loop is retained as the differential baseline for the
+// equivalence tests and benchmarks.
 #pragma once
 
 #include <concepts>
@@ -90,13 +89,11 @@ template <class WordSource, std::unsigned_integral Bound>
 }
 
 // Advances every position one walk step in place (ascending index — the
-// paper's canonical agent order). If edge_traffic is non-null it must point
-// at g.num_edges() counters, and every traversal increments the traversed
-// edge's counter; the RNG consumption is identical either way. Requires
-// g.min_degree() > 0 and every position < g.num_vertices().
+// paper's canonical agent order). Requires g.min_degree() > 0 and every
+// position < g.num_vertices(). A walker's edge crossings show in its
+// positions: a move from u to v crosses {u, v}, a lazy stay crosses none.
 void step_walks(const Graph& g, std::span<Vertex> positions, Rng& rng,
-                Laziness lazy, std::uint64_t* edge_traffic = nullptr,
-                StepEngine engine = StepEngine::batched);
+                Laziness lazy, StepEngine engine = StepEngine::batched);
 
 // Frontier-sharded stepping: the walker span is split into balanced
 // contiguous ranges executed on the ambient shard_pool(). Walker i draws
@@ -106,8 +103,7 @@ void step_walks(const Graph& g, std::span<Vertex> positions, Rng& rng,
 // worker count, by construction. Trajectories differ from the serial
 // stepper above (a different draw plane), which is why sharding is an
 // explicit engine choice, not a transparent fast path. Position writes are
-// range-disjoint, so the parallel pass is race-free. Edge-traffic tracing
-// is not offered here: the sharded process constructors REQUIRE it off.
+// range-disjoint, so the parallel pass is race-free.
 void step_walks_sharded(const Graph& g, std::span<Vertex> positions,
                         std::uint64_t trial_seed, std::uint64_t round,
                         Laziness lazy, std::uint32_t shards);

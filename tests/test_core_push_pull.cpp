@@ -89,35 +89,6 @@ TEST(PushPull, InformRoundsTraceConsistent) {
   EXPECT_EQ(max_round, r.rounds);
 }
 
-TEST(PushPull, EdgeTrafficCountsEveryVertexEveryRound) {
-  // The exact-bandwidth path performs one call per vertex per round.
-  const Graph g = gen::complete(24);
-  PushPullOptions options;
-  options.trace.edge_traffic = true;
-  const RunResult r = run_push_pull(g, 0, 7, options);
-  ASSERT_TRUE(r.completed);
-  std::uint64_t total = 0;
-  for (std::uint64_t c : r.edge_traffic) total += c;
-  EXPECT_EQ(total, static_cast<std::uint64_t>(g.num_vertices()) * r.rounds);
-}
-
-TEST(PushPull, TrafficTraceDoesNotChangeLaw) {
-  // The traced (full-scan) and untraced (fast-path) simulators implement
-  // the same process: their mean broadcast times must agree.
-  const Graph g = gen::hypercube(8);
-  std::vector<double> fast, traced;
-  PushPullOptions traced_options;
-  traced_options.trace.edge_traffic = true;
-  for (std::uint64_t seed = 0; seed < 60; ++seed) {
-    fast.push_back(static_cast<double>(run_push_pull(g, 0, seed).rounds));
-    traced.push_back(static_cast<double>(
-        run_push_pull(g, 0, seed + 1000, traced_options).rounds));
-  }
-  const Summary fs = Summary::of(fast);
-  const Summary ts = Summary::of(traced);
-  EXPECT_NEAR(fs.mean, ts.mean, 4 * (fs.stderr_mean + ts.stderr_mean) + 0.5);
-}
-
 TEST(PushPull, CutoffReportsIncomplete) {
   const Graph g = gen::double_star(2000);
   PushPullOptions options;

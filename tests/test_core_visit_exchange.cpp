@@ -139,19 +139,6 @@ TEST(VisitExchange, OnePerVertexPlacementWorks) {
   EXPECT_TRUE(r.completed);
 }
 
-TEST(VisitExchange, EdgeTrafficSumsToAgentSteps) {
-  const Graph g = gen::complete(16);
-  WalkOptions options;
-  options.agent_count = 16;
-  options.trace.edge_traffic = true;
-  const RunResult r = run_visit_exchange(g, 0, 11, options);
-  ASSERT_TRUE(r.completed);
-  std::uint64_t total = 0;
-  for (std::uint64_t c : r.edge_traffic) total += c;
-  // Non-lazy: every agent crosses exactly one edge per round.
-  EXPECT_EQ(total, 16u * r.rounds);
-}
-
 TEST(VisitExchange, CutoffReportsIncomplete) {
   const Graph g = gen::heavy_binary_tree(4095);
   WalkOptions options;

@@ -3,10 +3,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 
 namespace rumor {
@@ -55,22 +56,38 @@ TEST(Graph, HasEdgeBothDirections) {
   EXPECT_FALSE(g2.has_edge(1, 3));
 }
 
-TEST(Graph, EdgeIdsAreConsistentAcrossOrientations) {
-  const Graph g = triangle();
-  // For every adjacency slot, the edge id must round-trip to endpoints
-  // containing both vertices.
-  std::set<EdgeId> seen;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    for (std::uint32_t i = 0; i < g.degree(v); ++i) {
-      const EdgeId e = g.edge_id(v, i);
-      seen.insert(e);
-      const auto [a, b] = g.edge_endpoints(e);
-      const Vertex w = g.neighbor(v, i);
-      EXPECT_TRUE((a == v && b == w) || (a == w && b == v));
-      EXPECT_LT(a, b);
-    }
+// edge_endpoints numbers the edges by their sorted (min, max) pairs:
+// over e in [0, m) it returns strictly increasing pairs, each an edge with
+// u < v, so it lists every edge exactly once. Sharded stationary placement
+// maps a drawn slot to a vertex through this numbering.
+void expect_edge_endpoints_sorted(const Graph& g) {
+  std::pair<Vertex, Vertex> prev{0, 0};
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const std::pair<Vertex, Vertex> uv = g.edge_endpoints(e);
+    EXPECT_LT(uv.first, uv.second) << "e=" << e;
+    EXPECT_TRUE(g.has_edge(uv.first, uv.second)) << "e=" << e;
+    if (e > 0) EXPECT_LT(prev, uv) << "e=" << e;
+    prev = uv;
   }
-  EXPECT_EQ(seen.size(), g.num_edges());  // ids are dense and all used
+}
+
+TEST(Graph, EdgeEndpointsListEdgesInSortedOrder) {
+  expect_edge_endpoints_sorted(triangle());
+  GraphBuilder star(9);
+  for (Vertex v = 1; v < 9; ++v) star.add_edge(v, 0);
+  expect_edge_endpoints_sorted(star.build());
+  Rng rng(3);
+  const Graph regular = gen::random_regular(64, 5, rng);
+  expect_edge_endpoints_sorted(regular);
+  // The sharded owned build numbers edges the same way whatever the input
+  // order and orientation.
+  std::vector<std::pair<Vertex, Vertex>> reversed;
+  for (EdgeId e = regular.num_edges(); e-- > 0;) {
+    const auto [u, v] = regular.edge_endpoints(e);
+    reversed.emplace_back(v, u);
+  }
+  expect_edge_endpoints_sorted(
+      Graph::build_owned(regular.num_vertices(), reversed, 4));
 }
 
 TEST(Graph, RandomNeighborIsAlwaysAdjacent) {
@@ -96,15 +113,6 @@ TEST(Graph, RandomNeighborUniformity) {
   for (int i = 0; i < kDraws; ++i) ++counts[g.random_neighbor(0, rng)];
   for (Vertex v = 1; v < 5; ++v) {
     EXPECT_NEAR(counts[v], kDraws / 4.0, 5 * std::sqrt(kDraws / 4.0));
-  }
-}
-
-TEST(Graph, RandomNeighborSlotMatchesNeighbor) {
-  const Graph g = triangle();
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) {
-    const auto [v, slot] = g.random_neighbor_slot(1, rng);
-    EXPECT_EQ(g.neighbor(1, slot), v);
   }
 }
 

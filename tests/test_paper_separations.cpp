@@ -11,6 +11,7 @@
 #include <cmath>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/meet_exchange.hpp"
@@ -191,63 +192,95 @@ TEST(Theorems24And25, LogarithmicLowerBoundsOnRegularGraphs) {
 // (2048 leaves per star, source 2, a fixed 400-round window, 8 trials of
 // each protocol) push-pull calls the center-center bridge O(1/n) times per
 // round while visit-exchange walks across it at a constant rate, and only
-// push-pull starves an edge — why the agent protocols win Fig. 1(b). The
-// per-edge traffic trace never reaches a scenario row, so the claim lives
-// here.
+// push-pull starves an edge — why the agent protocols win Fig. 1(b). No
+// scenario row can show per-edge traffic, so the claim lives here, and the
+// test counts the traffic itself, keyed by each edge's index in
+// edge_endpoints order. Push-pull's calls do not depend on the rumor:
+// every vertex calls one uniform neighbour per round, drawn as the
+// simulator draws it (g.random_neighbor(u, rng) in vertex order on the
+// trial's Rng). A walker's crossings show in its positions around each
+// step(): graphs are simple, so a move from u to v crosses {u, v}. The
+// visit-exchange half runs on the serial and on the shards=1 engine.
 TEST(BandwidthFairness, PushPullStarvesTheDoubleStarBridge) {
   constexpr Vertex kLeaves = 1 << 11;
   constexpr Round kHorizon = 400;
   constexpr std::uint64_t kSeed = 20190729;
   const Graph g = gen::double_star(kLeaves);
-  EdgeId bridge = 0;
-  for (std::uint32_t i = 0; i < g.degree(0); ++i) {
-    if (g.neighbor(0, i) == 1) bridge = g.edge_id(0, i);
+  std::vector<std::pair<Vertex, Vertex>> edges;  // sorted (min, max) pairs
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    edges.push_back(g.edge_endpoints(e));
   }
+  const auto edge_index = [&](Vertex u, Vertex v) {
+    const std::pair<Vertex, Vertex> key{std::min(u, v), std::max(u, v)};
+    return static_cast<std::size_t>(
+        std::lower_bound(edges.begin(), edges.end(), key) - edges.begin());
+  };
   // Mean over trials of bridge crossings per round and of the smallest
   // edge's traffic relative to the mean edge's.
   struct Traffic {
-    EdgeId bridge;
+    std::size_t bridge;
     std::vector<double> bridge_per_round;
     std::vector<double> min_over_mean;
-    void add(std::span<const std::uint64_t> edges) {
-      bridge_per_round.push_back(static_cast<double>(edges[bridge]) /
+    void add(std::span<const std::uint64_t> counts) {
+      bridge_per_round.push_back(static_cast<double>(counts[bridge]) /
                                  static_cast<double>(kHorizon));
       std::uint64_t total = 0;
-      for (const std::uint64_t c : edges) total += c;
+      for (const std::uint64_t c : counts) total += c;
       const double mean =
-          static_cast<double>(total) / static_cast<double>(edges.size());
+          static_cast<double>(total) / static_cast<double>(counts.size());
       min_over_mean.push_back(
           mean > 0 ? static_cast<double>(
-                         *std::min_element(edges.begin(), edges.end())) /
+                         *std::min_element(counts.begin(), counts.end())) /
                          mean
                    : 0.0);
     }
   };
+  const std::size_t bridge = edge_index(0, 1);
   Traffic ppull{bridge, {}, {}};
-  Traffic visitx{bridge, {}, {}};
+  constexpr std::uint32_t kVisitShards[] = {0, 1};  // serial, sharded
+  Traffic visitx[2] = {{bridge, {}, {}}, {bridge, {}, {}}};
   for (std::size_t i = 0; i < 8; ++i) {
-    PushPullOptions pp_options;
-    pp_options.trace.edge_traffic = true;
-    pp_options.max_rounds = kHorizon;  // run the full window even if done
-    PushPullProcess pp(g, 2, derive_seed(kSeed, i), pp_options);
-    for (Round t = 0; t < kHorizon; ++t) pp.step();
-    ppull.add(pp.run().edge_traffic);
+    std::vector<std::uint64_t> calls(edges.size(), 0);
+    Rng rng(derive_seed(kSeed, i));
+    for (Round t = 0; t < kHorizon; ++t) {
+      for (Vertex u = 0; u < g.num_vertices(); ++u) {
+        ++calls[edge_index(u, g.random_neighbor(u, rng))];
+      }
+    }
+    ppull.add(calls);
 
-    WalkOptions vx_options;
-    vx_options.trace.edge_traffic = true;
-    VisitExchangeProcess vx(g, 2, derive_seed(kSeed + 7, i), vx_options);
-    for (Round t = 0; t < kHorizon; ++t) vx.step();
-    visitx.add(vx.run().edge_traffic);
+    for (std::size_t engine = 0; engine < 2; ++engine) {
+      WalkOptions vx_options;
+      vx_options.shards = kVisitShards[engine];
+      VisitExchangeProcess vx(g, 2, derive_seed(kSeed + 7, i), vx_options);
+      std::vector<std::uint64_t> crossings(edges.size(), 0);
+      std::vector<Vertex> before;
+      for (Round t = 0; t < kHorizon; ++t) {
+        const auto start = vx.agents().positions();
+        before.assign(start.begin(), start.end());
+        vx.step();
+        const auto end = vx.agents().positions();
+        for (std::size_t a = 0; a < before.size(); ++a) {
+          if (end[a] != before[a]) ++crossings[edge_index(before[a], end[a])];
+        }
+      }
+      visitx[engine].add(crossings);
+    }
   }
   const double ppull_bridge = Summary::of(ppull.bridge_per_round).mean;
-  const double visitx_bridge = Summary::of(visitx.bridge_per_round).mean;
   EXPECT_LT(ppull_bridge, 20.0 / kLeaves);  // O(1/n) per round
-  EXPECT_GT(visitx_bridge, 0.3);            // Theta(1) per round
-  // The fairness gap that explains the Fig. 1(b) separation.
-  EXPECT_GT(visitx_bridge / std::max(ppull_bridge, 1e-9), kLeaves / 20.0);
-  // No edge starves under visit-exchange; push-pull starves the bridge.
-  EXPECT_GT(Summary::of(visitx.min_over_mean).mean, 0.3);
+  // Push-pull starves the bridge.
   EXPECT_LT(Summary::of(ppull.min_over_mean).mean, 0.05);
+  for (std::size_t engine = 0; engine < 2; ++engine) {
+    SCOPED_TRACE(kVisitShards[engine]);
+    const double visitx_bridge =
+        Summary::of(visitx[engine].bridge_per_round).mean;
+    EXPECT_GT(visitx_bridge, 0.3);  // Theta(1) per round
+    // The fairness gap that explains the Fig. 1(b) separation.
+    EXPECT_GT(visitx_bridge / std::max(ppull_bridge, 1e-9), kLeaves / 20.0);
+    // No edge starves under visit-exchange.
+    EXPECT_GT(Summary::of(visitx[engine].min_over_mean).mean, 0.3);
+  }
 }
 
 }  // namespace

@@ -183,8 +183,9 @@ TEST(ProtocolSpecText, RejectsUnknownProtocolsKeysAndBadValues) {
   EXPECT_FALSE(ProtocolSpec::parse("multi-push-pull(rumors=65)", &error));
   EXPECT_FALSE(ProtocolSpec::parse("async(pull=sometimes)", &error));
   // Retired keys: per-call loss q is tp=1-q, every walk simulator runs
-  // the one batched stepper, and the inform-round and edge-traffic traces
-  // never reach a TrialSet (C++ callers set TraceOptions directly).
+  // the one batched stepper, the inform-round trace never reaches a
+  // TrialSet (C++ callers set TraceOptions directly), and there is no
+  // edge-traffic trace.
   for (const char* text :
        {"push(loss=0.1)", "push-pull(loss=0.1)",
         "visit-exchange(engine=scalar)", "meet-exchange(engine=counter)",
@@ -265,9 +266,8 @@ TEST(ProtocolSpecText, FormattersNeverEmitKeysTheirParserRejects) {
   EXPECT_EQ(reparsed_pp->multi().walk.max_rounds, 700u);
 
   ProtocolSpec dynamic = default_spec(Protocol::dynamic_agent);
-  dynamic.dynamic_agent().walk.lazy = LazyMode::always;    // not honored
-  dynamic.dynamic_agent().walk.trace.edge_traffic = true;  // not honored
-  dynamic.dynamic_agent().churn = 0.25;                    // honored
+  dynamic.dynamic_agent().walk.lazy = LazyMode::always;  // not honored
+  dynamic.dynamic_agent().churn = 0.25;                  // honored
   const auto reparsed_dyn = ProtocolSpec::parse(dynamic.name(), &error);
   ASSERT_TRUE(reparsed_dyn) << dynamic.name() << ": " << error;
   EXPECT_EQ(reparsed_dyn->dynamic_agent().churn, 0.25);

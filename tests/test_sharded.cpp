@@ -215,20 +215,8 @@ TEST(ShardSpec, AutoWidthCutsPartitionsPerWorker) {
 }
 
 TEST(ShardSpec, ScenarioValidationRejectsIncompatibleCombos) {
-  // The exact-bandwidth edge_traffic trace needs the serial engine, and it
-  // is not a scenario key (TraceOptions keeps it for C++ callers), so no
-  // sharded scenario can ask for it: the lines fail to parse.
-  for (const char* line :
-       {"cycle(n=64) push(shards=2,edge_traffic=on)",
-        "cycle(n=64) push-pull(shards=2,edge_traffic=on)",
-        "cycle(n=64) visit-exchange(shards=2,edge_traffic=on)",
-        "cycle(n=64) meet-exchange(shards=2,edge_traffic=on)"}) {
-    std::string error;
-    EXPECT_FALSE(ScenarioSpec::parse(line, &error)) << line;
-    EXPECT_NE(error.find("edge_traffic"), std::string::npos)
-        << line << ": " << error;
-  }
-  // The compatible forms pass validation.
+  // No trace a scenario can ask for needs the serial engine: a sharded
+  // line with the one trace key passes validation.
   std::string error;
   const auto ok =
       ScenarioSpec::parse("cycle(n=64) push(shards=2,curve=on)", &error);
@@ -668,7 +656,6 @@ TEST(ShardedCsrBuild, ContentIdenticalAcrossWidths) {
     for (Vertex v = 0; v <= n; ++v) EXPECT_EQ(a.offsets[v], b.offsets[v]);
     for (std::size_t i = 0; i < 2 * ref.num_edges(); ++i) {
       ASSERT_EQ(a.neighbors[i], b.neighbors[i]) << "slot " << i;
-      ASSERT_EQ(a.edge_ids[i], b.edge_ids[i]) << "slot " << i;
     }
     for (EdgeId e = 0; e < ref.num_edges(); ++e) {
       EXPECT_EQ(g.edge_endpoints(e), ref.edge_endpoints(e));

@@ -1,15 +1,12 @@
 // Batched walk-kernel tests: equivalence with the checked scalar
 // reference (bit-identical trajectories), the power-of-two fast path, the
-// fused lazy draw, traced-vs-untraced RNG determinism (the
-// visit/meet-exchange divergence fix), and the sharded stepper's
-// per-walker draws (uniform neighbor picks and lazy coin).
+// fused lazy draw, and the sharded stepper's per-walker draws (uniform
+// neighbor picks and lazy coin).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "core/meet_exchange.hpp"
-#include "core/visit_exchange.hpp"
 #include "graph/generators.hpp"
 #include "walk/step_kernel.hpp"
 
@@ -39,40 +36,15 @@ TEST(StepKernel, EnginesProduceIdenticalTrajectories) {
         std::vector<Vertex> pos_a(g.num_vertices());
         for (Vertex v = 0; v < g.num_vertices(); ++v) pos_a[v] = v;
         std::vector<Vertex> pos_b = pos_a;
-        std::vector<std::uint64_t> traffic_a(g.num_edges(), 0);
-        std::vector<std::uint64_t> traffic_b(g.num_edges(), 0);
         for (int round = 0; round < 20; ++round) {
-          step_walks(g, pos_a, rng_a, lazy, traffic_a.data(),
-                     StepEngine::batched);
-          step_walks(g, pos_b, rng_b, lazy, traffic_b.data(),
-                     StepEngine::scalar_checked);
+          step_walks(g, pos_a, rng_a, lazy, StepEngine::batched);
+          step_walks(g, pos_b, rng_b, lazy, StepEngine::scalar_checked);
         }
         EXPECT_EQ(pos_a, pos_b) << "lazy=" << (lazy == Laziness::half)
                                 << " seed=" << seed;
-        EXPECT_EQ(traffic_a, traffic_b);
         // Engines must also have consumed the same number of draws.
         EXPECT_EQ(rng_a(), rng_b());
       }
-    }
-  }
-}
-
-// Tracing must observe the walk, not perturb it: with identical seeds the
-// traced and untraced kernels yield identical positions.
-TEST(StepKernel, TracedAndUntracedConsumeRngIdentically) {
-  for (const Graph& g : test_graphs()) {
-    for (Laziness lazy : {Laziness::none, Laziness::half}) {
-      Rng rng_a(7), rng_b(7);
-      std::vector<Vertex> pos_a(g.num_vertices());
-      for (Vertex v = 0; v < g.num_vertices(); ++v) pos_a[v] = v;
-      std::vector<Vertex> pos_b = pos_a;
-      std::vector<std::uint64_t> traffic(g.num_edges(), 0);
-      for (int round = 0; round < 20; ++round) {
-        step_walks(g, pos_a, rng_a, lazy, traffic.data());
-        step_walks(g, pos_b, rng_b, lazy, nullptr);
-      }
-      EXPECT_EQ(pos_a, pos_b);
-      EXPECT_EQ(rng_a(), rng_b());
     }
   }
 }
@@ -162,43 +134,6 @@ TEST(StepKernel, FusedLazyDrawUniformOnOddDegree) {
   const double expected = (draws - stayed) / 3.0;
   for (Vertex w : g.neighbors(start)) {
     EXPECT_NEAR(hits[w], expected, 5 * std::sqrt(expected)) << "w=" << w;
-  }
-}
-
-// The regression test for the RNG-draw divergence bug: with Laziness::half,
-// enabling edge tracing used to consume draws in a different order than the
-// plain path, so the same seed simulated a different trajectory. Both paths
-// now run the same kernel; rounds must match exactly.
-TEST(StepKernel, TracingDoesNotChangeVisitExchangeTrajectory) {
-  for (const Graph& g : test_graphs()) {
-    for (LazyMode lazy : {LazyMode::never, LazyMode::always}) {
-      for (std::uint64_t seed = 0; seed < 8; ++seed) {
-        WalkOptions plain;
-        plain.lazy = lazy;
-        WalkOptions traced = plain;
-        traced.trace.edge_traffic = true;
-        const RunResult rp = run_visit_exchange(g, 0, seed, plain);
-        const RunResult rt = run_visit_exchange(g, 0, seed, traced);
-        EXPECT_EQ(rp.rounds, rt.rounds)
-            << "lazy=" << static_cast<int>(lazy) << " seed=" << seed;
-        EXPECT_EQ(rp.agent_rounds, rt.agent_rounds);
-        EXPECT_EQ(rp.completed, rt.completed);
-      }
-    }
-  }
-}
-
-TEST(StepKernel, TracingDoesNotChangeMeetExchangeTrajectory) {
-  for (const Graph& g : test_graphs()) {
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      WalkOptions plain = MeetExchangeProcess::default_options();
-      WalkOptions traced = plain;
-      traced.trace.edge_traffic = true;
-      const RunResult rp = run_meet_exchange(g, 0, seed, plain);
-      const RunResult rt = run_meet_exchange(g, 0, seed, traced);
-      EXPECT_EQ(rp.rounds, rt.rounds) << "seed=" << seed;
-      EXPECT_EQ(rp.completed, rt.completed);
-    }
   }
 }
 

@@ -154,7 +154,6 @@ TraceOptions all_traces() {
   TraceOptions t;
   t.informed_curve = true;
   t.inform_rounds = true;
-  t.edge_traffic = true;
   return t;
 }
 
@@ -167,7 +166,6 @@ void expect_same(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.stifled_curve, b.stifled_curve);
   EXPECT_EQ(a.vertex_inform_round, b.vertex_inform_round);
   EXPECT_EQ(a.agent_inform_round, b.agent_inform_round);
-  EXPECT_EQ(a.edge_traffic, b.edge_traffic);
 }
 
 TEST(TrialArena, ArenaAndOwnedTrialsAgreeAcrossProtocolsAndGraphs) {
@@ -344,9 +342,9 @@ TEST(TrialArena, SteadyStateFrogTrialsAllocateNothing) {
 }
 
 // Satellite: the transmission-model field path. The per-vertex receive
-// field, the CSR-aligned per-edge field, and the blocked set are cached by
-// (graph uid, parameters) in the arena's TransmissionScratch, so repeated
-// heterogeneous trials rebuild and allocate nothing.
+// field and the blocked set are cached by (graph uid, parameters) in the
+// arena's TransmissionScratch, so repeated heterogeneous trials rebuild
+// and allocate nothing.
 TEST(TrialArena, HeterogeneousTransmissionSteadyStateAllocatesNothing) {
   const Graph g = gen::circulant(256, 8);
   TrialArena arena;
@@ -359,32 +357,6 @@ TEST(TrialArena, HeterogeneousTransmissionSteadyStateAllocatesNothing) {
         "multi-visit-exchange(rumors=4,tp=0.5)", "async(tp=0.5)"}) {
     expect_zero_alloc_steady_state(g, spec, arena);
   }
-}
-
-TEST(TrialArena, PerEdgeFieldStepPathAllocatesNothing) {
-  // The CSR-slot-aligned per-edge field is what the edge-traffic traced
-  // contact sites read (attempt_slot); stepping with a warm arena — no
-  // result materialization — must be allocation-free.
-  const Graph g = gen::circulant(256, 8);
-  TrialArena arena;
-  PushOptions options;
-  options.transmission.degree_scaled = true;
-  options.transmission.tp_exponent = -0.5;
-  options.trace.edge_traffic = true;
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {  // warm the buffers
-    PushProcess process(g, 0, seed, options, &arena);
-    for (int s = 0; s < 8; ++s) process.step();
-  }
-  test_alloc::g_allocations.store(0);
-  test_alloc::g_count.store(true);
-  std::uint64_t acc = 0;
-  for (std::uint64_t seed = 4; seed < 12; ++seed) {
-    PushProcess process(g, 0, seed, options, &arena);
-    for (int s = 0; s < 8; ++s) process.step();
-    acc += process.informed_count();
-  }
-  test_alloc::g_count.store(false);
-  EXPECT_EQ(test_alloc::g_allocations.load(), 0u) << "(informed acc " << acc << ")";
 }
 
 TEST(TrialArena, SteadyStateMultiRumorTrialsAllocateNothing) {
