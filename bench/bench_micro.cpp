@@ -578,58 +578,6 @@ void BM_ShardedHybridK(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedHybridK)->UseRealTime();
 
-// BM_ShardedCsrBuild: the owned-CSR construction path at explicit width 1
-// vs. 4 on the same fixed pool. The input is a 10^7-edge degree-4
-// circulant emitted in a strided permutation (stride coprime to m), so
-// the parallel chunk-sort + merge does real reordering work instead of
-// detecting sorted input. Content is byte-identical across widths (the
-// tier-1 ShardedCsrBuild tests pin that), so the K/1 ratio is pure
-// build-parallelism: sort, reverse-index, degree count, and the
-// first-touch row fill.
-
-constexpr Vertex kCsrBuildVertices = 5'000'000;
-
-const std::vector<std::pair<Vertex, Vertex>>& huge_edge_list() {
-  static const std::vector<std::pair<Vertex, Vertex>> edges = [] {
-    const std::size_t m = std::size_t{2} * kCsrBuildVertices;
-    constexpr std::size_t kStride = 7919;  // prime, coprime to m = 2^a 5^b
-    std::vector<std::pair<Vertex, Vertex>> out(m);
-    for (std::size_t e = 0; e < m; ++e) {
-      const auto u = static_cast<Vertex>(e % kCsrBuildVertices);
-      const auto v = static_cast<Vertex>(
-          (u + 1 + e / kCsrBuildVertices) % kCsrBuildVertices);
-      out[(e * kStride) % m] = {u, v};
-    }
-    return out;
-  }();
-  return edges;
-}
-
-void sharded_csr_build_bench(benchmark::State& state, std::uint32_t shards) {
-  const auto& edges = huge_edge_list();
-  ThreadPool pool(4);
-  ThreadPool* prev = set_shard_pool(&pool);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        Graph::build_owned(kCsrBuildVertices, edges, shards).num_edges());
-  }
-  set_shard_pool(prev);
-  state.SetItemsProcessed(state.iterations() * edges.size());
-  state.counters["edges_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * edges.size(),
-      benchmark::Counter::kIsRate);
-}
-
-void BM_ShardedCsrBuild1(benchmark::State& state) {
-  sharded_csr_build_bench(state, 1);
-}
-BENCHMARK(BM_ShardedCsrBuild1)->UseRealTime();
-
-void BM_ShardedCsrBuildK(benchmark::State& state) {
-  sharded_csr_build_bench(state, 4);
-}
-BENCHMARK(BM_ShardedCsrBuildK)->UseRealTime();
-
 }  // namespace
 
 int main(int argc, char** argv) {

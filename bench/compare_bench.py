@@ -123,17 +123,6 @@ def load_rates(path):
 #                             0.35 threshold absorbs core-count variation;
 #                             a regression means the range fan-out itself
 #                             got slower relative to the inline path.
-#   ShardedCsrBuildK/ShardedCsrBuild1
-#                           — the parallel owned-CSR build contract: the
-#                             same 10^7-edge strided-permutation list
-#                             built at width 4 vs width 1, byte-identical
-#                             output (tier-1 pinned). Unlike the round
-#                             pairs the width-K build does real extra
-#                             work at 1 core (log(width) pairwise merge
-#                             passes over the chunk-sorted runs), so the
-#                             1-core ratio reads ~0.7, not ~1.0; the gate
-#                             pins that this serial-merge tax doesn't
-#                             silently grow. Same widened threshold.
 RATIO_SERIES = (
     ("Batched", "Scalar", 0.15),
     ("Registry", "Direct", 0.15),
@@ -146,7 +135,6 @@ RATIO_SERIES = (
     ("ShardedWalkK", "ShardedWalk1", 0.35),
     ("ShardedMeetK", "ShardedMeet1", 0.35),
     ("ShardedHybridK", "ShardedHybrid1", 0.35),
-    ("ShardedCsrBuildK", "ShardedCsrBuild1", 0.35),
 )
 
 # Absolute caps on the Uniform/Heterogeneous ratio itself: the

@@ -210,7 +210,7 @@ std::optional<CliOptions> parse_cli(int argc, char** argv) {
       cli.progress = true;
     } else if (arg.starts_with("--trials=")) {
       const auto v = spec_text::parse_u64(arg.substr(9));
-      if (!v || *v == 0) return std::nullopt;
+      if (!v || *v == 0 || *v > kMaxTrials) return std::nullopt;
       cli.trials = static_cast<std::size_t>(*v);
     } else if (arg.starts_with("--seed=")) {
       const auto v = spec_text::parse_u64(arg.substr(7));

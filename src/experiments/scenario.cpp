@@ -35,7 +35,7 @@ bool set_plan_option(TrialPlan& plan, std::string& label,
                      std::string* error) {
   if (key == "trials") {
     const auto v = spec_text::parse_u64(value);
-    if (!v || *v == 0) {
+    if (!v || *v == 0 || *v > kMaxTrials) {
       set_error(error, "bad value trials=" + std::string(value));
       return false;
     }
@@ -49,7 +49,9 @@ bool set_plan_option(TrialPlan& plan, std::string& label,
     plan.seed = *v;
   } else if (key == "source") {
     const auto v = spec_text::parse_u64(value);
-    if (!v) {
+    // No vertex id reaches kNoVertex; larger values would truncate in the
+    // Vertex cast.
+    if (!v || *v >= kNoVertex) {
       set_error(error, "bad value source=" + std::string(value));
       return false;
     }

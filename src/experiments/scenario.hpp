@@ -39,6 +39,10 @@ struct Claim;  // experiments/claims.hpp
 // The master seed every runner defaults to (the PODC'19 date).
 constexpr std::uint64_t kDefaultMasterSeed = 20190729ULL;
 
+// The largest trial count a plan accepts (trials=, --trials=): serve
+// journals and claims trials by 32-bit index.
+constexpr std::uint64_t kMaxTrials = 0xFFFFFFFFULL;
+
 struct TrialPlan {
   std::size_t trials = 20;
   std::uint64_t seed = kDefaultMasterSeed;

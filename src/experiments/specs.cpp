@@ -71,10 +71,10 @@ ImplicitKind implicit_kind_of(Family family) {
   }
 }
 
-// Exact private footprint of an owned-CSR build: offsets (n+1 u32) +
-// neighbors (2m u32) + the (min, max) edge list (m x 8).
+// Exact private footprint of an owned-CSR build: offsets and fwd_offsets
+// (n+1 u32 each) + neighbors (2m u32).
 std::uint64_t owned_csr_bytes(std::uint64_t n, std::uint64_t m) {
-  return 4 * (n + 1) + 16 * m;
+  return 8 * (n + 1) + 8 * m;
 }
 
 const char* backend_choice_name(GraphBackendChoice choice) {

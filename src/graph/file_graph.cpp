@@ -25,6 +25,7 @@ namespace {
 //   offsets      (n + 1)   CSR row starts
 //   neighbors    (2m)      sorted per vertex
 //   fwd_offsets  (n + 1)   # edges whose min endpoint < u (edge_endpoints)
+// The three arrays are an owned Graph's CsrView, written verbatim.
 // Bump kCacheVersion whenever this layout changes; a version mismatch is
 // treated exactly like a stale cache.
 constexpr char kMagic[8] = {'R', 'U', 'M', 'R', 'C', 'S', 'R', '1'};
@@ -203,12 +204,6 @@ void build_cache(const std::string& path, const std::string& cache_path,
   const Graph g(parsed.n, parsed.edges);
   const GraphProperties& props = g.properties();  // one BFS, stored forever
 
-  // fwd_offsets[u] = # edges with min endpoint < u; the sorted edge list
-  // IS in (min, max) order, so a counting pass + prefix sum suffices.
-  std::vector<std::uint32_t> fwd(static_cast<std::size_t>(parsed.n) + 1, 0);
-  for (const auto& [u, v] : parsed.edges) ++fwd[u + 1];
-  for (std::size_t i = 1; i < fwd.size(); ++i) fwd[i] += fwd[i - 1];
-
   FileHeader h{};
   std::memcpy(h.magic, kMagic, sizeof(kMagic));
   h.version = kCacheVersion;
@@ -238,7 +233,7 @@ void build_cache(const std::string& path, const std::string& cache_path,
   }
   write_u32s(f, csr.offsets, n + 1, tmp);
   write_u32s(f, csr.neighbors, 2 * m, tmp);
-  write_u32s(f, fwd.data(), n + 1, tmp);
+  write_u32s(f, csr.fwd_offsets, n + 1, tmp);
   ok = std::fflush(f) == 0;
   ok = (std::fclose(f) == 0) && ok;
   if (!ok || std::rename(tmp.c_str(), cache_path.c_str()) != 0) {

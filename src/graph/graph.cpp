@@ -5,8 +5,6 @@
 #include <limits>
 #include <mutex>
 
-#include "support/thread_pool.hpp"
-
 namespace rumor {
 
 struct Graph::PropertyState {
@@ -17,64 +15,13 @@ struct Graph::PropertyState {
 
 namespace {
 
-// Backing store for the owned backend; shared by copies via payload_.
+// Backing store for the owned backend; shared by copies via payload_. The
+// same three arrays a mapped .rcsr cache holds.
 struct OwnedCsr {
-  std::vector<std::uint32_t> offsets;                 // n+1 entries
-  std::vector<Vertex> neighbors;                      // 2m, sorted per vertex
-  std::vector<std::pair<Vertex, Vertex>> edge_list;   // m entries, u < v
+  std::vector<std::uint32_t> offsets;      // n+1 entries
+  std::vector<Vertex> neighbors;           // 2m, sorted per vertex
+  std::vector<std::uint32_t> fwd_offsets;  // n+1: # edges with min < u
 };
-
-// Backing store for the sharded build path. Raw arrays instead of vectors:
-// vector::resize zero-fills every page on the allocating thread, which
-// would defeat NUMA first-touch placement — make_unique_for_overwrite
-// leaves the CSR pages untouched until the per-shard passes write them.
-struct ShardedCsr {
-  std::unique_ptr<std::uint32_t[]> offsets;                // n+1 entries
-  std::unique_ptr<Vertex[]> neighbors;                     // 2m, sorted
-  std::unique_ptr<std::pair<Vertex, Vertex>[]> edge_list;  // m, u < v
-};
-
-// Edge lists at or above this size build through the sharded path when the
-// public constructor picks the width (explicit build_owned widths are never
-// overridden). Matches the spirit of kShardAutoThreshold: only graphs big
-// enough that page placement and sort time matter pay the fan-out.
-constexpr std::size_t kShardedBuildEdgeThreshold = std::size_t{1} << 22;
-
-// Deterministic parallel sort: per-shard std::sort over the shard_range
-// chunks, then log2(width) levels of pairwise in-place merges. The result
-// is THE sorted order (comparison keys are unique in both uses), so the
-// output is independent of width and worker count by construction.
-template <class T>
-void sharded_sort(ThreadPool& pool, T* data, std::size_t count,
-                  std::uint32_t width) {
-  std::vector<std::size_t> cur(width + 1);
-  for (std::uint32_t s = 0; s < width; ++s) {
-    cur[s] = ThreadPool::shard_range(count, width, s).first;
-  }
-  cur[width] = count;
-  pool.parallel_for_ranges(
-      width, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t j = begin; j < end; ++j) {
-          std::sort(data + cur[j], data + cur[j + 1]);
-        }
-      });
-  while (cur.size() > 2) {
-    const std::size_t runs = cur.size() - 1;
-    const std::size_t pairs = runs / 2;
-    pool.parallel_for_ranges(
-        pairs, pairs, [&](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t q = begin; q < end; ++q) {
-            std::inplace_merge(data + cur[2 * q], data + cur[2 * q + 1],
-                               data + cur[2 * q + 2]);
-          }
-        });
-    std::vector<std::size_t> next;
-    next.reserve(pairs + 2);
-    for (std::size_t q = 0; q <= pairs; ++q) next.push_back(cur[2 * q]);
-    if (runs % 2 != 0) next.push_back(count);
-    cur = std::move(next);
-  }
-}
 
 }  // namespace
 
@@ -92,226 +39,64 @@ void Graph::prefill_properties(const GraphProperties& props) {
   });
 }
 
+// Counting build: degrees, then a scatter of each edge into both rows,
+// then a per-row pass that sorts (only rows the input order left unsorted),
+// rejects repeats and counts forward neighbors. Each row ends as its sorted
+// neighbor set whatever the input order or orientation, so the arrays are
+// a function of the edge set alone. Edge lists in (min, max) order — the
+// file parser's and most generators' — leave every row sorted.
 Graph::Graph(Vertex num_vertices,
-             std::span<const std::pair<Vertex, Vertex>> edges) {
-  // Auto width: huge edge lists build sharded over the ambient pool (the
-  // first shard_pool() call constructs the global pool — acceptable at
-  // this size, the build itself dwarfs it); everything else stays serial
-  // and never touches the pool.
-  std::uint32_t width = 1;
-  if (edges.size() >= kShardedBuildEdgeThreshold) {
-    width = static_cast<std::uint32_t>(shard_pool().worker_count());
-  }
-  init_owned(num_vertices, edges, width);
-}
-
-Graph Graph::build_owned(Vertex num_vertices,
-                         std::span<const std::pair<Vertex, Vertex>> edges,
-                         std::uint32_t shards) {
-  Graph g;
-  g.init_owned(num_vertices, edges, std::max<std::uint32_t>(shards, 1));
-  return g;
-}
-
-void Graph::init_owned(Vertex num_vertices,
-                       std::span<const std::pair<Vertex, Vertex>> edges,
-                       std::uint32_t build_width) {
-  n_ = num_vertices;
-  m_ = edges.size();
-  property_state_ = std::make_shared<PropertyState>();
+             std::span<const std::pair<Vertex, Vertex>> edges)
+    : n_(num_vertices),
+      m_(edges.size()),
+      property_state_(std::make_shared<PropertyState>()) {
   // The empty graph (no vertices, no edges) is representable so property
   // queries have a well-defined answer; simulators still require a valid
   // source vertex and therefore reject it.
   RUMOR_REQUIRE(num_vertices > 0 || edges.empty());
   RUMOR_REQUIRE(edges.size() < std::numeric_limits<EdgeId>::max() / 2);
-  if (build_width > 1 && !edges.empty()) {
-    build_owned_sharded(edges, build_width);
-  } else {
-    build_owned_serial(edges);
-  }
-}
-
-void Graph::build_owned_serial(std::span<const std::pair<Vertex, Vertex>> edges) {
   auto owned = std::make_shared<OwnedCsr>();
-  owned->edge_list.reserve(m_);
-  owned->offsets.assign(static_cast<std::size_t>(n_) + 1, 0);
   auto& offsets = owned->offsets;
-  auto& edge_list = owned->edge_list;
+  auto& neighbors = owned->neighbors;
+  auto& fwd = owned->fwd_offsets;
 
+  offsets.assign(static_cast<std::size_t>(n_) + 1, 0);
   for (const auto& [u, v] : edges) {
     RUMOR_REQUIRE(u < n_ && v < n_);
     RUMOR_REQUIRE(u != v);  // no self loops
-    edge_list.emplace_back(std::min(u, v), std::max(u, v));
     ++offsets[u + 1];
     ++offsets[v + 1];
   }
-
-  // Canonical edge order: sort endpoint pairs; also detects duplicates.
-  std::sort(edge_list.begin(), edge_list.end());
-  for (std::size_t e = 1; e < edge_list.size(); ++e) {
-    RUMOR_REQUIRE(edge_list[e] != edge_list[e - 1]);  // no multi-edges
-  }
-
   for (std::size_t v = 0; v < n_; ++v) offsets[v + 1] += offsets[v];
 
-  owned->neighbors.resize(2 * m_);
-  auto& neighbors = owned->neighbors;
+  neighbors.resize(2 * m_);
   std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& [u, v] : edge_list) {
+  for (const auto& [u, v] : edges) {
     neighbors[cursor[u]++] = v;
     neighbors[cursor[v]++] = u;
   }
 
-  // With edge_list sorted by (u, v) and u < v, each vertex w receives its
-  // back-neighbors (all < w) before its forward-neighbors (all > w), each
-  // group ascending — so lists are already sorted and this insertion sort
-  // runs in linear time. It is kept as a guard so the sortedness invariant
-  // holds even if the fill order above changes.
-  for (Vertex v = 0; v < n_; ++v) {
-    const std::uint32_t lo = offsets[v];
-    const std::uint32_t hi = offsets[v + 1];
-    for (std::uint32_t i = lo + 1; i < hi; ++i) {
-      const Vertex nv = neighbors[i];
-      std::uint32_t j = i;
-      while (j > lo && neighbors[j - 1] > nv) {
-        neighbors[j] = neighbors[j - 1];
-        --j;
-      }
-      neighbors[j] = nv;
-    }
-  }
-
-  offsets_p_ = offsets.data();
-  neighbors_p_ = neighbors.data();
-  edge_list_p_ = edge_list.data();
-  payload_ = std::move(owned);
-  finish_owned_build(offsets_p_);
-}
-
-// Sharded owned-CSR build: every pass fans the same shard_range partition
-// the round kernels use over shard_pool(), so shard s first-touches exactly
-// the offset/neighbor row range it will later step — on a NUMA
-// machine the pages land on the worker's node instead of all on the
-// allocating thread's. The arrays are byte-identical to the serial build
-// for every width: the sorted edge order and the sorted (v, u) reverse
-// order are unique total orders, and the serial fill emits each row as
-// [back-neighbors ascending][forward-neighbors ascending] — exactly the
-// two runs the per-row pass concatenates.
-void Graph::build_owned_sharded(
-    std::span<const std::pair<Vertex, Vertex>> edges, std::uint32_t shards) {
-  ThreadPool& pool = shard_pool();
-  const std::size_t m = edges.size();
-  const std::size_t n = n_;
-  const std::uint32_t width = shards;
-
-  auto owned = std::make_shared<ShardedCsr>();
-  owned->offsets = std::make_unique_for_overwrite<std::uint32_t[]>(n + 1);
-  owned->neighbors = std::make_unique_for_overwrite<Vertex[]>(2 * m);
-  owned->edge_list =
-      std::make_unique_for_overwrite<std::pair<Vertex, Vertex>[]>(m);
-  auto* el = owned->edge_list.get();
-  auto* off = owned->offsets.get();
-  auto* nbr = owned->neighbors.get();
-
-  // Validate + normalize to (min, max), parallel over the input order.
-  pool.parallel_for_ranges(
-      m, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto [u, v] = edges[i];
-          RUMOR_REQUIRE(u < n_ && v < n_);
-          RUMOR_REQUIRE(u != v);  // no self loops
-          el[i] = {std::min(u, v), std::max(u, v)};
-        }
-      });
-
-  // Canonical edge order (the edge_endpoints numbering), then the
-  // duplicate check parallelized over adjacent pairs.
-  sharded_sort(pool, el, m, width);
-  pool.parallel_for_ranges(
-      m - 1, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          RUMOR_REQUIRE(el[i + 1] != el[i]);  // no multi-edges
-        }
-      });
-
-  // Reverse index sorted by (v, u): row w's back-neighbors (u < w,
-  // ascending) become one contiguous run per vertex. Keys pack (v, u) into
-  // one uint64; pairs are unique, so the order is deterministic.
-  auto rev = std::make_unique_for_overwrite<std::uint64_t[]>(m);
-  pool.parallel_for_ranges(
-      m, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t e = begin; e < end; ++e) {
-          rev[e] = (static_cast<std::uint64_t>(el[e].second) << 32) |
-                   el[e].first;
-        }
-      });
-  sharded_sort(pool, rev.get(), m, width);
-
-  // Per-row degrees, written by the owning shard (this is the first touch
-  // of the offsets pages). Each shard binary-searches its vertex range's
-  // run starts once, then walks both sorted arrays linearly.
-  const auto fwd_start = [&](Vertex v) {
-    return static_cast<std::size_t>(
-        std::lower_bound(el, el + m, std::pair<Vertex, Vertex>{v, 0}) - el);
-  };
-  const auto back_start = [&](Vertex v) {
-    return static_cast<std::size_t>(
-        std::lower_bound(rev.get(), rev.get() + m,
-                         static_cast<std::uint64_t>(v) << 32) -
-        rev.get());
-  };
-  off[0] = 0;
-  pool.parallel_for_ranges(
-      n, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::size_t e = fwd_start(static_cast<Vertex>(begin));
-        std::size_t r = back_start(static_cast<Vertex>(begin));
-        for (std::size_t v = begin; v < end; ++v) {
-          std::uint32_t d = 0;
-          while (e < m && el[e].first == v) {
-            ++e;
-            ++d;
-          }
-          while (r < m && (rev[r] >> 32) == v) {
-            ++r;
-            ++d;
-          }
-          off[v + 1] = d;
-        }
-      });
-  for (std::size_t v = 0; v < n; ++v) off[v + 1] += off[v];
-
-  // Row fill, same partition: shard s writes (first-touches) exactly the
-  // neighbor range its round kernels will read.
-  pool.parallel_for_ranges(
-      n, width, [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::size_t e = fwd_start(static_cast<Vertex>(begin));
-        std::size_t r = back_start(static_cast<Vertex>(begin));
-        for (std::size_t v = begin; v < end; ++v) {
-          std::uint32_t c = off[v];
-          while (r < m && (rev[r] >> 32) == v) {
-            nbr[c++] = static_cast<Vertex>(rev[r++] & 0xFFFFFFFFu);
-          }
-          while (e < m && el[e].first == v) nbr[c++] = el[e++].second;
-        }
-      });
-
-  offsets_p_ = off;
-  neighbors_p_ = nbr;
-  edge_list_p_ = el;
-  payload_ = std::move(owned);
-  finish_owned_build(offsets_p_);
-}
-
-void Graph::finish_owned_build(const std::uint32_t* offsets) {
+  fwd.assign(offsets.size(), 0);
   min_degree_ = n_ > 0 ? std::numeric_limits<std::uint32_t>::max() : 0;
-  max_degree_ = 0;
   degrees_all_pow2_ = n_ > 0;
   for (Vertex v = 0; v < n_; ++v) {
-    const std::uint32_t d = offsets[v + 1] - offsets[v];
+    Vertex* const row = neighbors.data() + offsets[v];
+    Vertex* const row_end = neighbors.data() + offsets[v + 1];
+    if (!std::is_sorted(row, row_end)) std::sort(row, row_end);
+    // No multi-edges: a repeat in either orientation is adjacent now.
+    RUMOR_REQUIRE(std::adjacent_find(row, row_end) == row_end);
+    fwd[v + 1] = fwd[v] + static_cast<std::uint32_t>(
+                              row_end - std::upper_bound(row, row_end, v));
+    const auto d = static_cast<std::uint32_t>(row_end - row);
     min_degree_ = std::min(min_degree_, d);
     max_degree_ = std::max(max_degree_, d);
     degrees_all_pow2_ = degrees_all_pow2_ && d > 0 && (d & (d - 1)) == 0;
   }
+
+  offsets_p_ = offsets.data();
+  neighbors_p_ = neighbors.data();
+  fwd_offsets_p_ = fwd.data();
+  payload_ = std::move(owned);
   assign_uid();
 }
 
@@ -358,34 +143,27 @@ Graph Graph::from_external(ExternalCsr ext) {
 
 std::pair<Vertex, Vertex> Graph::edge_endpoints(EdgeId e) const {
   RUMOR_CHECK(e < m_);
-  switch (backend_) {
-    case GraphBackend::owned:
-      return edge_list_p_[e];
-    case GraphBackend::implicit:
-      return implicit_edge_endpoints(implicit_, e);
-    case GraphBackend::mapped: {
-      // Owner u: the unique vertex with fwd_offsets[u] <= e <
-      // fwd_offsets[u+1]; its forward neighbors sit after its
-      // back-neighbors in the sorted row.
-      Vertex lo = 0;
-      Vertex hi = n_ - 1;
-      while (lo < hi) {
-        const Vertex mid = lo + (hi - lo) / 2;
-        if (fwd_offsets_p_[mid + 1] > e) {
-          hi = mid;
-        } else {
-          lo = mid + 1;
-        }
-      }
-      const std::uint32_t deg = offsets_p_[lo + 1] - offsets_p_[lo];
-      const std::uint32_t fwd = fwd_offsets_p_[lo + 1] - fwd_offsets_p_[lo];
-      const std::uint32_t back = deg - fwd;
-      const Vertex v =
-          neighbors_p_[offsets_p_[lo] + back + (e - fwd_offsets_p_[lo])];
-      return {lo, v};
+  if (backend_ == GraphBackend::implicit) {
+    return implicit_edge_endpoints(implicit_, e);
+  }
+  // Owner u: the unique vertex with fwd_offsets[u] <= e < fwd_offsets[u+1];
+  // its forward neighbors sit after its back-neighbors in the sorted row.
+  Vertex lo = 0;
+  Vertex hi = n_ - 1;
+  while (lo < hi) {
+    const Vertex mid = lo + (hi - lo) / 2;
+    if (fwd_offsets_p_[mid + 1] > e) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
     }
   }
-  return {0u, 0u};
+  const std::uint32_t deg = offsets_p_[lo + 1] - offsets_p_[lo];
+  const std::uint32_t fwd = fwd_offsets_p_[lo + 1] - fwd_offsets_p_[lo];
+  const std::uint32_t back = deg - fwd;
+  const Vertex v =
+      neighbors_p_[offsets_p_[lo] + back + (e - fwd_offsets_p_[lo])];
+  return {lo, v};
 }
 
 const GraphProperties& Graph::properties() const {

@@ -3,14 +3,16 @@
 // This is the substrate every protocol runs on. Design points:
 //  * Vertices are dense uint32 ids [0, n).
 //  * Three backends (see GraphBackend):
-//      - owned: in-RAM CSR arrays, built from an edge list (the original
-//        behavior; GraphBuilder and the generators produce these).
+//      - owned: in-RAM CSR arrays, built from an edge list (GraphBuilder
+//        and the generators produce these).
 //      - implicit: star/cycle/complete/grid/torus/circulant synthesize
 //        degree and neighbors arithmetically from an ImplicitDesc — O(1)
 //        memory at any n (see graph/implicit.hpp).
 //      - mapped: CSR arrays borrowed from an external owner, typically a
 //        memory-mapped cache file (see graph/file_graph.hpp); a shared
 //        keep-alive handle pins the mapping.
+//    Owned and mapped graphs share one layout: offsets, neighbors and
+//    fwd_offsets (see CsrView).
 //    Copies are cheap: owned and mapped storage is shared, never deep-copied.
 //  * Adjacency enumerates in sorted order on every backend: neighbor lists
 //    ascending, which makes structural tests exact and deterministic, and —
@@ -72,8 +74,9 @@ struct GraphProperties {
 // to the owning Graph. Only materialized backends (owned, mapped) have one;
 // implicit graphs dispatch through graph/access.hpp instead.
 struct CsrView {
-  const std::uint32_t* offsets;  // n + 1 entries
-  const Vertex* neighbors;       // 2m entries, sorted per vertex
+  const std::uint32_t* offsets;      // n + 1 entries
+  const Vertex* neighbors;           // 2m entries, sorted per vertex
+  const std::uint32_t* fwd_offsets;  // n + 1: # edges with min < u
   Vertex n;
 };
 
@@ -95,22 +98,12 @@ struct ExternalCsr {
 
 class Graph {
  public:
-  // Constructs an owned-CSR graph from an undirected edge list. Requires:
-  // no self loops, no duplicate edges (in either orientation), endpoints <
-  // num_vertices. Prefer GraphBuilder, which validates and reports good
-  // errors. Huge edge lists (>= 2^22 edges) build through the sharded
-  // path below automatically when the ambient shard pool has workers.
+  // Constructs an owned-CSR graph from an undirected edge list, in any
+  // order and orientation; the arrays depend on the edge set alone.
+  // Requires: no self loops, no duplicate edges (in either orientation),
+  // endpoints < num_vertices. Prefer GraphBuilder, which validates and
+  // reports good errors.
   Graph(Vertex num_vertices, std::span<const std::pair<Vertex, Vertex>> edges);
-
-  // As the constructor, but builds the CSR arrays with `shards` parallel
-  // range partitions fanned over shard_pool() — the same shard_range
-  // partition the sharded round kernels use, so each worker first-touches
-  // exactly the row range it will later step (NUMA page placement follows
-  // the compute partition). Content is byte-identical to the serial
-  // constructor for every width; shards <= 1 IS the serial path.
-  [[nodiscard]] static Graph build_owned(
-      Vertex num_vertices, std::span<const std::pair<Vertex, Vertex>> edges,
-      std::uint32_t shards);
 
   // Implicit backend: adjacency synthesized from the family closed forms.
   // `desc` must come from make_implicit_desc (kind != none).
@@ -152,8 +145,8 @@ class Graph {
 
   // Endpoints (u, v) with u < v of undirected edge e in [0, num_edges()),
   // edges ranked by their (u, v) pair, so ascending e enumerates the pairs
-  // in lexicographic order. O(1) for owned graphs, O(log n) for implicit
-  // and mapped (offset binary search).
+  // in lexicographic order. O(log n): owned and mapped graphs binary-search
+  // fwd_offsets, implicit graphs their closed forms.
   [[nodiscard]] std::pair<Vertex, Vertex> edge_endpoints(EdgeId e) const;
 
   // Uniform random neighbor of v; requires degree(v) > 0. This is the single
@@ -210,7 +203,7 @@ class Graph {
   // implicit graphs take the access-policy path (graph/access.hpp).
   [[nodiscard]] CsrView csr() const {
     RUMOR_CHECK(offsets_p_ != nullptr);
-    return {offsets_p_, neighbors_p_, n_};
+    return {offsets_p_, neighbors_p_, fwd_offsets_p_, n_};
   }
 
   // True iff every degree is a (positive) power of two — the regular-graph
@@ -250,19 +243,6 @@ class Graph {
 
   Graph() = default;  // backends fill the fields via the static factories
 
-  // Owned-CSR builders: init_owned validates and dispatches on the build
-  // width (the public constructor picks it automatically; build_owned pins
-  // it); the serial and sharded bodies produce byte-identical arrays.
-  // finish_owned_build is the shared tail (degree stats from the finished
-  // offsets array + uid).
-  void init_owned(Vertex num_vertices,
-                  std::span<const std::pair<Vertex, Vertex>> edges,
-                  std::uint32_t build_width);
-  void build_owned_serial(std::span<const std::pair<Vertex, Vertex>> edges);
-  void build_owned_sharded(std::span<const std::pair<Vertex, Vertex>> edges,
-                           std::uint32_t shards);
-  void finish_owned_build(const std::uint32_t* offsets);
-
   void assign_uid();
   void prefill_properties(const GraphProperties& props);
 
@@ -272,10 +252,9 @@ class Graph {
   std::uint64_t m_ = 0;
   // Borrowed views into payload_ (owned backend) or an external mapping
   // pinned by payload_ (mapped backend); all null for implicit.
-  const std::uint32_t* offsets_p_ = nullptr;             // n+1 entries
-  const Vertex* neighbors_p_ = nullptr;                  // 2m, sorted
-  const std::pair<Vertex, Vertex>* edge_list_p_ = nullptr;  // owned: m, u < v
-  const std::uint32_t* fwd_offsets_p_ = nullptr;         // mapped: n+1
+  const std::uint32_t* offsets_p_ = nullptr;      // n+1 entries
+  const Vertex* neighbors_p_ = nullptr;           // 2m, sorted
+  const std::uint32_t* fwd_offsets_p_ = nullptr;  // n+1
   std::uint32_t min_degree_ = 0;
   std::uint32_t max_degree_ = 0;
   bool degrees_all_pow2_ = false;

@@ -1,6 +1,6 @@
 #include "walk/walk_stats.hpp"
 
-#include "support/bitset.hpp"
+#include <vector>
 
 namespace rumor {
 
@@ -8,14 +8,14 @@ std::uint64_t cover_time_once(const Graph& g, Vertex start, Rng& rng,
                               Laziness lazy, std::uint64_t cutoff) {
   RUMOR_REQUIRE(start < g.num_vertices());
   RUMOR_REQUIRE(cutoff > 0);
-  DynamicBitset visited(g.num_vertices());
-  visited.set(start);
+  std::vector<std::uint8_t> visited(g.num_vertices(), 0);
+  visited[start] = 1;
   std::size_t seen = 1;
   Vertex pos = start;
   for (std::uint64_t t = 1; t <= cutoff; ++t) {
     pos = step_from(g, pos, rng, lazy);
-    if (!visited.test(pos)) {
-      visited.set(pos);
+    if (visited[pos] == 0) {
+      visited[pos] = 1;
       if (++seen == g.num_vertices()) return t;
     }
   }

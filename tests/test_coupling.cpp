@@ -6,13 +6,17 @@
 // mechanized proof object.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/coupling/coupled_push_visitx.hpp"
-#include "core/coupling/coupled_walk_protocols.hpp"
 #include "core/coupling/odd_even_coupling.hpp"
 #include "core/coupling/shared_choices.hpp"
+#include "core/meet_exchange.hpp"
+#include "core/visit_exchange.hpp"
 #include "graph/generators.hpp"
 
 namespace rumor {
@@ -193,12 +197,18 @@ TEST(OddEven, CoupledRunsCompleteAndRatioBounded) {
   }
 }
 
-// Theorem 23's natural coupling: meetx-informed ⊆ visitx-informed, hence
-// R_visitx ≤ T_meetx, for regular and non-regular graphs alike (the subset
-// containment is structural). Families 4 and 5 are the smallest sizes of
-// Theorem 23's measured families (random regular with d = 1.5 log2 n, a
-// ring of 16-cliques), where the pathwise bound implies the claim on
-// means, R_visitx ≲ T_meetx.
+// Theorem 23's natural coupling: visit-exchange and meet-exchange driven by
+// the same walks. Built with the same graph, source, seed and WalkOptions,
+// the production processes place and step their agents identically: their
+// walk streams serve only placement and steps (success draws come from the
+// transmission model's own Philox streams), and the sharded engine keys
+// both by (seed, round, agent id). Stepping the two in lockstep therefore
+// IS the coupling, under which meetx-informed ⊆ visitx-informed after
+// every round, hence R_visitx ≤ T_meetx, for regular and non-regular
+// graphs alike (the subset containment is structural). Families 4 and 5
+// are the smallest sizes of Theorem 23's measured families (random regular
+// with d = 1.5 log2 n, a ring of 16-cliques), where the pathwise bound
+// implies the claim on means, R_visitx ≲ T_meetx.
 class NaturalCouplingTest
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {
  protected:
@@ -221,72 +231,58 @@ class NaturalCouplingTest
   }
 };
 
+// Steps both processes until both complete, asserting the coupling and the
+// subset invariant after every round; `shards` = 0 is the serial engine.
+void expect_natural_coupling(const Graph& g, std::uint64_t seed,
+                             std::uint32_t shards) {
+  WalkOptions options;
+  options.lazy = LazyMode::auto_bipartite;
+  options.shards = shards;
+  VisitExchangeProcess visitx(g, 0, seed, options);
+  MeetExchangeProcess meetx(g, 0, seed, options);
+  const std::size_t count = visitx.agents().count();
+  ASSERT_EQ(meetx.agents().count(), count);
+  const Round cutoff = default_round_cutoff(g.num_vertices());
+  Round r_visitx = kNoRoundYet;
+  Round t_meetx = kNoRoundYet;
+  while (true) {
+    const Round round = visitx.round();
+    ASSERT_EQ(meetx.round(), round);
+    const std::span<const Vertex> positions = visitx.agents().positions();
+    ASSERT_TRUE(std::ranges::equal(positions, meetx.agents().positions()))
+        << "round " << round;
+    for (Agent a = 0; a < count; ++a) {
+      if (meetx.agent_informed(a)) {
+        ASSERT_TRUE(visitx.agent_informed(a))
+            << "agent " << a << " round " << round;
+      }
+    }
+    if (r_visitx == kNoRoundYet && visitx.all_agents_informed()) {
+      r_visitx = round;
+    }
+    if (t_meetx == kNoRoundYet && meetx.done()) t_meetx = round;
+    if ((visitx.done() && meetx.done()) || round >= cutoff) break;
+    visitx.step();
+    meetx.step();
+  }
+  ASSERT_TRUE(visitx.done());
+  ASSERT_TRUE(meetx.done());
+  EXPECT_LE(r_visitx, t_meetx);
+}
+
 TEST_P(NaturalCouplingTest, MeetxInformedSubsetOfVisitx) {
   const auto [family, seed] = GetParam();
   const Graph g = make_graph(family);
-  WalkOptions options;
-  options.lazy = LazyMode::auto_bipartite;
-  const CoupledWalkResult r = run_coupled_walk_protocols(g, 0, seed, options);
-  ASSERT_TRUE(r.meetx_completed);
-  ASSERT_TRUE(r.visitx_completed);
-  EXPECT_TRUE(r.subset_invariant_held);
-  EXPECT_LE(r.visitx_agent_rounds, r.meetx_rounds);
+  for (const std::uint32_t shards : {0u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_natural_coupling(g, seed, shards);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     FamiliesAndSeeds, NaturalCouplingTest,
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5),
                        ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL, 5ULL)));
-
-TEST(NaturalCoupling, StepwiseSubsetHolds) {
-  const Graph g = gen::complete(48);
-  CoupledWalkProtocols coupled(g, 0, 9);
-  EXPECT_TRUE(coupled.meetx_subset_of_visitx());
-  for (int i = 0; i < 200 && !(coupled.meetx_done()); ++i) {
-    coupled.step();
-    ASSERT_TRUE(coupled.meetx_subset_of_visitx()) << "round " << coupled.round();
-  }
-}
-
-// Guard regression: the coupling machinery must reject non-trivial
-// transmission options with the typed error rather than silently running a
-// simulation whose subset invariant no longer has a proof behind it. Every
-// way TransmissionOptions can become non-trivial is exercised; the trivial
-// default must keep constructing.
-TEST(NaturalCoupling, RejectsNonTrivialTransmission) {
-  const Graph g = gen::complete(16);
-
-  WalkOptions het;
-  het.transmission.tp = 0.5;
-  EXPECT_THROW(CoupledWalkProtocols(g, 0, 1, het), CouplingOptionsError);
-  EXPECT_THROW((void)run_coupled_walk_protocols(g, 0, 1, het),
-               CouplingOptionsError);
-
-  WalkOptions deg;
-  deg.transmission.degree_scaled = true;
-  deg.transmission.tp_exponent = -0.5;
-  EXPECT_THROW(CoupledWalkProtocols(g, 0, 1, deg), CouplingOptionsError);
-
-  WalkOptions stifle;
-  stifle.transmission.stifle = 3;
-  EXPECT_THROW(CoupledWalkProtocols(g, 0, 1, stifle), CouplingOptionsError);
-
-  WalkOptions block;
-  block.transmission.block_fraction = 0.1;
-  EXPECT_THROW(CoupledWalkProtocols(g, 0, 1, block), CouplingOptionsError);
-
-  // The typed error is also a std::invalid_argument, so generic option
-  // validation at the experiment boundary can catch it uniformly.
-  try {
-    CoupledWalkProtocols coupled(g, 0, 1, het);
-    FAIL() << "expected CouplingOptionsError";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("trivial transmission"),
-              std::string::npos);
-  }
-
-  EXPECT_NO_THROW(CoupledWalkProtocols(g, 0, 1, WalkOptions{}));
-}
 
 }  // namespace
 }  // namespace rumor

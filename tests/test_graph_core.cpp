@@ -79,15 +79,14 @@ TEST(Graph, EdgeEndpointsListEdgesInSortedOrder) {
   Rng rng(3);
   const Graph regular = gen::random_regular(64, 5, rng);
   expect_edge_endpoints_sorted(regular);
-  // The sharded owned build numbers edges the same way whatever the input
-  // order and orientation.
+  // The owned build numbers edges the same way whatever the input order
+  // and orientation.
   std::vector<std::pair<Vertex, Vertex>> reversed;
   for (EdgeId e = regular.num_edges(); e-- > 0;) {
     const auto [u, v] = regular.edge_endpoints(e);
     reversed.emplace_back(v, u);
   }
-  expect_edge_endpoints_sorted(
-      Graph::build_owned(regular.num_vertices(), reversed, 4));
+  expect_edge_endpoints_sorted(Graph(regular.num_vertices(), reversed));
 }
 
 TEST(Graph, RandomNeighborIsAlwaysAdjacent) {
@@ -156,6 +155,16 @@ TEST(GraphDeathTest, RejectsDuplicateAtBuild) {
   b.add_edge(0, 1);
   b.add_edge(1, 0);
   EXPECT_DEATH((void)b.build(), "precondition");
+}
+
+// The edge-list constructor validates without GraphBuilder's help.
+TEST(GraphDeathTest, ConstructorRejectsInvalidEdgeLists) {
+  using Edges = std::vector<std::pair<Vertex, Vertex>>;
+  EXPECT_DEATH((void)Graph(3, Edges{{1, 1}}), "precondition");
+  EXPECT_DEATH((void)Graph(3, Edges{{0, 3}}), "precondition");
+  EXPECT_DEATH((void)Graph(3, Edges{{0, 1}, {0, 1}}), "precondition");
+  // A reversed repeat in a row the build has to sort: 0's row is 3, 1, 3.
+  EXPECT_DEATH((void)Graph(4, Edges{{0, 3}, {0, 1}, {3, 0}}), "precondition");
 }
 
 }  // namespace

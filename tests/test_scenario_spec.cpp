@@ -428,6 +428,20 @@ TEST(ScenarioSpecText, RejectsMalformedLines) {
   // fresh graphs only make sense for random families.
   EXPECT_FALSE(ScenarioSpec::parse("complete(n=64) push fresh=on", &error));
   EXPECT_NE(error.find("fresh"), std::string::npos);
+  // Plan values that do not fit their fields: a source at or above
+  // kNoVertex would truncate to a 32-bit vertex, and serve indexes trials
+  // in 32 bits.
+  for (const char* line :
+       {"star(leaves=8) push source=4294967297 trials=1",
+        "star(leaves=8) push source=4294967295",
+        "cycle(n=8) push trials=18446744073709551615",
+        "cycle(n=8) push trials=100000000000",
+        "cycle(n=8) push trials=4294967296"}) {
+    EXPECT_FALSE(ScenarioSpec::parse(line, &error)) << line;
+    EXPECT_NE(error.find("bad value"), std::string::npos) << line;
+  }
+  EXPECT_TRUE(ScenarioSpec::parse("cycle(n=8) push trials=4294967295"));
+  EXPECT_TRUE(ScenarioSpec::parse("star(leaves=8) push source=4294967294"));
 }
 
 }  // namespace

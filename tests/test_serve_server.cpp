@@ -301,6 +301,15 @@ TEST_F(ServeServerTest, InvalidSubmissionsAreRejectedWithNothingEnqueued) {
   EXPECT_FALSE(client.submit(
       "cycle(n=8) dynamic-agent(churn=1) trials=2\n", &error));
   EXPECT_EQ(error.rfind("ERR parse", 0), 0u) << error;
+  // Plan values that do not fit their fields: a source that would truncate
+  // to vertex 1, and more trials than 32-bit trial indices (an unbounded
+  // count would also abort the daemon allocating its trial set).
+  for (const char* line : {"star(leaves=8) push source=4294967297 trials=1\n",
+                           "cycle(n=8) push trials=18446744073709551615\n",
+                           "cycle(n=8) push trials=4294967296\n"}) {
+    EXPECT_FALSE(client.submit(line, &error)) << line;
+    EXPECT_EQ(error.rfind("ERR parse", 0), 0u) << line << ": " << error;
+  }
   // Curve tracing is a one-shot-only feature (curves are not journaled);
   // the reply names the key to drop.
   EXPECT_FALSE(

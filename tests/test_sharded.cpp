@@ -14,6 +14,7 @@
 // the incompatible option combinations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -22,6 +23,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alloc_probe.hpp"
@@ -626,12 +628,16 @@ TEST(ShardedHybrid, ImplicitAndOwnedBackendsAgree) {
   }
 }
 
-// ---- Sharded owned-CSR build -------------------------------------------
+// ---- Owned-CSR build ----------------------------------------------------
 
-TEST(ShardedCsrBuild, ContentIdenticalAcrossWidths) {
-  // A scrambled-order edge list (strided permutation of a two-offset
-  // circulant) so the parallel chunk-sort and merge actually reorder, plus
-  // an irregular star overlay so degrees differ per row.
+// The owned build's arrays depend on the edge set alone: a scrambled edge
+// list, its sorted (min, max) form and its form with every edge reversed
+// give identical offsets, neighbors and fwd_offsets, hence the same edge
+// numbering, degree stats and sharded trajectory.
+TEST(CsrBuild, ContentIdenticalAcrossEdgeOrders) {
+  // A strided permutation of a two-offset circulant (rows arrive unsorted,
+  // so the build sorts them), plus an irregular star overlay so degrees
+  // differ per row.
   const Vertex n = 700;
   std::vector<std::pair<Vertex, Vertex>> edges;
   for (Vertex v = 0; v < n; ++v) {
@@ -643,17 +649,39 @@ TEST(ShardedCsrBuild, ContentIdenticalAcrossWidths) {
   for (std::size_t k = 0; k < edges.size(); ++k) {
     scrambled[k] = edges[(k * 911) % edges.size()];  // 911 coprime to size
   }
+  std::vector<std::pair<Vertex, Vertex>> sorted;
+  std::vector<std::pair<Vertex, Vertex>> reversed;
+  for (const auto& [u, v] : scrambled) {
+    sorted.emplace_back(std::min(u, v), std::max(u, v));
+    reversed.emplace_back(v, u);
+  }
+  std::sort(sorted.begin(), sorted.end());
 
-  ThreadPool pool(3);
-  ThreadPool* prev = set_shard_pool(&pool);
-  const Graph ref = Graph::build_owned(n, scrambled, 1);
-  for (const std::uint32_t shards : {2u, 4u, 7u}) {
-    const Graph g = Graph::build_owned(n, scrambled, shards);
+  const Graph ref(n, scrambled);
+  const CsrView a = ref.csr();
+  ASSERT_EQ(a.offsets[n], 2 * edges.size());
+  ASSERT_EQ(a.fwd_offsets[n], edges.size());
+  for (Vertex v = 0; v < n; ++v) {
+    // Rows strictly ascending; fwd_offsets counts the neighbors above v.
+    std::uint32_t above = 0;
+    for (std::uint32_t i = a.offsets[v]; i < a.offsets[v + 1]; ++i) {
+      if (i > a.offsets[v]) {
+        ASSERT_LT(a.neighbors[i - 1], a.neighbors[i]);
+      }
+      above += a.neighbors[i] > v ? 1 : 0;
+    }
+    ASSERT_EQ(a.fwd_offsets[v + 1] - a.fwd_offsets[v], above) << "v=" << v;
+  }
+  const RunResult ref_run = run_push_shards(ref, 5, 2, 1.0f);
+  for (const auto* list : {&sorted, &reversed}) {
+    const Graph g(n, *list);
     ASSERT_EQ(g.num_vertices(), ref.num_vertices());
     ASSERT_EQ(g.num_edges(), ref.num_edges());
-    const CsrView a = ref.csr();
     const CsrView b = g.csr();
-    for (Vertex v = 0; v <= n; ++v) EXPECT_EQ(a.offsets[v], b.offsets[v]);
+    for (Vertex v = 0; v <= n; ++v) {
+      EXPECT_EQ(a.offsets[v], b.offsets[v]);
+      EXPECT_EQ(a.fwd_offsets[v], b.fwd_offsets[v]);
+    }
     for (std::size_t i = 0; i < 2 * ref.num_edges(); ++i) {
       ASSERT_EQ(a.neighbors[i], b.neighbors[i]) << "slot " << i;
     }
@@ -663,32 +691,57 @@ TEST(ShardedCsrBuild, ContentIdenticalAcrossWidths) {
     EXPECT_EQ(g.min_degree(), ref.min_degree());
     EXPECT_EQ(g.max_degree(), ref.max_degree());
     EXPECT_EQ(g.degrees_all_pow2(), ref.degrees_all_pow2());
+    expect_same_result(ref_run, run_push_shards(g, 5, 2, 1.0f),
+                       "csr substrate");
   }
-  // The sharded-built graph is a drop-in substrate: same trajectory as the
-  // serially built one under the sharded round engine.
-  const Graph wide = Graph::build_owned(n, scrambled, 4);
-  expect_same_result(run_push_shards(ref, 5, 2, 1.0f),
-                     run_push_shards(wide, 5, 2, 1.0f), "csr substrate");
-  set_shard_pool(prev);
 }
 
-TEST(ShardedCsrBuild, PropertiesAndValidationMatchSerial) {
-  // Degenerate shapes through the parallel path: single edge, path, and a
-  // width far above the edge count (ranges clamp empty).
-  ThreadPool pool(2);
-  ThreadPool* prev = set_shard_pool(&pool);
+TEST(CsrBuild, DegenerateShapesBuildAndValidate) {
   const std::vector<std::pair<Vertex, Vertex>> one = {{1, 0}};
-  const Graph g1 = Graph::build_owned(2, one, 8);
+  const Graph g1(2, one);
   EXPECT_EQ(g1.num_edges(), 1u);
   EXPECT_EQ(g1.degree(0), 1u);
   EXPECT_TRUE(g1.has_edge(0, 1));
+  EXPECT_EQ(g1.edge_endpoints(0), (std::pair<Vertex, Vertex>{0, 1}));
+  EXPECT_TRUE(g1.degrees_all_pow2());
+
+  // A path listed backwards, each edge as (v + 1, v).
   std::vector<std::pair<Vertex, Vertex>> path;
   for (Vertex v = 0; v + 1 < 9; ++v) path.emplace_back(v + 1, v);
-  const Graph gp = Graph::build_owned(9, path, 4);
-  const Graph gs = Graph::build_owned(9, path, 1);
-  EXPECT_EQ(gp.properties().connected, gs.properties().connected);
-  EXPECT_EQ(gp.properties().bipartite, gs.properties().bipartite);
-  set_shard_pool(prev);
+  const Graph gp(9, path);
+  EXPECT_EQ(gp.min_degree(), 1u);
+  EXPECT_EQ(gp.max_degree(), 2u);
+  EXPECT_TRUE(gp.properties().connected);
+  EXPECT_TRUE(gp.properties().bipartite);
+  for (EdgeId e = 0; e < gp.num_edges(); ++e) {
+    EXPECT_EQ(gp.edge_endpoints(e), (std::pair<Vertex, Vertex>{e, e + 1}));
+  }
+
+  // Isolated vertices around one edge: empty rows repeat their offsets.
+  const std::vector<std::pair<Vertex, Vertex>> lone = {{4, 2}};
+  const Graph gi(7, lone);
+  EXPECT_EQ(gi.min_degree(), 0u);
+  EXPECT_EQ(gi.max_degree(), 1u);
+  EXPECT_FALSE(gi.degrees_all_pow2());
+  EXPECT_FALSE(gi.properties().connected);
+  EXPECT_EQ(gi.edge_endpoints(0), (std::pair<Vertex, Vertex>{2, 4}));
+  const CsrView ci = gi.csr();
+  for (Vertex v = 0; v <= 7; ++v) {
+    EXPECT_EQ(ci.offsets[v], v <= 2 ? 0u : (v <= 4 ? 1u : 2u)) << v;
+    EXPECT_EQ(ci.fwd_offsets[v], v <= 2 ? 0u : 1u) << v;
+  }
+
+  // The empty graph: one offsets entry per array, no rows.
+  const Graph empty(0, {});
+  EXPECT_EQ(empty.num_vertices(), 0u);
+  EXPECT_EQ(empty.num_edges(), 0u);
+  EXPECT_EQ(empty.min_degree(), 0u);
+  EXPECT_EQ(empty.max_degree(), 0u);
+  EXPECT_FALSE(empty.degrees_all_pow2());
+  EXPECT_FALSE(empty.properties().connected);
+  EXPECT_TRUE(empty.properties().bipartite);
+  EXPECT_EQ(empty.csr().offsets[0], 0u);
+  EXPECT_EQ(empty.csr().fwd_offsets[0], 0u);
 }
 
 // ---- Zero steady-state allocations -------------------------------------
