@@ -1,6 +1,9 @@
 #include "experiments/scenario.hpp"
 
+#include <unistd.h>
+
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "experiments/claims.hpp"
@@ -375,6 +378,24 @@ bool check_scenario_size(const ScenarioSpec& spec, Vertex n,
                        " is out of range" + of_graph);
     return false;
   }
+  // The trial runner sizes the whole plan's result storage before any
+  // trial runs: rounds, agent_rounds and informed per trial, plus the two
+  // curve vectors' headers under curve=on. A plan past physical memory
+  // could only abort in that allocation.
+  const TraceOptions* trace = spec.protocol.trace();
+  const std::uint64_t per_trial =
+      3 * sizeof(double) + (trace != nullptr && trace->informed_curve
+                                ? 2 * sizeof(std::vector<std::uint32_t>)
+                                : 0);
+  const std::uint64_t storage = spec.plan.trials * per_trial;
+  const std::uint64_t memory = physical_memory_bytes();
+  if (storage > memory) {
+    set_error(why, "trials=" + std::to_string(spec.plan.trials) + " needs " +
+                       std::to_string(storage) +
+                       " bytes of result storage, more than the " +
+                       std::to_string(memory) + " bytes of physical memory");
+    return false;
+  }
   const WalkOptions* walk = spec.protocol.walk_if();
   if (walk == nullptr) return true;
   if (walk->placement == Placement::at_vertex &&
@@ -401,6 +422,16 @@ bool check_scenario_size(const ScenarioSpec& spec, Vertex n,
     return false;
   }
   return true;
+}
+
+std::uint64_t physical_memory_bytes() {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGE_SIZE);
+  if (pages <= 0 || page_size <= 0) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return static_cast<std::uint64_t>(pages) *
+         static_cast<std::uint64_t>(page_size);
 }
 
 // Validates the scenario and fills the result's size columns WITHOUT
@@ -444,59 +475,54 @@ bool prepare_scenario(const ScenarioSpec& spec, ScenarioResult& result,
   return true;
 }
 
-std::optional<ScenarioResult> run_scenario(const ScenarioSpec& spec,
-                                           std::string* error) {
-  auto results = run_scenarios({spec}, error);
-  if (!results) return std::nullopt;
-  return std::move(results->front());
+TrialBatch scenario_batch(ScenarioResult& result,
+                          const PreparedScenario& prep) {
+  const ScenarioSpec& spec = result.spec;
+  TrialBatch batch;
+  if (spec.plan.fresh_graph) {
+    batch.fresh_spec = &spec.graph;
+  } else if (prep.lazy) {
+    batch.lazy_spec = &spec.graph;
+  } else {
+    batch.graph = &*prep.graph;
+  }
+  batch.protocol = &spec.protocol;
+  batch.source = spec.plan.source;
+  batch.trials = spec.plan.trials;
+  batch.master_seed = spec.plan.seed;
+  // Expected-cost heuristic for --order=longest-first: per-trial work is
+  // roughly proportional to the graph size.
+  batch.cost_hint = static_cast<std::size_t>(result.n) * spec.plan.trials;
+  batch.out = &result.set;
+  return batch;
+}
+
+std::optional<PreparedRun> prepare_scenarios(
+    const std::vector<ScenarioSpec>& specs, std::string* error) {
+  // Every scenario is prepared before any trial runs: a bad line at the
+  // bottom of the file fails fast instead of after hours of simulation.
+  PreparedRun run{std::vector<ScenarioResult>(specs.size()),
+                  std::vector<PreparedScenario>(specs.size())};
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (!prepare_scenario(specs[i], run.results[i], run.prepared[i], error)) {
+      return std::nullopt;
+    }
+  }
+  return run;
 }
 
 bool validate_scenarios(const std::vector<ScenarioSpec>& specs,
                         std::string* error) {
-  for (const ScenarioSpec& spec : specs) {
-    ScenarioResult scratch;
-    PreparedScenario prep;
-    if (!prepare_scenario(spec, scratch, prep, error)) return false;
-  }
-  return true;
+  return prepare_scenarios(specs, error).has_value();
 }
 
-std::optional<std::vector<ScenarioResult>> run_scenarios(
-    const std::vector<ScenarioSpec>& specs, std::string* error,
-    const ScenarioRunOptions& options) {
-  // Phase 1 — validate every scenario before any trial runs: a bad line at
-  // the bottom of the file fails fast instead of after hours of
-  // simulation. Deterministic graphs are validated analytically and built
-  // lazily by the scheduler (when their first trial is claimed, released
-  // when their trials drain); only random non-fresh scenarios build here,
-  // because their one draw is part of the result.
-  std::vector<ScenarioResult> results(specs.size());
-  std::vector<PreparedScenario> prepared(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!prepare_scenario(specs[i], results[i], prepared[i], error)) {
-      return std::nullopt;
-    }
-  }
-  // Phase 2 — one global (scenario, trial) queue across the whole file.
-  std::vector<TrialBatch> batches(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    TrialBatch& batch = batches[i];
-    if (specs[i].plan.fresh_graph) {
-      batch.fresh_spec = &specs[i].graph;
-    } else if (prepared[i].lazy) {
-      batch.lazy_spec = &specs[i].graph;
-    } else {
-      batch.graph = &*prepared[i].graph;
-    }
-    batch.protocol = &specs[i].protocol;
-    batch.source = specs[i].plan.source;
-    batch.trials = specs[i].plan.trials;
-    batch.master_seed = specs[i].plan.seed;
-    // Expected-cost heuristic for --order=longest-first: per-trial work is
-    // roughly proportional to the graph size.
-    batch.cost_hint = static_cast<std::size_t>(results[i].n) *
-                      specs[i].plan.trials;
-    batch.out = &results[i].set;
+std::optional<std::vector<ScenarioResult>> run_prepared(
+    PreparedRun run, std::string* error, const ScenarioRunOptions& options) {
+  std::vector<ScenarioResult>& results = run.results;
+  std::vector<TrialBatch> batches;
+  batches.reserve(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    batches.push_back(scenario_batch(results[i], run.prepared[i]));
   }
   TrialRunOptions run_options;
   run_options.order = options.order;
@@ -520,11 +546,19 @@ std::optional<std::vector<ScenarioResult>> run_scenarios(
     // Name the failing scenario: scenario files are user input, and "which
     // line died" is the difference between a fixable report and a bare
     // abort three hours in.
-    set_error(error, "scenario \"" + specs[e.batch_index()].name() +
+    set_error(error, "scenario \"" + results[e.batch_index()].spec.name() +
                          "\" failed: " + e.what());
     return std::nullopt;
   }
-  return results;
+  return std::move(results);
+}
+
+std::optional<std::vector<ScenarioResult>> run_scenarios(
+    const std::vector<ScenarioSpec>& specs, std::string* error,
+    const ScenarioRunOptions& options) {
+  auto run = prepare_scenarios(specs, error);
+  if (!run) return std::nullopt;
+  return run_prepared(std::move(*run), error, options);
 }
 
 // scenario_table / write_scenario_csv live in experiments/report.cpp next

@@ -107,36 +107,25 @@ std::optional<std::vector<ScenarioSpec>> load_scenario_file(
     const std::string& path, std::vector<Claim>& claims,
     std::string* error = nullptr);
 
-// Executes one scenario: builds the graph from the plan seed (or redraws
-// per trial when fresh_graph) and fans the trials out over the global
-// thread pool through the simulator registry. A plan inconsistent with
-// the built graph (source out of range) is reported through *error, not
-// aborted on — scenario files are user input.
-[[nodiscard]] std::optional<ScenarioResult> run_scenario(
-    const ScenarioSpec& spec, std::string* error = nullptr);
-
-// Validates every scenario — builds each graph once, checks source and
-// placement anchor — without running any trial. run_scenarios performs
-// the same checks itself; this exists for callers that must fail BEFORE
-// taking a destructive step (the CLI validates before truncating an
-// existing --csv file).
-[[nodiscard]] bool validate_scenarios(const std::vector<ScenarioSpec>& specs,
-                                      std::string* error = nullptr);
-
 // The checks a scenario needs its graph's vertex count n for: source and
 // placement anchor in range, at most kMaxAgents agents, and one agent per
-// vertex under placement=one_per_vertex. On failure the reason (without
-// the scenario's name) goes to *why. prepare_scenario runs it, and so
-// does rumor_run --dry-run against the probed n.
+// vertex under placement=one_per_vertex. It also holds the plan's result
+// storage, which is sized for every trial before any runs, to
+// physical_memory_bytes(). On failure the reason (without the scenario's
+// name) goes to *why. prepare_scenario runs it, and so does rumor_run
+// --dry-run against the probed n.
 [[nodiscard]] bool check_scenario_size(const ScenarioSpec& spec, Vertex n,
                                        std::string* why = nullptr);
 
+// This host's physical memory in bytes (sysconf); the maximum if unknown.
+[[nodiscard]] std::uint64_t physical_memory_bytes();
+
 // One scenario vetted for execution: sizes for the report row, plus the
-// graph when (and only when) validation had to build it — random non-fresh
-// specs, whose single draw IS part of the result. Deterministic specs
-// validate analytically (GraphSpec::probe) and are built lazily by the
-// trial scheduler; fresh specs redraw per trial and never hold a graph
-// here.
+// graph when (and only when) preparation had to build it — random
+// non-fresh specs, whose single draw IS part of the result. Deterministic
+// specs validate analytically (GraphSpec::probe) and are built lazily by
+// the trial scheduler; fresh specs redraw per trial and never hold a
+// graph here.
 struct PreparedScenario {
   std::optional<Graph> graph;
   bool lazy = false;
@@ -144,12 +133,36 @@ struct PreparedScenario {
 
 // Validates one scenario and fills the result's spec/size columns WITHOUT
 // building deterministic graphs (probe() answers n/m from the closed
-// forms). Shared by run_scenarios and the serve daemon's SUBMIT intake, so
-// a scenario is accepted or rejected identically in both paths.
+// forms). Shared by prepare_scenarios and the serve daemon's SUBMIT
+// intake, so a scenario is accepted or rejected identically in both paths.
 [[nodiscard]] bool prepare_scenario(const ScenarioSpec& spec,
                                     ScenarioResult& result,
                                     PreparedScenario& prep,
                                     std::string* error = nullptr);
+
+// The trial batch of a prepared scenario: fresh specs redraw per trial,
+// lazy ones build on first claim, the rest run on prep.graph. It points
+// into `result` (spec and result slot) and `prep`, which must outlive it.
+[[nodiscard]] TrialBatch scenario_batch(ScenarioResult& result,
+                                        const PreparedScenario& prep);
+
+// A scenario file prepared for one run: result rows (spec and size
+// columns) and prepared graphs, index-aligned with the specs.
+struct PreparedRun {
+  std::vector<ScenarioResult> results;
+  std::vector<PreparedScenario> prepared;
+};
+
+// Runs prepare_scenario on every scenario in file order; the first
+// invalid one is reported through *error. The CLI prepares before it
+// truncates a --csv sink, then runs what it prepared.
+[[nodiscard]] std::optional<PreparedRun> prepare_scenarios(
+    const std::vector<ScenarioSpec>& specs, std::string* error = nullptr);
+
+// prepare_scenarios without keeping what it prepared, for callers that
+// only need the verdict: perfbench's trace and the tests.
+[[nodiscard]] bool validate_scenarios(const std::vector<ScenarioSpec>& specs,
+                                      std::string* error = nullptr);
 
 struct ScenarioRunOptions {
   // Fired once per scenario, in FILE ORDER, as completions allow (the
@@ -163,19 +176,23 @@ struct ScenarioRunOptions {
   // way.
   BatchOrder order = BatchOrder::file;
   // Graceful-stop flag (the CLI's SIGINT/SIGTERM handler): once true, no
-  // further trial is claimed and run_scenarios reports "interrupted"
+  // further trial is claimed and run_prepared reports "interrupted"
   // through *error (already-emitted on_result rows stay emitted).
   const std::atomic<bool>* stop = nullptr;
   // Live queue-depth counters shared with --progress reporting.
   TrialCounters* counters = nullptr;
 };
 
-// Executes all scenarios through ONE global (scenario, trial) work queue:
-// every scenario is validated and its graph built up front (the first
-// invalid scenario is reported through *error before any trial runs),
-// then trials from all scenarios interleave across the thread pool — no
+// Executes a prepared file through ONE global (scenario, trial) work
+// queue: trials from all scenarios interleave across the thread pool — no
 // per-scenario barrier, so a long-tail scenario cannot serialize the
-// file. Results are in file order and identical for any worker count.
+// file. Results are in file order and identical for any worker count; a
+// failing trial is reported through *error, naming its scenario.
+[[nodiscard]] std::optional<std::vector<ScenarioResult>> run_prepared(
+    PreparedRun run, std::string* error = nullptr,
+    const ScenarioRunOptions& options = {});
+
+// prepare_scenarios, then run_prepared.
 [[nodiscard]] std::optional<std::vector<ScenarioResult>> run_scenarios(
     const std::vector<ScenarioSpec>& specs, std::string* error = nullptr,
     const ScenarioRunOptions& options = {});

@@ -29,7 +29,7 @@ class ThreadPool;
 
 // Salt separating the graph-draw seed stream from the trial seed stream:
 // fresh-graph trial i draws its graph from derive_seed(master ^
-// kGraphSeedSalt, i). Shared with run_scenario's single-graph draw so a
+// kGraphSeedSalt, i). Shared with prepare_scenario's single draw so a
 // scenario is reproducible from its text alone.
 constexpr std::uint64_t kGraphSeedSalt = 0xABCDEF12345678ULL;
 
@@ -94,7 +94,7 @@ struct TrialBatch {
   std::uint64_t master_seed = 0;
   TrialSet* out = nullptr;
   // Expected relative cost for BatchOrder::longest_first (the n·trials
-  // heuristic run_scenarios fills in); 0 falls back to `trials`.
+  // heuristic scenario_batch fills in); 0 falls back to `trials`.
   std::size_t cost_hint = 0;
 };
 

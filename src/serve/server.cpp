@@ -289,22 +289,9 @@ struct Server::Impl {
   // Builds a ScenarioState for an already-validated spec whose result/prep
   // were filled by prepare_scenario.
   void init_batch(ScenarioState& s) {
-    const ScenarioSpec& spec = s.result.spec;
-    TrialBatch& b = s.batch;
-    if (spec.plan.fresh_graph) {
-      b.fresh_spec = &s.result.spec.graph;
-    } else if (s.prep.lazy) {
-      b.lazy_spec = &s.result.spec.graph;
-    } else {
-      b.graph = &*s.prep.graph;
-    }
-    b.protocol = &s.result.spec.protocol;
-    b.source = spec.plan.source;
-    b.trials = spec.plan.trials;
-    b.master_seed = spec.plan.seed;
-    b.out = &s.result.set;
-    prepare_trial_set(b);
-    s.trial_done.assign(b.trials, kPending);
+    s.batch = scenario_batch(s.result, s.prep);
+    prepare_trial_set(s.batch);
+    s.trial_done.assign(s.batch.trials, kPending);
   }
 
   // Registers a fully built job and enqueues its pending trials. `pending`

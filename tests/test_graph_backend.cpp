@@ -292,14 +292,14 @@ TEST(LazyScheduler, ScenarioRunsValidateWithoutBuildingAndMatchEager) {
   const auto good =
       ScenarioSpec::parse("star(leaves=16) push source=1 trials=4 seed=7");
   ASSERT_TRUE(good);
-  const auto via_scheduler = run_scenario(*good, &error);
+  const auto via_scheduler = run_scenarios({*good}, &error);
   ASSERT_TRUE(via_scheduler) << error;
   const auto protocol = ProtocolSpec::parse("push");
   ASSERT_TRUE(protocol);
   const TrialSet direct = run_trials(gen::star(16), *protocol, 1, 4, 7);
-  EXPECT_EQ(via_scheduler->set.rounds, direct.rounds);
-  EXPECT_EQ(via_scheduler->n, 17u);
-  EXPECT_EQ(via_scheduler->edges, 16u);
+  EXPECT_EQ(via_scheduler->front().set.rounds, direct.rounds);
+  EXPECT_EQ(via_scheduler->front().n, 17u);
+  EXPECT_EQ(via_scheduler->front().edges, 16u);
 }
 
 // ---- O(1) memory ------------------------------------------------------

@@ -393,13 +393,13 @@ TEST_F(GraphFileTest, ScenarioRunOnFileGraphMatchesGeneratedGraph) {
       parse_scenarios("star(leaves=8) push source=1 trials=6 seed=99\n");
   ASSERT_TRUE(from_file.has_value() && from_gen.has_value());
 
-  const auto a = run_scenario(from_file->front(), &error);
+  const auto a = run_scenarios(*from_file, &error);
   ASSERT_TRUE(a.has_value()) << error;
-  const auto b = run_scenario(from_gen->front(), &error);
+  const auto b = run_scenarios(*from_gen, &error);
   ASSERT_TRUE(b.has_value()) << error;
-  EXPECT_EQ(a->n, b->n);
-  EXPECT_EQ(a->edges, b->edges);
-  EXPECT_EQ(a->set.rounds, b->set.rounds);
+  EXPECT_EQ(a->front().n, b->front().n);
+  EXPECT_EQ(a->front().edges, b->front().edges);
+  EXPECT_EQ(a->front().set.rounds, b->front().set.rounds);
 }
 
 TEST_F(GraphFileTest, ProbeMatchesMappedGraphMemoryEstimate) {

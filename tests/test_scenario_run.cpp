@@ -156,16 +156,15 @@ TEST(TrialSourceValidation, RunScenarioReportsOutOfRangeSourceGracefully) {
   const auto spec = ScenarioSpec::parse("complete(n=16) push source=99");
   ASSERT_TRUE(spec);
   std::string error;
-  EXPECT_FALSE(run_scenario(*spec, &error));
+  EXPECT_FALSE(run_scenarios({*spec}, &error));
   EXPECT_NE(error.find("source=99"), std::string::npos);
   EXPECT_NE(error.find("n=16"), std::string::npos);
-  EXPECT_FALSE(run_scenarios({*spec}, &error));
 
   // The placement anchor is user input through the same spec grammar.
   const auto anchored = ScenarioSpec::parse(
       "complete(n=16) visit-exchange(placement=at_vertex,anchor=99)");
   ASSERT_TRUE(anchored);
-  EXPECT_FALSE(run_scenario(*anchored, &error));
+  EXPECT_FALSE(run_scenarios({*anchored}, &error));
   EXPECT_NE(error.find("anchor=99"), std::string::npos);
 }
 

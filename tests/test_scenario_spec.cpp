@@ -363,6 +363,35 @@ TEST(ScenarioValidation, RandomFamiliesRejectImpossibleParameters) {
   EXPECT_TRUE(validate_scenarios({*pair}, &error)) << error;
 }
 
+TEST(ScenarioValidation, ResultStoragePastPhysicalMemoryRejected) {
+  // The trial runner sizes 24 bytes of results per trial before any trial
+  // runs: 96 GiB at the trials= ceiling. Such a line used to pass
+  // validation and then abort in that allocation (exit 134 one-shot, and
+  // a serve daemon gone for every client).
+  const std::uint64_t memory = physical_memory_bytes();
+  if (memory >= (std::uint64_t{96} << 30)) {
+    GTEST_SKIP() << "this host's memory holds the ceiling's results";
+  }
+  std::string error;
+  auto spec = ScenarioSpec::parse("cycle(n=8) push trials=4294967295", &error);
+  ASSERT_TRUE(spec) << error;
+  EXPECT_FALSE(validate_scenarios({*spec}, &error));
+  EXPECT_NE(error.find(spec->name()), std::string::npos) << error;
+  EXPECT_NE(error.find("103079215080 bytes of result storage"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find(std::to_string(memory) + " bytes of physical memory"),
+            std::string::npos)
+      << error;
+  // curve=on adds two curve-vector headers, 48 bytes, per trial.
+  spec->plan.trials = memory / 48;
+  EXPECT_TRUE(check_scenario_size(*spec, 8, &error)) << error;
+  spec->protocol = *ProtocolSpec::parse("push(curve=on)");
+  EXPECT_FALSE(check_scenario_size(*spec, 8, &error));
+  EXPECT_NE(error.find("bytes of result storage"), std::string::npos)
+      << error;
+}
+
 TEST(ScenarioValidation, FreshDrawPastTheCapIsANamedTrialFailure) {
   // Under fresh=on every trial draws its own graph; a draw that gives up
   // fails that trial with the typed error, and the scheduler names the

@@ -310,6 +310,12 @@ TEST_F(ServeServerTest, InvalidSubmissionsAreRejectedWithNothingEnqueued) {
     EXPECT_FALSE(client.submit(line, &error)) << line;
     EXPECT_EQ(error.rfind("ERR parse", 0), 0u) << line << ": " << error;
   }
+  // Results past physical memory (96 GiB at the trials= ceiling) would
+  // abort the daemon sizing the trial set.
+  if (physical_memory_bytes() < (std::uint64_t{96} << 30)) {
+    EXPECT_FALSE(client.submit("cycle(n=8) push trials=4294967295\n", &error));
+    EXPECT_EQ(error.rfind("ERR validate", 0), 0u) << error;
+  }
   // Curve tracing is a one-shot-only feature (curves are not journaled);
   // the reply names the key to drop.
   EXPECT_FALSE(

@@ -8,8 +8,11 @@
 // N workers, and the pre-refactor per-scenario path, with in-file-order
 // completion callbacks.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "experiments/report.hpp"
@@ -21,6 +24,8 @@
 
 namespace rumor {
 namespace {
+
+namespace fs = std::filesystem;
 
 std::vector<std::string> expanded_names(const std::string& line) {
   std::string error;
@@ -233,6 +238,46 @@ TEST(ValidateScenarios, ChecksEveryLineWithoutRunningTrials) {
   // on this to fail before truncating an existing --csv results file.
   EXPECT_FALSE(validate_scenarios({*good, *bad}, &error));
   EXPECT_NE(error.find("source=99"), std::string::npos);
+}
+
+TEST(PreparedRun, MatchesRunScenariosAndDrawsNoGraphDuringTheRun) {
+  // One file mixing every kind of preparation: a random non-fresh draw
+  // kept for the trials, a fresh=on line redrawn per trial, a lazy
+  // deterministic line and a file: graph.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("rumor_prepared_run_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string edges = (dir / "path4.edges").string();
+  std::ofstream(edges) << "0 1\n1 2\n2 3\n";
+  std::istringstream in(
+      "random_regular(n=64,d=4) push trials=6 seed=3\n"
+      "random_regular(n=64,d=4) visit-exchange trials=4 fresh=on\n"
+      "star(leaves=32) push-pull source=1 trials=5\n"
+      "file:" + edges + " push trials=5\n");
+  std::string error;
+  const auto specs = parse_scenario_stream(in, &error);
+  ASSERT_TRUE(specs) << error;
+  auto prepared = prepare_scenarios(*specs, &error);
+  ASSERT_TRUE(prepared) << error;
+  const auto results = run_prepared(std::move(*prepared), &error);
+  ASSERT_TRUE(results) << error;
+  const auto reference = run_scenarios(*specs, &error);
+  ASSERT_TRUE(reference) << error;
+  std::ostringstream once, twice;
+  write_scenario_csv(once, *results);
+  write_scenario_csv(twice, *reference);
+  EXPECT_EQ(once.str(), twice.str());
+
+  // The random non-fresh line's trials run on the graph preparation drew.
+  // Graph::uid() counts every graph the process builds, so graphs built
+  // just before and just after its run have consecutive uids.
+  auto random_line = prepare_scenarios({specs->front()}, &error);
+  ASSERT_TRUE(random_line) << error;
+  const std::uint64_t before = gen::cycle(4).uid();
+  EXPECT_TRUE(run_prepared(std::move(*random_line), &error)) << error;
+  EXPECT_EQ(gen::cycle(4).uid(), before + 1);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 // ---- Graph family signatures (rumor_run --list) ------------------------
