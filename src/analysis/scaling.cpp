@@ -22,10 +22,6 @@ std::vector<double> ScalingSeries::means() const {
   return out;
 }
 
-LawVerdict classify_series(const ScalingSeries& series) {
-  return classify_growth(series.sizes(), series.means());
-}
-
 double max_ratio(const ScalingSeries& a, const ScalingSeries& b) {
   RUMOR_REQUIRE(a.points.size() == b.points.size());
   RUMOR_REQUIRE(!a.points.empty());

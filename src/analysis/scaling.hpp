@@ -2,15 +2,14 @@
 //
 // A ScalingSeries is the measured broadcast time of one protocol across a
 // geometric range of sizes. The helpers here reduce series to the numbers
-// the paper's claims bound (experiments/claims): fitted growth exponents,
-// constant-ratio bands (Theorem 1), and additive-logarithmic gaps
-// (Theorem 23).
+// the paper's claims bound (experiments/claims): constant-ratio bands
+// (Theorem 1) and additive-logarithmic gaps (Theorem 23); the fitted growth
+// exponent is fit_power (support/fit) on sizes() and means().
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "support/fit.hpp"
 #include "support/stats.hpp"
 
 namespace rumor {
@@ -27,9 +26,6 @@ struct ScalingSeries {
   [[nodiscard]] std::vector<double> sizes() const;
   [[nodiscard]] std::vector<double> means() const;
 };
-
-// Growth-law verdict on the series means (requires >= 3 points).
-[[nodiscard]] LawVerdict classify_series(const ScalingSeries& series);
 
 // max_i(a_i/b_i) / min_i(a_i/b_i) over the pointwise mean ratios: how far
 // the two series drift from a constant factor across sizes (Theorem 1's

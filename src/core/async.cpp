@@ -1,7 +1,5 @@
 #include "core/async.hpp"
 
-#include <memory>
-
 #include "core/registry.hpp"
 #include "support/assert.hpp"
 #include "support/spec_text.hpp"
@@ -60,19 +58,15 @@ AsyncResult run_async_push_pull(const Graph& g, Vertex source,
   // The informed set lives in the arena's vertex marks (O(1) reset, zero
   // steady-state allocations); without an arena a private one is owned for
   // the duration of the run.
-  std::unique_ptr<TrialArena> owned_arena;
-  if (arena == nullptr) {
-    owned_arena = std::make_unique<TrialArena>();
-    arena = owned_arena.get();
-  }
+  const ArenaHandle scratch(arena);
   TransmissionModel model;
-  model.bind(g, options.transmission, *arena, seed);
+  model.bind(g, options.transmission, *scratch, seed);
   if (model.trivial()) {
     return run_async_impl<transmission::Uniform>(g, source, seed, options,
-                                                 model, arena->vertex_marks);
+                                                 model, scratch->vertex_marks);
   }
   return run_async_impl<transmission::General>(g, source, seed, options,
-                                               model, arena->vertex_marks);
+                                               model, scratch->vertex_marks);
 }
 
 // ---- Scenario registry entry ------------------------------------------

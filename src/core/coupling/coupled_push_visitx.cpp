@@ -13,8 +13,7 @@ CoupledPushVisitx::CoupledPushVisitx(const Graph& g, Vertex source,
       source_(source),
       rng_(derive_seed(seed, 0)),
       options_(options),
-      cutoff_(options.max_rounds != 0 ? options.max_rounds
-                                      : default_round_cutoff(g.num_vertices())),
+      cutoff_(round_cutoff(options.max_rounds, g.num_vertices())),
       choices_(g, derive_seed(seed, 1)) {
   RUMOR_REQUIRE(source < g.num_vertices());
 }

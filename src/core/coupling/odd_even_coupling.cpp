@@ -12,8 +12,7 @@ OddEvenResult run_odd_even_coupling(const Graph& g, Vertex source,
                                     OddEvenOptions options) {
   RUMOR_REQUIRE(source < g.num_vertices());
   const Vertex n = g.num_vertices();
-  const Round cutoff = options.max_rounds != 0 ? options.max_rounds
-                                               : default_round_cutoff(n);
+  const Round cutoff = round_cutoff(options.max_rounds, n);
   SharedChoices choices(g, derive_seed(seed, 1));
   Rng rng(derive_seed(seed, 0));
   OddEvenResult result;

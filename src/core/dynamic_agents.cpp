@@ -26,14 +26,12 @@ DynamicVisitExchangeProcess::DynamicVisitExchangeProcess(
     : graph_(&checked_substrate(g)),
       rng_(seed),
       options_(options),
-      cutoff_(options.walk.max_rounds != 0
-                  ? options.walk.max_rounds
-                  : default_round_cutoff(g.num_vertices())),
-      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
-      arena_(arena != nullptr ? arena : owned_arena_.get()),
+      trial_(options.walk.max_rounds, g.num_vertices(), options.walk.trace,
+             InformRounds::both),
+      arena_(arena),
       agents_(g, resolve_agent_count(g, options.walk), options.walk.placement,
-              rng_, resolve_anchor(options.walk, source), arena_),
-      stationary_(&stationary_sampler(g, arena_, sampler_keepalive_)) {
+              rng_, resolve_anchor(options.walk, source), arena_.get()),
+      stationary_(&stationary_sampler(g, arena_.get(), sampler_keepalive_)) {
   RUMOR_REQUIRE(source < g.num_vertices());
   RUMOR_REQUIRE(options.churn >= 0.0 && options.churn < 1.0);
   RUMOR_REQUIRE(options.loss_fraction >= 0.0 && options.loss_fraction <= 1.0);
@@ -45,7 +43,6 @@ DynamicVisitExchangeProcess::DynamicVisitExchangeProcess(
   arena_->agent_inform_round.reset(count, kNeverInformed);
   arena_->agent_alive.reset(count, 1);
   arena_->agent_marks.reset(count);  // born-this-round marks
-  if (options_.walk.trace.informed_curve) arena_->curve.clear();
 
   arena_->vertex_inform_round.set(source, 0);
   informed_vertex_count_ = 1;
@@ -54,9 +51,6 @@ DynamicVisitExchangeProcess::DynamicVisitExchangeProcess(
       arena_->agent_inform_round.set(a, 0);
       ++informed_agent_count_;
     }
-  }
-  if (options_.walk.trace.informed_curve) {
-    arena_->curve.push_back(informed_vertex_count_);
   }
 }
 
@@ -173,36 +167,16 @@ void DynamicVisitExchangeProcess::step_impl() {
     ++informed_agent_count_;
     last_inform_round_ = round_;
   }
-
-  if (options_.walk.trace.informed_curve) {
-    arena_->curve.push_back(informed_vertex_count_);
-  }
 }
 
-bool DynamicVisitExchangeProcess::halted() const {
-  if (done() || round_ >= cutoff_) return true;
-  if (model_.trivial()) return false;
-  if (informed_vertex_count_ >= target_) return true;  // containment
-  return model_.extinct(round_, last_inform_round_);
+RoundProgress DynamicVisitExchangeProcess::progress() const {
+  return {.informed = informed_vertex_count_,
+          .target = target_,
+          .last_inform = last_inform_round_};
 }
 
 RunResult DynamicVisitExchangeProcess::run() {
-  while (!halted()) step();
-  RunResult result;
-  result.rounds = round_;
-  result.completed = done();
-  result.agent_rounds = round_;
-  result.informed = informed_vertex_count_;
-  if (options_.walk.trace.informed_curve) {
-    result.informed_curve = arena_->curve;
-    result.stifled_curve =
-        derive_stifled_curve(result.informed_curve, model_.stifle());
-  }
-  if (options_.walk.trace.inform_rounds) {
-    result.vertex_inform_round = arena_->vertex_inform_round.to_vector();
-    result.agent_inform_round = arena_->agent_inform_round.to_vector();
-  }
-  return result;
+  return trial_.run(*this, model_, *arena_);
 }
 
 RunResult run_dynamic_visit_exchange(const Graph& g, Vertex source,
@@ -215,17 +189,6 @@ RunResult run_dynamic_visit_exchange(const Graph& g, Vertex source,
 // ---- Scenario registry entry ------------------------------------------
 
 namespace {
-
-TrialResult dynamic_agent_entry_run(const Graph& g,
-                                    const ProtocolOptions& options,
-                                    Vertex source, std::uint64_t seed,
-                                    TrialArena* arena) {
-  return to_trial_result(
-      DynamicVisitExchangeProcess(g, source, seed,
-                                  std::get<DynamicAgentOptions>(options),
-                                  arena)
-          .run());
-}
 
 void dynamic_agent_entry_format(const ProtocolOptions& options,
                                 const ProtocolOptions& defaults,
@@ -272,24 +235,18 @@ bool dynamic_agent_entry_set(ProtocolOptions& options, std::string_view key,
   return set_walk_option(opt.walk, key, value);
 }
 
-TraceOptions* dynamic_agent_entry_trace(ProtocolOptions& options) {
-  return &std::get<DynamicAgentOptions>(options).walk.trace;
-}
-
 }  // namespace
 
 void register_dynamic_agent_simulator(SimulatorRegistry& registry) {
-  SimulatorEntry entry;
-  entry.id = Protocol::dynamic_agent;
-  entry.name = "dynamic-agent";
-  entry.summary =
-      "visit-exchange with agent churn, respawn, and one-shot bulk loss";
-  entry.defaults = DynamicAgentOptions{};
-  entry.run = dynamic_agent_entry_run;
-  entry.format_options = dynamic_agent_entry_format;
-  entry.set_option = dynamic_agent_entry_set;
-  entry.trace = dynamic_agent_entry_trace;
-  registry.add(std::move(entry));
+  add_round_simulator<DynamicVisitExchangeProcess, DynamicAgentOptions>(
+      registry,
+      {.id = Protocol::dynamic_agent,
+       .name = "dynamic-agent",
+       .summary =
+           "visit-exchange with agent churn, respawn, and one-shot bulk loss",
+       .defaults = DynamicAgentOptions{},
+       .format_options = dynamic_agent_entry_format,
+       .set_option = dynamic_agent_entry_set});
 }
 
 }  // namespace rumor

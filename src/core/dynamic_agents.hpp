@@ -77,18 +77,18 @@ class DynamicVisitExchangeProcess {
   template <class Mode>
   void step_impl();
   void activate_blocking();
-  [[nodiscard]] bool halted() const;
+  friend class RoundTrial;
+  [[nodiscard]] RoundProgress progress() const;
 
   const Graph* graph_;
   Rng rng_;
   DynamicAgentOptions options_;
   TransmissionModel model_;
+  RoundTrial trial_;
   Round round_ = 0;
-  Round cutoff_;
   std::uint32_t target_ = 0;  // blocking containment target (vertices)
   Round last_inform_round_ = 0;
-  std::unique_ptr<TrialArena> owned_arena_;
-  TrialArena* arena_;
+  ArenaHandle arena_;
   AgentSystem agents_;
   // Respawn sampler: the arena-cached stationary alias table (keepalive
   // owns it when no arena was lent).

@@ -10,10 +10,9 @@ FrogProcess::FrogProcess(const Graph& g, Vertex source, std::uint64_t seed,
     : graph_(&g),
       rng_(seed),
       options_(options),
-      cutoff_(options.max_rounds != 0 ? options.max_rounds
-                                      : default_round_cutoff(g.num_vertices())),
-      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
-      arena_(arena != nullptr ? arena : owned_arena_.get()),
+      trial_(options.max_rounds, g.num_vertices(), options.trace,
+             InformRounds::vertices),
+      arena_(arena),
       positions_(&arena_->agent_positions),
       frog_count_(static_cast<std::size_t>(g.num_vertices()) *
                   options.frogs_per_vertex) {
@@ -27,13 +26,9 @@ FrogProcess::FrogProcess(const Graph& g, Vertex source, std::uint64_t seed,
   }
   arena_->vertex_inform_round.reset(g.num_vertices(), kNeverInformed);
   order_.reset(*arena_, frog_count_);
-  if (options_.trace.informed_curve) arena_->curve.clear();
 
   // Round 0: the source is "visited"; its frogs wake.
   wake_at(source);
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(static_cast<std::uint32_t>(awake_count_));
-  }
 }
 
 void FrogProcess::wake_at(Vertex v) {
@@ -95,35 +90,15 @@ void FrogProcess::step_impl() {
     }
     wake_at(v);
   }
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(static_cast<std::uint32_t>(awake_count_));
-  }
 }
 
-bool FrogProcess::halted() const {
-  if (done() || round_ >= cutoff_) return true;
-  if (model_.trivial()) return false;
-  if (awake_count_ >= target_awake_) return true;  // blocking containment
-  return model_.extinct(round_, last_inform_round_);
+RoundProgress FrogProcess::progress() const {
+  return {.informed = awake_count_,
+          .target = target_awake_,
+          .last_inform = last_inform_round_};
 }
 
-RunResult FrogProcess::run() {
-  while (!halted()) step();
-  RunResult result;
-  result.rounds = round_;
-  result.completed = done();
-  result.agent_rounds = round_;
-  result.informed = static_cast<std::uint32_t>(awake_count_);
-  if (options_.trace.informed_curve) {
-    result.informed_curve = arena_->curve;
-    result.stifled_curve =
-        derive_stifled_curve(result.informed_curve, model_.stifle());
-  }
-  if (options_.trace.inform_rounds) {
-    result.vertex_inform_round = arena_->vertex_inform_round.to_vector();
-  }
-  return result;
-}
+RunResult FrogProcess::run() { return trial_.run(*this, model_, *arena_); }
 
 RunResult run_frog(const Graph& g, Vertex source, std::uint64_t seed,
                    FrogOptions options, TrialArena* arena) {
@@ -133,14 +108,6 @@ RunResult run_frog(const Graph& g, Vertex source, std::uint64_t seed,
 // ---- Scenario registry entry ------------------------------------------
 
 namespace {
-
-TrialResult frog_entry_run(const Graph& g, const ProtocolOptions& options,
-                           Vertex source, std::uint64_t seed,
-                           TrialArena* arena) {
-  return to_trial_result(
-      FrogProcess(g, source, seed, std::get<FrogOptions>(options), arena)
-          .run());
-}
 
 void frog_entry_format(const ProtocolOptions& options,
                        const ProtocolOptions& defaults,
@@ -189,25 +156,17 @@ bool frog_entry_set(ProtocolOptions& options, std::string_view key,
   return set_trace_option(opt.trace, key, value);
 }
 
-TraceOptions* frog_entry_trace(ProtocolOptions& options) {
-  return &std::get<FrogOptions>(options).trace;
-}
-
 }  // namespace
 
 void register_frog_simulator(SimulatorRegistry& registry) {
-  SimulatorEntry entry;
-  entry.id = Protocol::frog;
-  entry.name = "frog";
-  entry.summary =
-      "frog model: sleeping per-vertex walkers woken (and recruited) by "
-      "visits";
-  entry.defaults = FrogOptions{};
-  entry.run = frog_entry_run;
-  entry.format_options = frog_entry_format;
-  entry.set_option = frog_entry_set;
-  entry.trace = frog_entry_trace;
-  registry.add(std::move(entry));
+  add_round_simulator<FrogProcess, FrogOptions>(
+      registry, {.id = Protocol::frog,
+                 .name = "frog",
+                 .summary = "frog model: sleeping per-vertex walkers woken "
+                            "(and recruited) by visits",
+                 .defaults = FrogOptions{},
+                 .format_options = frog_entry_format,
+                 .set_option = frog_entry_set});
 }
 
 }  // namespace rumor

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/protocol.hpp"
@@ -67,7 +66,8 @@ class FrogProcess {
   template <class Mode>
   void step_impl();
   void activate_blocking();
-  [[nodiscard]] bool halted() const;
+  friend class RoundTrial;
+  [[nodiscard]] RoundProgress progress() const;
   // A frog's wake round is its home vertex's first-visit round.
   [[nodiscard]] std::uint32_t wake_round(std::uint32_t f) const {
     return arena_->vertex_inform_round.get(f / options_.frogs_per_vertex);
@@ -77,12 +77,11 @@ class FrogProcess {
   Rng rng_;
   FrogOptions options_;
   TransmissionModel model_;
+  RoundTrial trial_;
   Round round_ = 0;
-  Round cutoff_;
   std::size_t target_awake_ = 0;  // blocking containment target (frogs)
   Round last_inform_round_ = 0;
-  std::unique_ptr<TrialArena> owned_arena_;
-  TrialArena* arena_;
+  ArenaHandle arena_;
   // Frog f sleeps at vertex f / frogs_per_vertex until woken; positions use
   // the arena's reusable agent-position buffer, the first-visit rounds its
   // per-vertex EpochArray, and the awake-prefix partition its

@@ -16,15 +16,14 @@ HybridProcess::HybridProcess(const Graph& g, Vertex source,
       rng_(seed),
       options_(options),
       laziness_(resolve_laziness(g, options.lazy)),
-      cutoff_(options.max_rounds != 0 ? options.max_rounds
-                                      : default_round_cutoff(g.num_vertices())),
+      trial_(options.max_rounds, g.num_vertices(), options.trace,
+             InformRounds::both),
       sharded_(sharding_enabled(options.shards, g.num_vertices())),
       shard_width_(sharded_ ? resolve_shard_width(options.shards) : 1),
       seed_(seed),
-      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
-      arena_(arena != nullptr ? arena : owned_arena_.get()),
+      arena_(arena),
       agents_(g, resolve_agent_count(g, options), options.placement, rng_,
-              resolve_anchor(options, source), arena_,
+              resolve_anchor(options, source), arena_.get(),
               sharded_ ? ShardedPlacement{seed, shard_width_}
                        : ShardedPlacement{}),
       calls_(g, model_, *arena_, PushPullRound::LatePulls::draw),
@@ -32,11 +31,7 @@ HybridProcess::HybridProcess(const Graph& g, Vertex source,
       agent_side_(*arena_, agents_, source, sharded_, shard_width_) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
-  if (options_.trace.informed_curve) arena_->curve.clear();
   calls_.inform(source, 0);
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(calls_.informed_count());
-  }
 }
 
 void HybridProcess::step() {
@@ -54,9 +49,6 @@ void HybridProcess::step() {
     step_impl<transmission::Uniform>();
   } else {
     step_impl<transmission::General>();
-  }
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(calls_.informed_count());
   }
 }
 
@@ -113,32 +105,14 @@ void HybridProcess::step_sharded() {
   }
 }
 
-bool HybridProcess::halted() const {
-  if (done() || round_ >= cutoff_) return true;
-  if (model_.trivial()) return false;
-  if (calls_.informed_count() >= calls_.target()) return true;  // contained
-  return model_.extinct(
-      round_, std::max(calls_.last_inform_round(), last_agent_inform_round_));
+RoundProgress HybridProcess::progress() const {
+  return {.informed = calls_.informed_count(),
+          .target = calls_.target(),
+          .last_inform = std::max(calls_.last_inform_round(),
+                                  last_agent_inform_round_)};
 }
 
-RunResult HybridProcess::run() {
-  while (!halted()) step();
-  RunResult result;
-  result.rounds = round_;
-  result.completed = done();
-  result.agent_rounds = round_;
-  result.informed = calls_.informed_count();
-  if (options_.trace.informed_curve) {
-    result.informed_curve = arena_->curve;
-    result.stifled_curve =
-        derive_stifled_curve(result.informed_curve, model_.stifle());
-  }
-  if (options_.trace.inform_rounds) {
-    result.vertex_inform_round = arena_->vertex_inform_round.to_vector();
-    result.agent_inform_round = arena_->agent_inform_round.to_vector();
-  }
-  return result;
-}
+RunResult HybridProcess::run() { return trial_.run(*this, model_, *arena_); }
 
 RunResult run_hybrid(const Graph& g, Vertex source, std::uint64_t seed,
                      WalkOptions options, TrialArena* arena) {
@@ -147,31 +121,17 @@ RunResult run_hybrid(const Graph& g, Vertex source, std::uint64_t seed,
 
 // ---- Scenario registry entry ------------------------------------------
 
-namespace {
-
-TrialResult hybrid_entry_run(const Graph& g, const ProtocolOptions& options,
-                             Vertex source, std::uint64_t seed,
-                             TrialArena* arena) {
-  return to_trial_result(
-      HybridProcess(g, source, seed, std::get<WalkOptions>(options), arena)
-          .run());
-}
-
-}  // namespace
-
 void register_hybrid_simulator(SimulatorRegistry& registry) {
-  SimulatorEntry entry;
-  entry.id = Protocol::hybrid;
-  entry.name = "hybrid";
-  entry.summary =
-      "hybrid: push-pull and visit-exchange on shared informed-vertex state";
-  entry.defaults = WalkOptions{};
-  entry.run = hybrid_entry_run;
   // Shared sharded-walk hooks: the walk grammar plus the shards= key.
-  entry.format_options = sharded_walk_entry_format;
-  entry.set_option = sharded_walk_entry_set;
-  entry.trace = walk_entry_trace;
-  registry.add(std::move(entry));
+  add_round_simulator<HybridProcess, WalkOptions>(
+      registry,
+      {.id = Protocol::hybrid,
+       .name = "hybrid",
+       .summary = "hybrid: push-pull and visit-exchange on shared "
+                  "informed-vertex state",
+       .defaults = WalkOptions{},
+       .format_options = sharded_walk_entry_format,
+       .set_option = sharded_walk_entry_set});
 }
 
 }  // namespace rumor

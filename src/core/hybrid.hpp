@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/push_pull.hpp"
 #include "core/visit_exchange.hpp"
@@ -70,23 +69,23 @@ class HybridProcess {
   void step_impl();
   template <class Mode>
   void step_sharded();
-  [[nodiscard]] bool halted() const;
+  friend class RoundTrial;
+  [[nodiscard]] RoundProgress progress() const;
 
   const Graph* graph_;
   Rng rng_;
   WalkOptions options_;
   TransmissionModel model_;
   Laziness laziness_;
+  RoundTrial trial_;
   Round round_ = 0;
-  Round cutoff_;
   Round last_agent_inform_round_ = 0;
   // Frontier-sharded round engine (core/sharding): fixed at construction,
   // before the agents are placed (sharded trials place from the plane).
   bool sharded_ = false;
   std::uint32_t shard_width_ = 1;
   std::uint64_t seed_ = 0;  // ShardPlane key seed (the trial seed)
-  std::unique_ptr<TrialArena> owned_arena_;
-  TrialArena* arena_;
+  ArenaHandle arena_;
   AgentSystem agents_;
   PushPullRound calls_;
   VisitExchangeAgents agent_side_;

@@ -16,15 +16,14 @@ MeetExchangeProcess::MeetExchangeProcess(const Graph& g, Vertex source,
       rng_(seed),
       options_(options),
       laziness_(resolve_laziness(g, options.lazy)),
-      cutoff_(options.max_rounds != 0 ? options.max_rounds
-                                      : default_round_cutoff(g.num_vertices())),
+      trial_(options.max_rounds, g.num_vertices(), options.trace,
+             InformRounds::agents),
       sharded_(sharding_enabled(options.shards, g.num_vertices())),
       shard_width_(sharded_ ? resolve_shard_width(options.shards) : 1),
       seed_(seed),
-      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
-      arena_(arena != nullptr ? arena : owned_arena_.get()),
+      arena_(arena),
       agents_(g, resolve_agent_count(g, options), options.placement, rng_,
-              resolve_anchor(options, source), arena_,
+              resolve_anchor(options, source), arena_.get(),
               sharded_ ? ShardedPlacement{seed, shard_width_}
                        : ShardedPlacement{}),
       source_(source) {
@@ -33,7 +32,6 @@ MeetExchangeProcess::MeetExchangeProcess(const Graph& g, Vertex source,
   const std::size_t count = agents_.count();
   arena_->agent_inform_round.reset(count, kNeverInformed);
   arena_->vertex_marks.reset(g.num_vertices());
-  if (options_.trace.informed_curve) arena_->curve.clear();
 
   // Round 0: agents standing on s are informed; otherwise s stays "active"
   // until its first visitor.
@@ -49,9 +47,6 @@ MeetExchangeProcess::MeetExchangeProcess(const Graph& g, Vertex source,
     }
   }
   source_active_ = (informed_agent_count_ == 0);
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(static_cast<std::uint32_t>(informed_agent_count_));
-  }
 }
 
 void MeetExchangeProcess::inform_agent_at(std::size_t order_index) {
@@ -128,10 +123,6 @@ void MeetExchangeProcess::step_impl() {
     }
   }
   if (source_met) source_active_ = false;
-
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(static_cast<std::uint32_t>(informed_agent_count_));
-  }
 }
 
 // One frontier-sharded round — law-equivalent to step_impl<Mode>. The
@@ -219,37 +210,18 @@ void MeetExchangeProcess::step_sharded() {
   informed_agent_count_ += met.informs;
   if (met.informs > 0) last_inform_round_ = round_;
   if (met.source_met) source_active_ = false;
-
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(static_cast<std::uint32_t>(informed_agent_count_));
-  }
 }
 
-bool MeetExchangeProcess::halted() const {
-  if (done() || round_ >= cutoff_) return true;
-  if (model_.trivial()) return false;
+RoundProgress MeetExchangeProcess::progress() const {
   // The still-active source transmits like an entity informed at round 0 —
   // which is exactly what last_inform_round_'s initial value encodes, so
   // the generic extinction rule covers it.
-  return model_.extinct(round_, last_inform_round_);
+  return {.informed = informed_agent_count_,
+          .last_inform = last_inform_round_};
 }
 
 RunResult MeetExchangeProcess::run() {
-  while (!halted()) step();
-  RunResult result;
-  result.rounds = round_;
-  result.completed = done();
-  result.agent_rounds = round_;
-  result.informed = static_cast<std::uint32_t>(informed_agent_count_);
-  if (options_.trace.informed_curve) {
-    result.informed_curve = arena_->curve;
-    result.stifled_curve =
-        derive_stifled_curve(result.informed_curve, model_.stifle());
-  }
-  if (options_.trace.inform_rounds) {
-    result.agent_inform_round = arena_->agent_inform_round.to_vector();
-  }
-  return result;
+  return trial_.run(*this, model_, *arena_);
 }
 
 RunResult run_meet_exchange(const Graph& g, Vertex source, std::uint64_t seed,
@@ -259,33 +231,17 @@ RunResult run_meet_exchange(const Graph& g, Vertex source, std::uint64_t seed,
 
 // ---- Scenario registry entry ------------------------------------------
 
-namespace {
-
-TrialResult meet_exchange_entry_run(const Graph& g,
-                                    const ProtocolOptions& options,
-                                    Vertex source, std::uint64_t seed,
-                                    TrialArena* arena) {
-  return to_trial_result(
-      MeetExchangeProcess(g, source, seed, std::get<WalkOptions>(options),
-                          arena)
-          .run());
-}
-
-}  // namespace
-
 void register_meet_exchange_simulator(SimulatorRegistry& registry) {
-  SimulatorEntry entry;
-  entry.id = Protocol::meet_exchange;
-  entry.name = "meet-exchange";
-  entry.summary =
-      "MEET-EXCHANGE: only agents carry the rumor; meetings exchange it";
-  // The paper's convention: lazy walks exactly on bipartite graphs.
-  entry.defaults = MeetExchangeProcess::default_options();
-  entry.run = meet_exchange_entry_run;
-  entry.format_options = sharded_walk_entry_format;
-  entry.set_option = sharded_walk_entry_set;
-  entry.trace = walk_entry_trace;
-  registry.add(std::move(entry));
+  add_round_simulator<MeetExchangeProcess, WalkOptions>(
+      registry,
+      {.id = Protocol::meet_exchange,
+       .name = "meet-exchange",
+       .summary =
+           "MEET-EXCHANGE: only agents carry the rumor; meetings exchange it",
+       // The paper's convention: lazy walks exactly on bipartite graphs.
+       .defaults = MeetExchangeProcess::default_options(),
+       .format_options = sharded_walk_entry_format,
+       .set_option = sharded_walk_entry_set});
 }
 
 }  // namespace rumor

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/walk_options.hpp"
 #include "graph/graph.hpp"
@@ -71,23 +70,23 @@ class MeetExchangeProcess {
   void step_impl();
   template <class Mode>
   void step_sharded();
-  [[nodiscard]] bool halted() const;
+  friend class RoundTrial;
+  [[nodiscard]] RoundProgress progress() const;
 
   const Graph* graph_;
   Rng rng_;
   WalkOptions options_;
   TransmissionModel model_;
   Laziness laziness_;
+  RoundTrial trial_;
   Round round_ = 0;
-  Round cutoff_;
   Round last_inform_round_ = 0;
   // Frontier-sharded round engine (core/sharding): fixed at construction,
   // before the agents are placed (sharded trials place from the plane).
   bool sharded_ = false;
   std::uint32_t shard_width_ = 1;
   std::uint64_t seed_ = 0;  // ShardPlane key seed (the trial seed)
-  std::unique_ptr<TrialArena> owned_arena_;
-  TrialArena* arena_;
+  ArenaHandle arena_;
   AgentSystem agents_;
   // Serial engine only: identity-default informed-prefix partition over
   // the arena's order arrays ([0, informed_agent_count_) are the informed

@@ -66,10 +66,8 @@ MultiRumorPushPull::MultiRumorPushPull(const Graph& g,
     : graph_(&g),
       rumors_(rumors),
       rng_(seed),
-      cutoff_(max_rounds != 0 ? max_rounds
-                              : default_round_cutoff(g.num_vertices())),
-      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
-      arena_(arena != nullptr ? arena : owned_arena_.get()),
+      cutoff_(round_cutoff(max_rounds, g.num_vertices())),
+      arena_(arena),
       remaining_(rumors.size()) {
   validate(g, rumors_);
   model_.bind(g, transmission, *arena_, seed);
@@ -172,13 +170,11 @@ MultiRumorVisitExchange::MultiRumorVisitExchange(
       rng_(seed),
       options_(options),
       laziness_(resolve_laziness(g, options.lazy)),
-      cutoff_(options.max_rounds != 0 ? options.max_rounds
-                                      : default_round_cutoff(g.num_vertices())),
-      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
-      arena_(arena != nullptr ? arena : owned_arena_.get()),
+      cutoff_(round_cutoff(options.max_rounds, g.num_vertices())),
+      arena_(arena),
       agents_(g, resolve_agent_count(g, options), options.placement, rng_,
               resolve_anchor(options, rumors.empty() ? 0 : rumors[0].source),
-              arena_),
+              arena_.get()),
       remaining_(rumors.size()) {
   validate(g, rumors_);
   model_.bind(g, options_.transmission, *arena_, seed);

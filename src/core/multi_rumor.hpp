@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -113,8 +112,7 @@ class MultiRumorPushPull {
   TransmissionModel model_;
   Round round_ = 0;
   Round cutoff_;
-  std::unique_ptr<TrialArena> owned_arena_;
-  TrialArena* arena_;
+  ArenaHandle arena_;
   std::size_t remaining_;
 };
 
@@ -160,8 +158,7 @@ class MultiRumorVisitExchange {
   Laziness laziness_;
   Round round_ = 0;
   Round cutoff_;
-  std::unique_ptr<TrialArena> owned_arena_;
-  TrialArena* arena_;
+  ArenaHandle arena_;
   AgentSystem agents_;
   std::size_t remaining_;
 };

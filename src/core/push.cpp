@@ -32,10 +32,9 @@ PushProcess::PushProcess(const Graph& g, Vertex source, std::uint64_t seed,
     : graph_(&g),
       rng_(seed),
       options_(options),
-      cutoff_(options.max_rounds != 0 ? options.max_rounds
-                                      : default_round_cutoff(g.num_vertices())),
-      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
-      arena_(arena != nullptr ? arena : owned_arena_.get()) {
+      trial_(options.max_rounds, g.num_vertices(), options.trace,
+             InformRounds::vertices),
+      arena_(arena) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
   // Engine choice is pure in (options, n) — see core/sharding.
@@ -64,9 +63,7 @@ PushProcess::PushProcess(const Graph& g, Vertex source, std::uint64_t seed,
     arena_->wake_next.resize(g.num_vertices());
     arena_->wake_round.resize(g.num_vertices());
   }
-  if (options_.trace.informed_curve) arena_->curve.clear();
   inform(source);
-  if (options_.trace.informed_curve) arena_->curve.push_back(informed_count_);
 }
 
 void PushProcess::inform(Vertex v) {
@@ -188,19 +185,15 @@ void PushProcess::step_skip(const Access& acc) {
   auto* heads = arena_->wake_heads.data();
   auto* next = arena_->wake_next.data();
   const bool restricted = model_.stifle() != 0 || model_.blocking();
-  // Traced or intervention-constrained runs keep the one-round-per-call
-  // contract: the informed curve needs a sample after every round, and the
-  // stifling/blocking halting rules (extinction windows, activation
-  // rounds, containment targets) are re-evaluated by halted() between
-  // rounds. The plain heterogeneous-tp workload has neither, so it drains
-  // the calendar in a batch — views hoisted once, rounds consumed until a
-  // halt condition — turning the dominant per-round cost (view hoists plus
-  // a full halted() pass; on a ballistic-spread graph rounds outnumber
-  // events per round by a wide margin) into a single bucket probe.
-  // Trajectories are identical: the batch breaks on exactly the conditions
-  // halted() checks for this configuration (done, cutoff, drained
-  // calendar), the last processed round is still exactly cutoff_, and
-  // empty buckets consume no RNG.
+  // Traced runs and runs with interventions advance one round per step():
+  // the run loop records the informed curve after every step(). The plain
+  // heterogeneous-tp workload has neither, so it drains the calendar in a
+  // batch — views hoisted once, rounds consumed until the shared halting
+  // rule stops the run — turning the dominant per-round cost (view hoists
+  // plus a return to the run loop; on a ballistic-spread graph rounds
+  // outnumber events per round by a wide margin) into a single bucket
+  // probe. Trajectories are identical: the batch stops exactly where the
+  // run loop would, and empty buckets consume no RNG.
   const bool single = restricted || options_.trace.informed_curve;
   // Per-vertex state reads go through raw-pointer views — the views stay
   // valid across inform() (it writes through the same stable buffers).
@@ -278,9 +271,7 @@ void PushProcess::step_skip(const Access& acc) {
       --pending_;
       process(u);
     }
-  } while (!single && pending_ != 0 && informed_count_ < target_ &&
-           round_ < cutoff_);
-  if (options_.trace.informed_curve) arena_->curve.push_back(informed_count_);
+  } while (!single && !trial_.halted(round_, done(), model_, progress()));
 }
 
 template <class Mode>
@@ -327,8 +318,6 @@ void PushProcess::step_impl() {
       if (!arena_->vertex_inform_round.touched(v)) inform(v);
     }
   }
-
-  if (options_.trace.informed_curve) arena_->curve.push_back(informed_count_);
 }
 
 // One frontier-sharded round. Law-equivalent to step_impl<Mode> — the only
@@ -396,40 +385,19 @@ void PushProcess::step_sharded(const Access& acc) {
       [&](Vertex v) {
         if (!informed.touched(v)) inform(v);
       });
-
-  if (options_.trace.informed_curve) arena_->curve.push_back(informed_count_);
 }
 
-bool PushProcess::halted() const {
-  if (done() || round_ >= cutoff_) return true;
-  if (model_.trivial()) return false;
-  if (informed_count_ >= target_) return true;  // blocking containment
+RoundProgress PushProcess::progress() const {
   // No callers left (all saturated, stifled, or quarantined): push has no
   // pull side, so the state can never change again. On the calendar path
   // the caller set is the outstanding wake events.
-  if (round_ > 0 && (skip_ ? pending_ == 0 : arena_->active.empty())) {
-    return true;
-  }
-  return model_.extinct(round_, last_inform_round_);
+  return {.informed = informed_count_,
+          .target = target_,
+          .last_inform = last_inform_round_,
+          .no_callers = skip_ ? pending_ == 0 : arena_->active.empty()};
 }
 
-RunResult PushProcess::run() {
-  while (!halted()) step();
-  RunResult result;
-  result.rounds = round_;
-  result.completed = done();
-  result.agent_rounds = round_;  // no agents in push
-  result.informed = informed_count_;
-  if (options_.trace.informed_curve) {
-    result.informed_curve = arena_->curve;
-    result.stifled_curve =
-        derive_stifled_curve(result.informed_curve, model_.stifle());
-  }
-  if (options_.trace.inform_rounds) {
-    result.vertex_inform_round = arena_->vertex_inform_round.to_vector();
-  }
-  return result;
-}
+RunResult PushProcess::run() { return trial_.run(*this, model_, *arena_); }
 
 RunResult run_push(const Graph& g, Vertex source, std::uint64_t seed,
                    PushOptions options) {
@@ -439,14 +407,6 @@ RunResult run_push(const Graph& g, Vertex source, std::uint64_t seed,
 // ---- Scenario registry entry ------------------------------------------
 
 namespace {
-
-TrialResult push_entry_run(const Graph& g, const ProtocolOptions& options,
-                           Vertex source, std::uint64_t seed,
-                           TrialArena* arena) {
-  return to_trial_result(
-      PushProcess(g, source, seed, std::get<PushOptions>(options), arena)
-          .run());
-}
 
 void push_entry_format(const ProtocolOptions& options,
                        const ProtocolOptions& defaults,
@@ -475,23 +435,17 @@ bool push_entry_set(ProtocolOptions& options, std::string_view key,
   return set_trace_option(opt.trace, key, value);
 }
 
-TraceOptions* push_entry_trace(ProtocolOptions& options) {
-  return &std::get<PushOptions>(options).trace;
-}
-
 }  // namespace
 
 void register_push_simulator(SimulatorRegistry& registry) {
-  SimulatorEntry entry;
-  entry.id = Protocol::push;
-  entry.name = "push";
-  entry.summary = "PUSH: informed vertices call a uniform random neighbor";
-  entry.defaults = PushOptions{};
-  entry.run = push_entry_run;
-  entry.format_options = push_entry_format;
-  entry.set_option = push_entry_set;
-  entry.trace = push_entry_trace;
-  registry.add(std::move(entry));
+  add_round_simulator<PushProcess, PushOptions>(
+      registry,
+      {.id = Protocol::push,
+       .name = "push",
+       .summary = "PUSH: informed vertices call a uniform random neighbor",
+       .defaults = PushOptions{},
+       .format_options = push_entry_format,
+       .set_option = push_entry_set});
 }
 
 }  // namespace rumor

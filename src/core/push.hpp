@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/protocol.hpp"
 #include "core/transmission.hpp"
@@ -100,16 +99,15 @@ class PushProcess {
   // this, schedule() adds the accounting.
   void link(Vertex v, std::uint64_t wake);
   void activate_blocking();
-  // True when the run loop must stop before the cutoff: completion,
-  // blocking containment, or stifling extinction.
-  [[nodiscard]] bool halted() const;
+  friend class RoundTrial;
+  [[nodiscard]] RoundProgress progress() const;
 
   const Graph* graph_;
   Rng rng_;
   PushOptions options_;
   TransmissionModel model_;
+  RoundTrial trial_;
   Round round_ = 0;
-  Round cutoff_;
   std::uint32_t informed_count_ = 0;
   // Containment target under blocking: vertices that can ever be informed.
   std::uint32_t target_;
@@ -119,8 +117,7 @@ class PushProcess {
   std::uint32_t shard_width_ = 1;  // execution-only; never affects draws
   std::uint64_t seed_ = 0;         // trial seed: keys the shard draw plane
   std::uint64_t pending_ = 0;  // wake events outstanding (ring + far)
-  std::unique_ptr<TrialArena> owned_arena_;
-  TrialArena* arena_;
+  ArenaHandle arena_;
 };
 
 // One-call convenience.

@@ -229,10 +229,9 @@ PushPullProcess::PushPullProcess(const Graph& g, Vertex source,
     : graph_(&g),
       rng_(seed),
       options_(options),
-      cutoff_(options.max_rounds != 0 ? options.max_rounds
-                                      : default_round_cutoff(g.num_vertices())),
-      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
-      arena_(arena != nullptr ? arena : owned_arena_.get()),
+      trial_(options.max_rounds, g.num_vertices(), options.trace,
+             InformRounds::vertices),
+      arena_(arena),
       calls_(g, model_, *arena_) {
   RUMOR_REQUIRE(source < g.num_vertices());
   model_.bind(g, options_.transmission, *arena_, seed);
@@ -241,11 +240,7 @@ PushPullProcess::PushPullProcess(const Graph& g, Vertex source,
     shard_width_ = resolve_shard_width(options_.shards);
     seed_ = seed;
   }
-  if (options_.trace.informed_curve) arena_->curve.clear();
   calls_.inform(source, 0);
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(calls_.informed_count());
-  }
 }
 
 void PushPullProcess::step() {
@@ -258,39 +253,20 @@ void PushPullProcess::step() {
   } else {
     calls_.serial(round_, rng_);
   }
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(calls_.informed_count());
-  }
 }
 
-bool PushPullProcess::halted() const {
-  if (done() || round_ >= cutoff_) return true;
-  if (model_.trivial()) return false;
-  if (calls_.informed_count() >= calls_.target()) return true;  // contained
-  // No active transmitters: pushes are gone, and a successful pull would
-  // need an informed, transmitting vertex with an uninformed unblocked
-  // neighbor — which is exactly a vertex the caller filter would have
-  // kept.
-  if (round_ > 0 && calls_.no_callers()) return true;
-  return model_.extinct(round_, calls_.last_inform_round());
+RoundProgress PushPullProcess::progress() const {
+  // No callers left: pushes are gone, and a successful pull would need an
+  // informed, transmitting vertex with an uninformed unblocked neighbor —
+  // which is exactly a vertex the caller filter would have kept.
+  return {.informed = calls_.informed_count(),
+          .target = calls_.target(),
+          .last_inform = calls_.last_inform_round(),
+          .no_callers = calls_.no_callers()};
 }
 
 RunResult PushPullProcess::run() {
-  while (!halted()) step();
-  RunResult result;
-  result.rounds = round_;
-  result.completed = done();
-  result.agent_rounds = round_;
-  result.informed = calls_.informed_count();
-  if (options_.trace.informed_curve) {
-    result.informed_curve = arena_->curve;
-    result.stifled_curve =
-        derive_stifled_curve(result.informed_curve, model_.stifle());
-  }
-  if (options_.trace.inform_rounds) {
-    result.vertex_inform_round = arena_->vertex_inform_round.to_vector();
-  }
-  return result;
+  return trial_.run(*this, model_, *arena_);
 }
 
 RunResult run_push_pull(const Graph& g, Vertex source, std::uint64_t seed,
@@ -301,15 +277,6 @@ RunResult run_push_pull(const Graph& g, Vertex source, std::uint64_t seed,
 // ---- Scenario registry entry ------------------------------------------
 
 namespace {
-
-TrialResult push_pull_entry_run(const Graph& g, const ProtocolOptions& options,
-                                Vertex source, std::uint64_t seed,
-                                TrialArena* arena) {
-  return to_trial_result(
-      PushPullProcess(g, source, seed, std::get<PushPullOptions>(options),
-                      arena)
-          .run());
-}
 
 void push_pull_entry_format(const ProtocolOptions& options,
                             const ProtocolOptions& defaults,
@@ -338,23 +305,17 @@ bool push_pull_entry_set(ProtocolOptions& options, std::string_view key,
   return set_trace_option(opt.trace, key, value);
 }
 
-TraceOptions* push_pull_entry_trace(ProtocolOptions& options) {
-  return &std::get<PushPullOptions>(options).trace;
-}
-
 }  // namespace
 
 void register_push_pull_simulator(SimulatorRegistry& registry) {
-  SimulatorEntry entry;
-  entry.id = Protocol::push_pull;
-  entry.name = "push-pull";
-  entry.summary = "PUSH-PULL: every vertex calls; informed pairs exchange";
-  entry.defaults = PushPullOptions{};
-  entry.run = push_pull_entry_run;
-  entry.format_options = push_pull_entry_format;
-  entry.set_option = push_pull_entry_set;
-  entry.trace = push_pull_entry_trace;
-  registry.add(std::move(entry));
+  add_round_simulator<PushPullProcess, PushPullOptions>(
+      registry,
+      {.id = Protocol::push_pull,
+       .name = "push-pull",
+       .summary = "PUSH-PULL: every vertex calls; informed pairs exchange",
+       .defaults = PushPullOptions{},
+       .format_options = push_pull_entry_format,
+       .set_option = push_pull_entry_set});
 }
 
 }  // namespace rumor

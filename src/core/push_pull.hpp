@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/protocol.hpp"
 #include "core/transmission.hpp"
@@ -148,19 +147,19 @@ class PushPullProcess {
   [[nodiscard]] RunResult run();
 
  private:
-  [[nodiscard]] bool halted() const;
+  friend class RoundTrial;
+  [[nodiscard]] RoundProgress progress() const;
 
   const Graph* graph_;
   Rng rng_;
   PushPullOptions options_;
   TransmissionModel model_;
+  RoundTrial trial_;
   Round round_ = 0;
-  Round cutoff_;
   bool sharded_ = false;           // frontier-sharded engine this trial
   std::uint32_t shard_width_ = 1;  // execution-only; never affects draws
   std::uint64_t seed_ = 0;         // trial seed: keys the shard draw plane
-  std::unique_ptr<TrialArena> owned_arena_;
-  TrialArena* arena_;
+  ArenaHandle arena_;
   PushPullRound calls_;
 };
 

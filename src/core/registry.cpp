@@ -57,10 +57,6 @@ const SimulatorEntry& SimulatorRegistry::at(Protocol id) const {
   return *entry;
 }
 
-TraceOptions* walk_entry_trace(ProtocolOptions& options) {
-  return &std::get<WalkOptions>(options).trace;
-}
-
 void sharded_walk_entry_format(const ProtocolOptions& options,
                                const ProtocolOptions& defaults,
                                spec_text::KeyValWriter& out) {

@@ -15,6 +15,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/protocol_spec.hpp"
@@ -76,13 +79,33 @@ class SimulatorRegistry {
   std::vector<SimulatorEntry> entries_;
 };
 
-// Entry hooks shared by the simulators whose options are a bare
+// Registers a round simulator. `entry` carries its name, summary,
+// defaults and grammar hooks; this fills the trial entry point, which runs
+// one Process on the entry's Options alternative, and the trace hook.
+template <class Process, class Options>
+void add_round_simulator(SimulatorRegistry& registry, SimulatorEntry entry) {
+  entry.run = [](const Graph& g, const ProtocolOptions& options,
+                 Vertex source, std::uint64_t seed, TrialArena* arena) {
+    return to_trial_result(
+        Process(g, source, seed, std::get<Options>(options), arena).run());
+  };
+  entry.trace = [](ProtocolOptions& options) -> TraceOptions* {
+    Options& opt = std::get<Options>(options);
+    if constexpr (std::is_same_v<Options, DynamicAgentOptions>) {
+      return &opt.walk.trace;
+    } else {
+      return &opt.trace;
+    }
+  };
+  registry.add(std::move(entry));
+}
+
+// Grammar hooks shared by the simulators whose options are a bare
 // WalkOptions alternative (visit-exchange, meet-exchange, hybrid): the walk
 // grammar (set_walk_option/format_walk_options) plus the `shards=` key.
 // The walk grammar itself does NOT parse `shards=` — simulators without a
 // sharded round (dynamic-agent, multi-rumor) must reject the key rather
 // than silently carry a dead option.
-TraceOptions* walk_entry_trace(ProtocolOptions& options);
 void sharded_walk_entry_format(const ProtocolOptions& options,
                                const ProtocolOptions& defaults,
                                spec_text::KeyValWriter& out);

@@ -297,12 +297,4 @@ class TransmissionModel {
   alignas(64) std::array<std::uint32_t, kGapBatch> gaps_;
 };
 
-// The per-round stifled-entity counts derivable from an informed curve:
-// an entity informed at round q transmits in rounds q+1 .. q+stifle and
-// counts as stifled from round q+stifle+1 on, so
-// stifled[t] = informed[t - stifle - 1] (0 before that index exists).
-// Returns an empty vector when stifle == 0 (nothing ever stifles).
-[[nodiscard]] std::vector<std::uint32_t> derive_stifled_curve(
-    const std::vector<std::uint32_t>& informed_curve, std::uint32_t stifle);
-
 }  // namespace rumor

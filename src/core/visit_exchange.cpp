@@ -44,15 +44,14 @@ VisitExchangeProcess::VisitExchangeProcess(const Graph& g, Vertex source,
       rng_(seed),
       options_(options),
       laziness_(resolve_laziness(g, options.lazy)),
-      cutoff_(options.max_rounds != 0 ? options.max_rounds
-                                      : default_round_cutoff(g.num_vertices())),
+      trial_(options.max_rounds, g.num_vertices(), options.trace,
+             InformRounds::both),
       sharded_(sharding_enabled(options.shards, g.num_vertices())),
       shard_width_(sharded_ ? resolve_shard_width(options.shards) : 1),
       seed_(seed),
-      owned_arena_(arena != nullptr ? nullptr : std::make_unique<TrialArena>()),
-      arena_(arena != nullptr ? arena : owned_arena_.get()),
+      arena_(arena),
       agents_(g, resolve_agent_count(g, options), options.placement, rng_,
-              resolve_anchor(options, source), arena_,
+              resolve_anchor(options, source), arena_.get(),
               sharded_ ? ShardedPlacement{seed, shard_width_}
                        : ShardedPlacement{}),
       // Round 0: agents standing on the source are informed.
@@ -61,13 +60,9 @@ VisitExchangeProcess::VisitExchangeProcess(const Graph& g, Vertex source,
   model_.bind(g, options_.transmission, *arena_, seed);
   target_ = g.num_vertices();
   arena_->vertex_inform_round.reset(g.num_vertices(), kNeverInformed);
-  if (options_.trace.informed_curve) arena_->curve.clear();
 
   inform_vertex(source);  // round 0: the source is informed
   if (all_agents_informed()) agent_complete_round_ = 0;
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(informed_vertex_count_);
-  }
 }
 
 void VisitExchangeProcess::inform_vertex(Vertex v) {
@@ -120,9 +115,6 @@ void VisitExchangeProcess::step_impl() {
 
   if (all_agents_informed() && agent_complete_round_ == kNoRoundYet) {
     agent_complete_round_ = round_;
-  }
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(informed_vertex_count_);
   }
 }
 
@@ -192,36 +184,17 @@ void VisitExchangeProcess::step_sharded() {
   if (all_agents_informed() && agent_complete_round_ == kNoRoundYet) {
     agent_complete_round_ = round_;
   }
-  if (options_.trace.informed_curve) {
-    arena_->curve.push_back(informed_vertex_count_);
-  }
 }
 
-bool VisitExchangeProcess::halted() const {
-  if (done() || round_ >= cutoff_) return true;
-  if (model_.trivial()) return false;
-  if (informed_vertex_count_ >= target_) return true;  // containment
-  return model_.extinct(round_, last_inform_round_);
+RoundProgress VisitExchangeProcess::progress() const {
+  return {.informed = informed_vertex_count_,
+          .target = target_,
+          .last_inform = last_inform_round_,
+          .agent_rounds = agent_complete_round_};
 }
 
 RunResult VisitExchangeProcess::run() {
-  while (!halted()) step();
-  RunResult result;
-  result.rounds = round_;
-  result.completed = done();
-  result.agent_rounds =
-      agent_complete_round_ != kNoRoundYet ? agent_complete_round_ : round_;
-  result.informed = informed_vertex_count_;
-  if (options_.trace.informed_curve) {
-    result.informed_curve = arena_->curve;
-    result.stifled_curve =
-        derive_stifled_curve(result.informed_curve, model_.stifle());
-  }
-  if (options_.trace.inform_rounds) {
-    result.vertex_inform_round = arena_->vertex_inform_round.to_vector();
-    result.agent_inform_round = arena_->agent_inform_round.to_vector();
-  }
-  return result;
+  return trial_.run(*this, model_, *arena_);
 }
 
 RunResult run_visit_exchange(const Graph& g, Vertex source,
@@ -231,35 +204,18 @@ RunResult run_visit_exchange(const Graph& g, Vertex source,
 
 // ---- Scenario registry entry ------------------------------------------
 
-namespace {
-
-TrialResult visit_exchange_entry_run(const Graph& g,
-                                     const ProtocolOptions& options,
-                                     Vertex source, std::uint64_t seed,
-                                     TrialArena* arena) {
-  return to_trial_result(
-      VisitExchangeProcess(g, source, seed, std::get<WalkOptions>(options),
-                           arena)
-          .run());
-}
-
-}  // namespace
-
 void register_visit_exchange_simulator(SimulatorRegistry& registry) {
-  SimulatorEntry entry;
-  entry.id = Protocol::visit_exchange;
-  entry.name = "visit-exchange";
-  entry.summary =
-      "VISIT-EXCHANGE: stationary random walkers relay via visited vertices";
-  entry.defaults = WalkOptions{};
-  entry.run = visit_exchange_entry_run;
   // Shared sharded-walk hooks: `shards=` parses and round-trips for every
   // walk simulator with a frontier-sharded round (visit-exchange,
   // meet-exchange, hybrid).
-  entry.format_options = sharded_walk_entry_format;
-  entry.set_option = sharded_walk_entry_set;
-  entry.trace = walk_entry_trace;
-  registry.add(std::move(entry));
+  add_round_simulator<VisitExchangeProcess, WalkOptions>(
+      registry, {.id = Protocol::visit_exchange,
+                 .name = "visit-exchange",
+                 .summary = "VISIT-EXCHANGE: stationary random walkers relay "
+                            "via visited vertices",
+                 .defaults = WalkOptions{},
+                 .format_options = sharded_walk_entry_format,
+                 .set_option = sharded_walk_entry_set});
 }
 
 }  // namespace rumor

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/sharding.hpp"
 #include "core/walk_options.hpp"
@@ -163,15 +162,16 @@ class VisitExchangeProcess {
   template <class Mode>
   void step_sharded();
   void activate_blocking();
-  [[nodiscard]] bool halted() const;
+  friend class RoundTrial;
+  [[nodiscard]] RoundProgress progress() const;
 
   const Graph* graph_;
   Rng rng_;
   WalkOptions options_;
   TransmissionModel model_;
   Laziness laziness_;
+  RoundTrial trial_;
   Round round_ = 0;
-  Round cutoff_;
   std::uint32_t target_ = 0;  // blocking containment target (vertices)
   Round last_inform_round_ = 0;
   bool sharded_ = false;           // frontier-sharded engine this trial
@@ -179,8 +179,7 @@ class VisitExchangeProcess {
   std::uint64_t seed_ = 0;         // trial seed: keys the shard draw plane
   // Scratch state: the epoch-stamped inform rounds (and, for the serial
   // engine, the agent-order permutation) live here (see TrialArena).
-  std::unique_ptr<TrialArena> owned_arena_;
-  TrialArena* arena_;
+  ArenaHandle arena_;
   AgentSystem agents_;
   VisitExchangeAgents agent_side_;
   std::uint32_t informed_vertex_count_ = 0;

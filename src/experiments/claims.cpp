@@ -8,6 +8,7 @@
 
 #include "analysis/cdf.hpp"
 #include "analysis/scaling.hpp"
+#include "support/fit.hpp"
 #include "support/spec_text.hpp"
 
 namespace rumor {
@@ -328,7 +329,7 @@ double stat_value(const ClaimTerm& t,
   const ScalingSeries b = scaling_series(rows_b, results);
   switch (t.stat) {
     case ClaimStat::power:
-      return positive_means(a) ? classify_series(a).power_exponent : kNaN;
+      return positive_means(a) ? fit_power(a.sizes(), a.means()).slope : kNaN;
     case ClaimStat::max: {
       double out = -std::numeric_limits<double>::infinity();
       for (const ScalePoint& p : a.points) out = std::max(out, p.summary.max);

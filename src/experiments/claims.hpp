@@ -14,7 +14,7 @@
 // or starts with S/, in file order; two-series stats pair rows by
 // position, and x is a row's vertex count n. The stats:
 //
-//   power(S)      growth exponent b of mean ~ a*n^b (classify_series)
+//   power(S)      growth exponent b of mean ~ a*n^b (fit_power)
 //   max(S)        largest single-trial round count over the rows
 //   mean(S)       mean round count of S's one row
 //   incomplete(S) trials that hit the round cutoff, summed over the rows

@@ -1,6 +1,8 @@
 #include "experiments/trials.hpp"
 
 #include <algorithm>
+#include <new>
+#include <string>
 
 #include "core/sharding.hpp"
 #include "support/thread_pool.hpp"
@@ -97,6 +99,11 @@ bool prepare_trial_set(const TrialBatch& batch) {
   return want_curves;
 }
 
+std::string result_storage_error(std::size_t trials) {
+  return "cannot allocate result storage for " + std::to_string(trials) +
+         " trials";
+}
+
 bool run_batch_trial(const TrialBatch& batch, std::size_t i,
                      LazyGraphSlot* lazy) {
   const bool want_curves = batch_wants_curves(batch);
@@ -129,8 +136,16 @@ TrialRunOutcome run_trial_batches(const std::vector<TrialBatch>& batches,
   TrialRunOutcome outcome;
   if (batches.empty()) return outcome;
   const std::size_t n = batches.size();
-  // Validate + size every result slot up front.
-  for (const TrialBatch& batch : batches) prepare_trial_set(batch);
+  // Validate + size every result slot up front. Storage under the
+  // physical-memory bound validation enforces can still exceed the address
+  // space the process may use; that fails the batch by name.
+  for (std::size_t b = 0; b < n; ++b) {
+    try {
+      prepare_trial_set(batches[b]);
+    } catch (const std::bad_alloc&) {
+      throw TrialBatchError(b, result_storage_error(batches[b].trials));
+    }
+  }
 
   // Claim order: the identity (file order), or highest expected cost
   // first. Only the order in which workers START trials changes — sample
@@ -251,21 +266,25 @@ TrialRunOutcome run_trial_batches(const std::vector<TrialBatch>& batches,
   // flattens inline on its worker. Either way every sample is
   // derive_seed(master_seed, i): the axis changes worker assignment, never
   // results or emission order.
+  // Only a plan with fewer trials than workers can run trials wide, so
+  // only such a plan lists its flat indices; in any other plan every trial
+  // is narrow, and the narrow drain's i-th trial is flat index i.
   std::vector<std::size_t> wide_flats;
   std::vector<std::size_t> narrow_flats;
-  narrow_flats.reserve(total);
   const std::size_t workers = pool->worker_count();
   const bool wide_eligible = workers >= 2 && total < workers;
-  for (std::size_t p = 0; p < n; ++p) {
-    const TrialBatch& batch = batches[exec[p]];
-    const bool wide =
-        wide_eligible && sharding_enabled(batch.protocol->shards(),
-                                          batch_vertex_count(batch));
-    auto& flats = wide ? wide_flats : narrow_flats;
-    for (std::size_t flat = offsets[p]; flat < offsets[p + 1]; ++flat) {
-      flats.push_back(flat);
+  if (wide_eligible) {
+    for (std::size_t p = 0; p < n; ++p) {
+      const TrialBatch& batch = batches[exec[p]];
+      const bool wide = sharding_enabled(batch.protocol->shards(),
+                                         batch_vertex_count(batch));
+      auto& flats = wide ? wide_flats : narrow_flats;
+      for (std::size_t flat = offsets[p]; flat < offsets[p + 1]; ++flat) {
+        flats.push_back(flat);
+      }
     }
   }
+  const std::size_t narrow = wide_eligible ? narrow_flats.size() : total;
 
   // Wide trials first, sequentially: the narrow drain that follows starts
   // against a fully idle pool. The ambient shard pool is pointed at THIS
@@ -284,13 +303,13 @@ TrialRunOutcome run_trial_batches(const std::vector<TrialBatch>& batches,
   // so a sharded trial claimed narrow flattens its range fan-out inline
   // (ThreadPool rejects nested fan-out by flattening) instead of deadlock
   // or oversubscription.
-  if (!narrow_flats.empty()) {
+  if (narrow != 0) {
     const std::size_t chunk = n > 1 ? 1 : 0;
     pool->parallel_for_indexed(
-        narrow_flats.size(),
+        narrow,
         [&](std::size_t /*worker*/, std::size_t idx) {
           ThreadPool* prev = set_shard_pool(pool);
-          run_flat(narrow_flats[idx]);
+          run_flat(wide_eligible ? narrow_flats[idx] : idx);
           set_shard_pool(prev);
         },
         chunk);

@@ -108,10 +108,10 @@ enum class BatchOrder {
                   // scenario late in the file no longer finishes last
 };
 
-// Thrown by run_trial_batches when a trial throws: carries which batch
-// failed so the caller can name the scenario. Remaining trials are
-// abandoned (already-emitted on_batch_done batches stay emitted; no
-// further batches are reported).
+// Thrown by run_trial_batches when a trial throws or a batch's result
+// storage cannot be allocated: carries which batch failed so the caller
+// can name the scenario. Remaining trials are abandoned (already-emitted
+// on_batch_done batches stay emitted; no further batches are reported).
 class TrialBatchError : public std::runtime_error {
  public:
   TrialBatchError(std::size_t batch, const std::string& message)
@@ -213,7 +213,12 @@ class LazyGraphSlot {
 // sizes every vector of *batch.out for batch.trials slots. Returns whether
 // the protocol traces per-trial curves. The serve scheduler calls this
 // once per accepted batch; run_trial_batches performs it internally.
+// Throws std::bad_alloc when the storage cannot be allocated; callers
+// report that with result_storage_error.
 bool prepare_trial_set(const TrialBatch& batch);
+
+// "cannot allocate result storage for <trials> trials".
+[[nodiscard]] std::string result_storage_error(std::size_t trials);
 
 // Runs trial `i` of a prepared batch EXACTLY as run_trial_batches would —
 // same (master_seed, i) seed derivation, same per-thread TrialArena reuse,

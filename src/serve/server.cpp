@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <new>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -287,7 +288,10 @@ struct Server::Impl {
   // ---- job construction (submit + resume) ------------------------------
 
   // Builds a ScenarioState for an already-validated spec whose result/prep
-  // were filled by prepare_scenario.
+  // were filled by prepare_scenario. Storage under the physical-memory
+  // bound validation enforces can still exceed the address space the
+  // daemon may use: that throws std::bad_alloc, which the callers turn
+  // into an ERR reply or a failed job.
   void init_batch(ScenarioState& s) {
     s.batch = scenario_batch(s.result, s.prep);
     prepare_trial_set(s.batch);
@@ -336,7 +340,13 @@ struct Server::Impl {
         job->failure = "resume: " + error;
         break;
       }
-      init_batch(*s);
+      try {
+        init_batch(*s);
+      } catch (const std::bad_alloc&) {
+        job->state = Job::State::failed;
+        job->failure = "resume: " + result_storage_error(s->batch.trials);
+        break;
+      }
       job->trials_total += s->batch.trials;
       job->scenarios.push_back(std::move(s));
     }
@@ -593,17 +603,25 @@ struct Server::Impl {
                           " submitted=" + std::to_string(total_trials));
       return;
     }
-    job->id = next_job_id_++;
-    job->client = conn.client;
-    job->trials_total = total_trials;
     std::vector<std::vector<std::uint32_t>> pending(job->scenarios.size());
     for (std::size_t i = 0; i < job->scenarios.size(); ++i) {
-      init_batch(*job->scenarios[i]);
-      pending[i].resize(job->scenarios[i]->batch.trials);
+      ScenarioState& s = *job->scenarios[i];
+      try {
+        init_batch(s);
+        pending[i].resize(s.batch.trials);
+      } catch (const std::bad_alloc&) {
+        send_line(conn, "ERR validate scenario \"" +
+                            sanitize_reply_text(job->lines[i]) + "\": " +
+                            result_storage_error(s.batch.trials));
+        return;
+      }
       for (std::uint32_t t = 0; t < pending[i].size(); ++t) {
         pending[i][t] = t;
       }
     }
+    job->id = next_job_id_++;
+    job->client = conn.client;
+    job->trials_total = total_trials;
     JournalJob record;
     record.id = job->id;
     record.client = job->client;

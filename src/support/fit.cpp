@@ -60,36 +60,4 @@ LinearFit fit_power(std::span<const double> n, std::span<const double> t) {
   return fit_linear(ln_n, ln_t);
 }
 
-LinearFit fit_log_law(std::span<const double> n, std::span<const double> t) {
-  const auto ln_n = log_of(n);
-  return fit_linear(ln_n, std::vector<double>(t.begin(), t.end()));
-}
-
-LawVerdict classify_growth(std::span<const double> n,
-                           std::span<const double> t) {
-  RUMOR_REQUIRE(n.size() == t.size());
-  RUMOR_REQUIRE(n.size() >= 3);
-  LawVerdict v;
-
-  const LinearFit power = fit_power(n, t);
-  const LinearFit loglaw = fit_log_law(n, t);
-  v.power_exponent = power.slope;
-  v.r2_power = power.r_squared;
-  v.r2_log = loglaw.r_squared;
-
-  // n·log n law: fit T against x = n·ln n linearly.
-  std::vector<double> nlogn(n.size());
-  for (std::size_t i = 0; i < n.size(); ++i) nlogn[i] = n[i] * std::log(n[i]);
-  v.r2_nlogn = fit_linear(nlogn, std::vector<double>(t.begin(), t.end())).r_squared;
-
-  if (power.slope < 0.15) {
-    v.best = GrowthLaw::logarithmic;
-  } else if (power.slope > 0.85 && v.r2_nlogn > v.r2_power) {
-    v.best = GrowthLaw::linearithmic;
-  } else {
-    v.best = GrowthLaw::power;
-  }
-  return v;
-}
-
 }  // namespace rumor

@@ -69,25 +69,4 @@ std::string TextTable::render_plain() const {
   return out.str();
 }
 
-std::string TextTable::render_markdown() const {
-  const auto w = widths();
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    out << '|';
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      out << ' ' << cells[c] << std::string(w[c] - cells[c].size(), ' ')
-          << " |";
-    }
-    out << '\n';
-  };
-  emit(header_);
-  out << '|';
-  for (std::size_t c = 0; c < w.size(); ++c) {
-    out << std::string(w[c] + 2, '-') << '|';
-  }
-  out << '\n';
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 }  // namespace rumor

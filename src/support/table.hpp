@@ -1,7 +1,6 @@
 // Aligned text tables for report/example output.
 //
-// Collects rows of string cells and renders either a column-aligned plain
-// table or GitHub-flavored markdown (used verbatim in EXPERIMENTS.md).
+// Collects rows of string cells and renders a column-aligned plain table.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +32,6 @@ class TextTable {
       const std::vector<std::size_t>& widths);
 
   [[nodiscard]] std::string render_plain() const;
-  [[nodiscard]] std::string render_markdown() const;
 
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 

@@ -128,6 +128,23 @@ struct TrialArena {
   std::shared_ptr<void> placement_cache;
 };
 
+// A simulator's arena: the one its caller lent, or a privately owned one
+// when the pointer is null.
+class ArenaHandle {
+ public:
+  explicit ArenaHandle(TrialArena* lent)
+      : owned_(lent != nullptr ? nullptr : std::make_unique<TrialArena>()),
+        arena_(lent != nullptr ? lent : owned_.get()) {}
+
+  [[nodiscard]] TrialArena* get() const { return arena_; }
+  TrialArena& operator*() const { return *arena_; }
+  TrialArena* operator->() const { return arena_; }
+
+ private:
+  std::unique_ptr<TrialArena> owned_;
+  TrialArena* arena_;
+};
+
 // View over the arena's agent-order permutation and its inverse, decoding
 // the identity-default sentinel (an untouched slot i reads as "order[i] ==
 // i"). Shared by the simulators that maintain an informed-prefix partition

@@ -3,7 +3,12 @@
 // every registered simulator and every graph family — plus parse error
 // reporting.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <sstream>
 
 #include "core/registry.hpp"
@@ -390,6 +395,66 @@ TEST(ScenarioValidation, ResultStoragePastPhysicalMemoryRejected) {
   EXPECT_FALSE(check_scenario_size(*spec, 8, &error));
   EXPECT_NE(error.find("bytes of result storage"), std::string::npos)
       << error;
+}
+
+// Runs `spec` with the address space limited to its current size plus
+// 1 GiB. Exit code: 0 when run_scenarios fails naming the scenario and the
+// result storage, 1 when it reports anything else, 2 when the limit could
+// not be set, 3 when an exception escapes.
+int run_with_address_space_limit(const ScenarioSpec& spec) {
+  std::uint64_t pages = 0;
+  if (std::FILE* statm = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(statm, "%" SCNu64, &pages) != 1) pages = 0;
+    std::fclose(statm);
+  }
+  const rlim_t limit =
+      static_cast<rlim_t>(pages) * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+      (rlim_t{1} << 30);
+  const rlimit as{limit, limit};
+  if (pages == 0 || setrlimit(RLIMIT_AS, &as) != 0) return 2;
+  try {
+    std::string why;
+    if (run_scenarios({spec}, &why)) return 1;
+    const bool named =
+        why.find("scenario \"" + spec.name() + "\" failed") !=
+            std::string::npos &&
+        why.find("cannot allocate result storage for " +
+                 std::to_string(spec.plan.trials) + " trials") !=
+            std::string::npos;
+    return named ? 0 : 1;
+  } catch (...) {
+    return 3;
+  }
+}
+
+TEST(ScenarioValidation, ResultStoragePastTheAddressSpaceIsANamedFailure) {
+  // Storage under the physical-memory bound can still exceed the address
+  // space the process may use (ulimit -v): 200,000,000 trials need 4.8 GB
+  // of results. A child limited to its current address space plus 1 GiB
+  // runs the line and must name the scenario instead of dying in the
+  // allocation.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizers reserve the address space for shadow memory";
+#else
+  if (physical_memory_bytes() <= std::uint64_t{200'000'000} * 24) {
+    GTEST_SKIP() << "validation rejects the line on this host";
+  }
+  std::string error;
+  const auto spec =
+      ScenarioSpec::parse("cycle(n=8) push trials=200000000", &error);
+  ASSERT_TRUE(spec) << error;
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    alarm(60);  // a child that starts the trials instead must not hang
+    _exit(run_with_address_space_limit(*spec));
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+#endif
 }
 
 TEST(ScenarioValidation, FreshDrawPastTheCapIsANamedTrialFailure) {

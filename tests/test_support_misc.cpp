@@ -88,15 +88,6 @@ TEST(Table, PlainAlignsColumns) {
   EXPECT_EQ(t.row_count(), 2u);
 }
 
-TEST(Table, MarkdownShape) {
-  TextTable t({"a", "b"});
-  t.add_row({"1", "2"});
-  const std::string md = t.render_markdown();
-  EXPECT_EQ(md.find("| a"), 0u);
-  EXPECT_NE(md.find("|---"), std::string::npos);
-  EXPECT_NE(md.find("| 1"), std::string::npos);
-}
-
 TEST(Table, NumFormatting) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(3.14159, 0), "3");

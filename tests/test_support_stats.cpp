@@ -72,61 +72,6 @@ TEST(FitPower, RecoverExponent) {
   EXPECT_NEAR(std::exp(f.intercept), 3.0, 1e-9);
 }
 
-TEST(FitLogLaw, RecoverCoefficients) {
-  // T = 7*ln n + 2
-  std::vector<double> n, t;
-  for (double x : {64.0, 256.0, 1024.0, 4096.0}) {
-    n.push_back(x);
-    t.push_back(7.0 * std::log(x) + 2.0);
-  }
-  const LinearFit f = fit_log_law(n, t);
-  EXPECT_NEAR(f.slope, 7.0, 1e-9);
-  EXPECT_NEAR(f.intercept, 2.0, 1e-9);
-}
-
-TEST(ClassifyGrowth, DetectsLogarithmic) {
-  std::vector<double> n, t;
-  for (double x = 256; x <= 1 << 20; x *= 4) {
-    n.push_back(x);
-    t.push_back(5.0 * std::log(x) + 3.0);
-  }
-  const LawVerdict v = classify_growth(n, t);
-  EXPECT_EQ(v.best, GrowthLaw::logarithmic);
-  EXPECT_LT(v.power_exponent, 0.15);
-}
-
-TEST(ClassifyGrowth, DetectsLinear) {
-  std::vector<double> n, t;
-  for (double x = 256; x <= 1 << 18; x *= 4) {
-    n.push_back(x);
-    t.push_back(0.25 * x);
-  }
-  const LawVerdict v = classify_growth(n, t);
-  EXPECT_NEAR(v.power_exponent, 1.0, 0.05);
-  EXPECT_NE(v.best, GrowthLaw::logarithmic);
-}
-
-TEST(ClassifyGrowth, DetectsPolynomialTwoThirds) {
-  std::vector<double> n, t;
-  for (double x = 1024; x <= 1 << 22; x *= 4) {
-    n.push_back(x);
-    t.push_back(2.0 * std::pow(x, 2.0 / 3.0));
-  }
-  const LawVerdict v = classify_growth(n, t);
-  EXPECT_EQ(v.best, GrowthLaw::power);
-  EXPECT_NEAR(v.power_exponent, 2.0 / 3.0, 0.05);
-}
-
-TEST(ClassifyGrowth, DetectsLinearithmic) {
-  std::vector<double> n, t;
-  for (double x = 256; x <= 1 << 18; x *= 4) {
-    n.push_back(x);
-    t.push_back(0.5 * x * std::log(x));
-  }
-  const LawVerdict v = classify_growth(n, t);
-  EXPECT_EQ(v.best, GrowthLaw::linearithmic);
-}
-
 TEST(Histogram, BinsAndEdges) {
   Histogram h(0.0, 10.0, 5);
   h.add(0.5);   // bin 0

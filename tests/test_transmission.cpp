@@ -501,6 +501,48 @@ TEST(TransmissionBehavior, BlockingTheStarCenterQuarantinesTheRumor) {
   }
 }
 
+TEST(TransmissionBehavior, EveryRoundSimulatorHaltsByItsRuleAndEndsItsCurve) {
+  // cycle(64) is a graph none of the seven round simulators can finish in
+  // 3 rounds. Its degrees are uniform, so block=0.25 quarantines ids
+  // 0..15 (the tie rule) and source 32 starts unblocked. Every run,
+  // however it stops, records one curve entry per round plus round 0, and
+  // the last entry is the informed count it reports.
+  const Graph g = gen::cycle(64);
+  const double cutoff = static_cast<double>(default_round_cutoff(64));
+  TrialArena arena;
+  for (const char* name : {"push", "push-pull", "visit-exchange",
+                           "meet-exchange", "hybrid", "frog",
+                           "dynamic-agent"}) {
+    for (const std::string keys :
+         {"curve=on", "curve=on,tp=0.5", "curve=on,stifle=1",
+          "curve=on,block=0.25", "curve=on,max_rounds=3",
+          "curve=on,stifle=1,block=0.25,max_rounds=3"}) {
+      const std::string text = std::string(name) + "(" + keys + ")";
+      const auto spec = ProtocolSpec::parse(text);
+      ASSERT_TRUE(spec) << text;
+      const bool cut = keys.find("max_rounds=3") != std::string::npos;
+      const bool stifle = keys.find("stifle=1") != std::string::npos;
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        SCOPED_TRACE(text + " seed " + std::to_string(seed));
+        const TrialResult r = run_protocol(g, *spec, 32, seed, &arena);
+        ASSERT_EQ(r.informed_curve.size(),
+                  static_cast<std::size_t>(r.rounds) + 1);
+        EXPECT_EQ(r.informed_curve.back(), r.informed);
+        if (r.completed) {
+          EXPECT_EQ(r.informed, 64.0);
+        }
+        if (cut) {
+          EXPECT_LE(r.rounds, 3.0);
+          EXPECT_FALSE(r.completed);
+        }
+        if (stifle) {
+          EXPECT_LT(r.rounds, cutoff / 100);  // extinction, not the cutoff
+        }
+      }
+    }
+  }
+}
+
 TEST(TransmissionBehavior, CompletedRunsReportFullInformedCount) {
   const Graph g = gen::complete(32);
   const TrialSet set =
