@@ -15,6 +15,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,6 +82,61 @@ void BM_WalkKernelBatchedLazy(benchmark::State& state) {
   walk_kernel_bench(state, 8, Laziness::half, StepEngine::batched);
 }
 BENCHMARK(BM_WalkKernelBatchedLazy)->Arg(1 << 14)->Arg(1 << 18);
+
+// ---- Width-1 sharded vs serial walk step ------------------------------
+//
+// The gate pair for a width-1 sharded round at serial cost: one walk step
+// per agent, one agent per vertex, on a degree-15 random regular graph
+// (odd degree: the Lemire draw and the CSR prefetch pipeline, not the
+// pow2 shift) at 2^14 vertices (cache-resident) and 2^22 (DRAM).
+// BM_WalkStepSerial runs the serial batched kernel on its xoshiro stream;
+// BM_WalkStepSharded1 runs step_walks_sharded at width 1 on a 1-worker
+// pool, so the ratio is the draw scheme and the kernel, not the fan-out.
+
+const Graph& regular15(Vertex n) {
+  static std::map<Vertex, Graph> graphs;
+  auto it = graphs.find(n);
+  if (it == graphs.end()) {
+    Rng rng(15);
+    it = graphs.emplace(n, gen::random_regular(n, 15, rng)).first;
+  }
+  return it->second;
+}
+
+void walk_step_bench(benchmark::State& state, bool sharded) {
+  const auto n = static_cast<Vertex>(state.range(0));
+  const Graph& g = regular15(n);
+  std::vector<Vertex> positions(n);
+  for (Vertex v = 0; v < n; ++v) positions[v] = v;
+  ThreadPool pool(1);
+  ThreadPool* prev = set_shard_pool(&pool);
+  Rng rng(1);
+  std::uint64_t round = 0;
+  for (auto _ : state) {
+    if (sharded) {
+      step_walks_sharded(g, positions, /*trial_seed=*/7, ++round,
+                         Laziness::none, /*shards=*/1);
+    } else {
+      step_walks(g, positions, rng, Laziness::none);
+    }
+    benchmark::DoNotOptimize(positions.data());
+    benchmark::ClobberMemory();
+  }
+  set_shard_pool(prev);
+  state.SetItemsProcessed(state.iterations() * n);
+  state.counters["steps_per_sec"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * n, benchmark::Counter::kIsRate);
+}
+
+void BM_WalkStepSerial(benchmark::State& state) {
+  walk_step_bench(state, false);
+}
+BENCHMARK(BM_WalkStepSerial)->Arg(1 << 14)->Arg(1 << 22);
+
+void BM_WalkStepSharded1(benchmark::State& state) {
+  walk_step_bench(state, true);
+}
+BENCHMARK(BM_WalkStepSharded1)->Arg(1 << 14)->Arg(1 << 22);
 
 // ---- Substrate series (pre-engine micro set) --------------------------
 

@@ -23,7 +23,7 @@ flaking the gate — and random interleaving spreads each benchmark's
 repetitions across the whole run, so a multi-second host-load phase
 perturbs every series equally instead of landing on one ratio side):
     RUMOR_RESULTS_DIR=/tmp ./build/bench_micro \
-        --benchmark_filter='WalkKernel|TrialArena|RunProtocol|Scheduler|Transmission|GraphBackend|Sharded' \
+        --benchmark_filter='WalkKernel|WalkStep|TrialArena|RunProtocol|Scheduler|Transmission|GraphBackend|Sharded' \
         --benchmark_min_time=0.4 --benchmark_repetitions=5 \
         --benchmark_enable_random_interleaving
     cp /tmp/BENCH_micro.json bench/baselines/BENCH_micro.json
@@ -110,6 +110,15 @@ def load_rates(path):
 #                             means the closed forms or the backend branch
 #                             picked up per-access work, taxing every
 #                             large-n implicit scenario.
+#   WalkStepSharded1/WalkStepSerial
+#                           — the width-1 gate of the one-engine plan
+#                             (ROADMAP item 1): one sharded walk step per
+#                             agent at width 1 on a 1-worker pool vs the
+#                             serial batched kernel, degree-15 random
+#                             regular graph, cache-resident (2^14) and
+#                             DRAM (2^22). Different draw streams, the
+#                             same step law; a drop means the sharded
+#                             step lost ground on the serial one.
 #   ShardedPushK/ShardedPush1, ShardedWalkK/ShardedWalk1,
 #   ShardedMeetK/ShardedMeet1, ShardedHybridK/ShardedHybrid1
 #                           — the frontier-sharded round contract, one
@@ -131,6 +140,7 @@ RATIO_SERIES = (
     ("PushTransmissionUniform", "PushTransmissionHeterogeneous", 0.15),
     ("WalkTransmissionUniform", "WalkTransmissionHeterogeneous", 0.15),
     ("GraphBackendImplicit", "GraphBackendOwned", 0.20),
+    ("WalkStepSharded1", "WalkStepSerial", 0.20),
     ("ShardedPushK", "ShardedPush1", 0.35),
     ("ShardedWalkK", "ShardedWalk1", 0.35),
     ("ShardedMeetK", "ShardedMeet1", 0.35),

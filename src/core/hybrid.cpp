@@ -63,37 +63,51 @@ void HybridProcess::step_impl() {
   }
 }
 
-// One frontier-sharded round, law-equivalent to step_impl<Mode>: the
-// sharded walk kernel, then the agent-inform pass below, then push-pull's
-// and visit-exchange's sharded passes. The agent-inform pass stages, by
-// agent id (kShardPhaseAgentInform; slot = agent id), the vertex each
-// previously informed agent delivers to on the round-start vertex state;
-// the serial merge informs them in agent-id order, which orders the
-// caller and puller lists and so keys push-pull's slots.
+// One frontier-sharded round, law-equivalent to step_impl<Mode>: the walk
+// and agent-inform pass below, then push-pull's and visit-exchange's
+// sharded passes. Each range of the walk pass is stepped by the sharded
+// walk kernel, and then the same range stages, by agent id
+// (kShardPhaseAgentInform; slot = agent id), the vertex each previously
+// informed agent delivers to. Staging reads its agent's pre-round inform
+// round, its post-step position and the round-start vertex state, which
+// nothing writes until every range has finished; the serial merge then
+// informs the staged vertices in agent-id order, which orders the caller
+// and puller lists and so keys push-pull's slots.
 template <class Mode>
 void HybridProcess::step_sharded() {
-  step_walks_sharded(*graph_, agents_.positions_mut(), seed_, round_,
-                     laziness_, shard_width_);
   const ShardPlane plane(seed_, round_);
-  const Vertex* pos = agents_.positions().data();
+  const std::span<Vertex> positions = agents_.positions_mut();
+  const Vertex* pos = positions.data();
   const auto agent_view = arena_->agent_inform_round.view();
   const auto informed = arena_->vertex_inform_round.view();
   const std::size_t count = agents_.count();
-  merge_pass(
+  auto stage = [&](std::size_t a) {
+    if (!agent_view.touched(a)) return kNoVertex;
+    const Vertex v = pos[a];
+    if (informed.touched(v)) return kNoVertex;
+    if constexpr (std::is_same_v<Mode, transmission::General>) {
+      SlotDraws draws(plane, kShardPhaseAgentInform,
+                      static_cast<std::uint32_t>(a));
+      if (!model_.can_transmit<Mode>(agent_view.get(a), v, round_) ||
+          !model_.attempt_from<Mode>(v, draws)) {
+        return kNoVertex;
+      }
+    }
+    return v;
+  };
+  merge_ranges(
       *arena_, count, count, shard_width_,
-      [&](std::size_t a) {
-        if (!agent_view.touched(a)) return kNoVertex;
-        const Vertex v = pos[a];
-        if (informed.touched(v)) return kNoVertex;
-        if constexpr (std::is_same_v<Mode, transmission::General>) {
-          SlotDraws draws(plane, kShardPhaseAgentInform,
-                          static_cast<std::uint32_t>(a));
-          if (!model_.can_transmit<Mode>(agent_view.get(a), v, round_) ||
-              !model_.attempt_from<Mode>(v, draws)) {
-            return kNoVertex;
-          }
-        }
-        return v;
+      [&](std::size_t begin, std::size_t end, std::vector<Vertex>& out) {
+        step_walk_range(*graph_, positions, begin, end, plane, laziness_);
+        for_agents(
+            begin, end,
+            [&](std::size_t a) {
+              if (agent_view.touched(a)) informed.prefetch_stamp(pos[a]);
+            },
+            [&](std::size_t a) {
+              const Vertex v = stage(a);
+              if (v != kNoVertex) out.push_back(v);
+            });
       },
       [&](Vertex v) {
         if (!informed.touched(v)) calls_.inform(v, round_);

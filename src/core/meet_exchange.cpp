@@ -3,7 +3,6 @@
 #include "core/registry.hpp"
 #include "core/sharding.hpp"
 #include "support/philox.hpp"
-#include "support/thread_pool.hpp"
 #include "walk/step_kernel.hpp"
 
 namespace rumor {
@@ -125,16 +124,19 @@ void MeetExchangeProcess::step_impl() {
   if (source_met) source_active_ = false;
 }
 
-// One frontier-sharded round — law-equivalent to step_impl<Mode>. The
-// sharded walk kernel steps every agent (per-walker addressable draws);
-// the mark and meet scans then each run as one parallel pass over agent
-// ids (slot = agent id) that writes in place, with no merge:
+// One frontier-sharded round — law-equivalent to step_impl<Mode>. Two
+// parallel passes over agent ids (slot = agent id), both writing in place
+// with no merge:
 //
-//   Mark pass (previously informed agents mark their vertex) draws
-//   nothing — can_transmit is deterministic — and each mark is an
-//   idempotent StampSet claim, so the mark set is the same for any order
-//   and is fixed before the meet pass reads it, exactly as in the serial
-//   round.
+//   Walk and marks. Each range is stepped by the sharded walk kernel
+//   (per-walker addressable draws), and then the same range's previously
+//   informed agents mark the vertex they now stand on. A mark draws
+//   nothing — can_transmit is deterministic — and is an idempotent
+//   StampSet claim that reads only its agent's pre-round inform round and
+//   post-step position, so the mark set is the same for any order, and
+//   marking a range before the other ranges have stepped changes no
+//   write. It is complete before the meet pass reads it, exactly as in
+//   the serial round.
 //
 //   Meet pass (uninformed agents on a marked vertex, or on the
 //   still-active source, become informed) keys every pairing decision by
@@ -149,63 +151,75 @@ void MeetExchangeProcess::step_sharded() {
   constexpr bool kGeneral = std::is_same_v<Mode, transmission::General>;
   ++round_;
 
-  step_walks_sharded(*graph_, agents_.positions_mut(), seed_, round_,
-                     laziness_, shard_width_);
-
   const std::size_t count = agents_.count();
-  const Vertex* pos = agents_.positions().data();
+  const std::span<Vertex> positions = agents_.positions_mut();
+  const Vertex* pos = positions.data();
   const ShardPlane plane(seed_, round_);
   auto& agent_round = arena_->agent_inform_round;
   const auto agent_view = agent_round.view();
   auto& marks = arena_->vertex_marks;
 
-  // Mark pass: the vertex each previously informed agent occupies
+  // Walk, then marks: the vertex each previously informed agent occupies
   // (stifled agents and quarantined vertices mark nothing).
   marks.advance();
-  tally_pass(*arena_, count, shard_width_,
-             [&](std::size_t a, TrialArena::ShardTally&) {
-               if (!agent_view.touched(a)) return;
-               const Vertex v = pos[a];
-               if constexpr (kGeneral) {
-                 if (!model_.can_transmit<Mode>(agent_view.get(a), v,
-                                                round_)) {
-                   return;
-                 }
-               }
-               marks.claim(v);
-             });
+  auto mark = [&](std::size_t a) {
+    if (!agent_view.touched(a)) return;
+    const Vertex v = pos[a];
+    if constexpr (kGeneral) {
+      if (!model_.can_transmit<Mode>(agent_view.get(a), v, round_)) return;
+    }
+    marks.claim(v);
+  };
+  tally_ranges(*arena_, count, shard_width_,
+               [&](std::size_t begin, std::size_t end,
+                   TrialArena::ShardTally&) {
+                 step_walk_range(*graph_, positions, begin, end, plane,
+                                 laziness_);
+                 for_agents(
+                     begin, end,
+                     [&](std::size_t a) {
+                       if (agent_view.touched(a)) marks.prefetch(pos[a]);
+                     },
+                     mark);
+               });
 
   // Meet pass: uninformed agents on a marked vertex, or at the
   // still-active source (which transmits like an entity informed at round
   // 0), become informed. All simultaneous first visitors of the source
   // are informed (paper §3).
   const auto round = static_cast<std::uint32_t>(round_);
-  const TrialArena::ShardTally met = tally_pass(
-      *arena_, count, shard_width_,
-      [&](std::size_t a, TrialArena::ShardTally& tally) {
-        if (agent_view.touched(a)) return;
-        const Vertex v = pos[a];
-        if (marks.contains(v)) {
-          if constexpr (kGeneral) {
-            SlotDraws draws(plane, kShardPhaseMeet,
-                            static_cast<std::uint32_t>(a));
-            if (!model_.attempt_from<Mode>(v, draws)) return;
-          }
-        } else if (source_active_ && v == source_) {
-          if constexpr (kGeneral) {
-            SlotDraws draws(plane, kShardPhaseMeet,
-                            static_cast<std::uint32_t>(a));
-            if (!model_.can_transmit<Mode>(0, source_, round_) ||
-                !model_.attempt_from<Mode>(v, draws)) {
-              return;
-            }
-          }
-          tally.source_met = true;
-        } else {
+  auto meet = [&](std::size_t a, TrialArena::ShardTally& tally) {
+    if (agent_view.touched(a)) return;
+    const Vertex v = pos[a];
+    if (marks.contains(v)) {
+      if constexpr (kGeneral) {
+        SlotDraws draws(plane, kShardPhaseMeet, static_cast<std::uint32_t>(a));
+        if (!model_.attempt_from<Mode>(v, draws)) return;
+      }
+    } else if (source_active_ && v == source_) {
+      if constexpr (kGeneral) {
+        SlotDraws draws(plane, kShardPhaseMeet, static_cast<std::uint32_t>(a));
+        if (!model_.can_transmit<Mode>(0, source_, round_) ||
+            !model_.attempt_from<Mode>(v, draws)) {
           return;
         }
-        agent_round.set(a, round);
-        ++tally.informs;
+      }
+      tally.source_met = true;
+    } else {
+      return;
+    }
+    agent_round.set(a, round);
+    ++tally.informs;
+  };
+  const TrialArena::ShardTally met = tally_ranges(
+      *arena_, count, shard_width_,
+      [&](std::size_t begin, std::size_t end, TrialArena::ShardTally& tally) {
+        for_agents(
+            begin, end,
+            [&](std::size_t a) {
+              if (!agent_view.touched(a)) marks.prefetch(pos[a]);
+            },
+            [&](std::size_t a) { meet(a, tally); });
       });
   informed_agent_count_ += met.informs;
   if (met.informs > 0) last_inform_round_ = round_;

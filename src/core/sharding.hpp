@@ -20,6 +20,7 @@
 #include <span>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/transmission.hpp"
@@ -75,23 +76,26 @@ inline constexpr std::uint32_t kShardPartitionsPerWorker = 16;
 void format_shards_option(std::uint32_t shards, std::uint32_t defaults,
                           spec_text::KeyValWriter& out);
 
-// One in-place pass over the slots [0, count): body(slot, tally) runs for
-// every slot on `width` balanced ranges of shard_pool(), each range
-// counting into its own ShardScratch tally, and the sum comes back. For
-// passes that need no merge because their writes are idempotent claims or
-// belong to the slot's own agent. The tallies are zeroed serially first:
-// parallel_for_ranges runs no callback for the empty ranges it clamps
-// away when count < width.
-template <class Body>
-TrialArena::ShardTally tally_pass(TrialArena& arena, std::size_t count,
-                                  std::uint32_t width, Body&& body) {
+// One in-place pass over the slots [0, count), range by range:
+// body(begin, end, tally) runs once for each of `width` balanced ranges of
+// shard_pool(), counting into its own ShardScratch tally, and the sum
+// comes back. For passes that need no merge because their writes are
+// idempotent claims or belong to the slot's own agent. A range body may
+// make several sweeps over its range — the sharded walk simulators step
+// a range and then claim or mark from it while its positions are still
+// in cache. The tallies are zeroed serially first: parallel_for_ranges
+// runs no callback for the empty ranges it clamps away when count <
+// width.
+template <class RangeBody>
+TrialArena::ShardTally tally_ranges(TrialArena& arena, std::size_t count,
+                                    std::uint32_t width, RangeBody&& body) {
   auto& scratch = arena.shard_scratch;
   if (scratch.size() < width) scratch.resize(width);
   for (std::uint32_t s = 0; s < width; ++s) scratch[s].tally = {};
   shard_pool().parallel_for_ranges(
       count, width, [&](std::size_t s, std::size_t begin, std::size_t end) {
         TrialArena::ShardTally local;
-        for (std::size_t i = begin; i < end; ++i) body(i, local);
+        body(begin, end, local);
         scratch[s].tally = local;
       });
   TrialArena::ShardTally total;
@@ -100,6 +104,40 @@ TrialArena::ShardTally tally_pass(TrialArena& arena, std::size_t count,
     total.source_met = total.source_met || scratch[s].tally.source_met;
   }
   return total;
+}
+
+// tally_ranges with one body(slot, tally) call per slot.
+template <class Body>
+TrialArena::ShardTally tally_pass(TrialArena& arena, std::size_t count,
+                                  std::uint32_t width, Body&& body) {
+  return tally_ranges(arena, count, width,
+                      [&](std::size_t begin, std::size_t end,
+                          TrialArena::ShardTally& tally) {
+                        for (std::size_t i = begin; i < end; ++i) {
+                          body(i, tally);
+                        }
+                      });
+}
+
+// How many agents ahead an agent pass prefetches vertex state.
+inline constexpr std::size_t kAgentPrefetchAhead = 16;
+
+// Runs visit(a) for every agent a in [begin, end) in ascending order, each
+// after prefetch(a + kAgentPrefetchAhead) while that agent is still in the
+// range. An agent pass reads vertex state at its agent's position, one
+// random access per agent; `prefetch` hints the state the later agent
+// will read (if it reads any), so the line has sixteen agents' time to
+// arrive. It stops at the range's end because the positions past it may
+// belong to a range another thread is stepping.
+template <class Prefetch, class Visit>
+void for_agents(std::size_t begin, std::size_t end, Prefetch&& prefetch,
+                Visit&& visit) {
+  std::size_t a = begin;
+  for (; a + kAgentPrefetchAhead < end; ++a) {
+    prefetch(a + kAgentPrefetchAhead);
+    visit(a);
+  }
+  for (; a < end; ++a) visit(a);
 }
 
 // One segment per shard (`segment` names survivors or candidates) for a
@@ -148,28 +186,41 @@ void filter_pass(TrialArena& arena, std::vector<std::uint32_t>& list,
   }
 }
 
-// One staged pass over the slots [0, count) (count <= bound): stage(slot)
-// runs on `width` ranges and returns the vertex the slot would inform, or
-// kNoVertex; then merge(v) runs serially for every staged vertex in
+// One staged pass over the slots [0, count) (count <= bound), range by
+// range: stage(begin, end, out) runs once for each of `width` ranges and
+// appends to `out`, in ascending slot order, the vertices its slots would
+// inform; then merge(v) runs serially for every staged vertex in
 // shard-major = ascending slot order. Every stage runs before the first
 // merge, so all of them read the pass's start state, and the result is a
 // pure function of that state and the slots' keyed draws.
-template <class Stage, class Merge>
-void merge_pass(TrialArena& arena, std::size_t count, std::size_t bound,
-                std::uint32_t width, Stage&& stage, Merge&& merge) {
+template <class StageRange, class Merge>
+void merge_ranges(TrialArena& arena, std::size_t count, std::size_t bound,
+                  std::uint32_t width, StageRange&& stage, Merge&& merge) {
   auto& scratch = pass_segments(arena, bound, width,
                                 &TrialArena::ShardScratch::candidates);
   shard_pool().parallel_for_ranges(
       count, width, [&](std::size_t s, std::size_t begin, std::size_t end) {
-        auto& out = scratch[s].candidates;
-        for (std::size_t i = begin; i < end; ++i) {
-          const Vertex v = stage(i);
-          if (v != kNoVertex) out.push_back(v);
-        }
+        stage(begin, end, scratch[s].candidates);
       });
   for (std::uint32_t s = 0; s < width; ++s) {
     for (const Vertex v : scratch[s].candidates) merge(v);
   }
+}
+
+// merge_ranges with one stage(slot) call per slot, returning the vertex
+// the slot would inform or kNoVertex.
+template <class Stage, class Merge>
+void merge_pass(TrialArena& arena, std::size_t count, std::size_t bound,
+                std::uint32_t width, Stage&& stage, Merge&& merge) {
+  merge_ranges(
+      arena, count, bound, width,
+      [&](std::size_t begin, std::size_t end, std::vector<Vertex>& out) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const Vertex v = stage(i);
+          if (v != kNoVertex) out.push_back(v);
+        }
+      },
+      std::forward<Merge>(merge));
 }
 
 // The agent-catch pass of sharded visit-exchange and hybrid, keyed by
@@ -188,23 +239,33 @@ std::size_t catch_agents_sharded(TrialArena& arena,
   const auto agents = agent_round.view();
   const auto vertices = arena.vertex_inform_round.view();
   const auto stamp = static_cast<std::uint32_t>(round);
-  return tally_pass(
-             arena, positions.size(), width,
-             [&](std::size_t a, TrialArena::ShardTally& tally) {
-               if (agents.touched(a)) return;
-               const Vertex v = positions[a];
-               if (!vertices.touched(v)) return;
-               if constexpr (std::is_same_v<Mode, transmission::General>) {
-                 SlotDraws draws(plane, kShardPhaseAgentCatch,
-                                 static_cast<std::uint32_t>(a));
-                 if (!model.can_transmit<Mode>(vertices.get(v), v, round) ||
-                     !model.attempt_from<Mode>(v, draws)) {
-                   return;
-                 }
-               }
-               agent_round.set(a, stamp);
-               ++tally.informs;
-             })
+  auto catch_agent = [&](std::size_t a, TrialArena::ShardTally& tally) {
+    if (agents.touched(a)) return;
+    const Vertex v = positions[a];
+    if (!vertices.touched(v)) return;
+    if constexpr (std::is_same_v<Mode, transmission::General>) {
+      SlotDraws draws(plane, kShardPhaseAgentCatch,
+                      static_cast<std::uint32_t>(a));
+      if (!model.can_transmit<Mode>(vertices.get(v), v, round) ||
+          !model.attempt_from<Mode>(v, draws)) {
+        return;
+      }
+    }
+    agent_round.set(a, stamp);
+    ++tally.informs;
+  };
+  return tally_ranges(arena, positions.size(), width,
+                      [&](std::size_t begin, std::size_t end,
+                          TrialArena::ShardTally& tally) {
+                        for_agents(
+                            begin, end,
+                            [&](std::size_t a) {
+                              if (!agents.touched(a)) {
+                                vertices.prefetch_stamp(positions[a]);
+                              }
+                            },
+                            [&](std::size_t a) { catch_agent(a, tally); });
+                      })
       .informs;
 }
 

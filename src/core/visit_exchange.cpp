@@ -3,7 +3,6 @@
 #include "core/registry.hpp"
 #include "core/sharding.hpp"
 #include "support/philox.hpp"
-#include "support/thread_pool.hpp"
 #include "walk/step_kernel.hpp"
 
 namespace rumor {
@@ -118,21 +117,26 @@ void VisitExchangeProcess::step_impl() {
   }
 }
 
-// One frontier-sharded round — law-equivalent to step_impl<Mode>. The
-// sharded walk kernel steps every agent (per-walker addressable draws);
-// phases A and B then each run as one parallel pass over agent ids
-// (slot = agent id), writing in place with no merge:
+// One frontier-sharded round — law-equivalent to step_impl<Mode>. Two
+// parallel passes over agent ids (slot = agent id), both writing in place
+// with no merge:
 //
-//   Phase A (agents informed before this round inform their vertex)
-//   claims the vertex. The claim is idempotent, and whether a vertex ends
-//   the phase informed is the OR over the agents standing on it of their
-//   own slot-keyed draws — the same for any order. An agent that finds
-//   its vertex already claimed skips its draw, which changes nothing
-//   observable: no other slot reads its words.
+//   Walk and phase A. Each range is stepped by the sharded walk kernel
+//   (per-walker addressable draws), and then the same range's agents
+//   informed before this round claim the vertex they now stand on. The
+//   claim is idempotent, and whether a vertex ends the pass informed is
+//   the OR over the agents standing on it of their own slot-keyed draws —
+//   the same for any order. An agent that finds its vertex already
+//   claimed skips its draw, which changes nothing observable: no other
+//   slot reads its words. A claim reads only its agent's pre-round inform
+//   round and post-step position, which no other range writes, so
+//   claiming a range before the other ranges have stepped changes no
+//   write.
 //
-//   Phase B (agents standing on an informed vertex become informed) reads
-//   the POST-phase-A vertex state, as the serial loop does, and each slot
-//   writes only its own agent's inform round.
+//   Phase B (agents standing on an informed vertex become informed) starts
+//   after every range has finished, so it reads the POST-phase-A vertex
+//   state, as the serial loop does, and each slot writes only its own
+//   agent's inform round.
 template <class Mode>
 void VisitExchangeProcess::step_sharded() {
   constexpr bool kGeneral = std::is_same_v<Mode, transmission::General>;
@@ -143,34 +147,44 @@ void VisitExchangeProcess::step_sharded() {
     }
   }
 
-  step_walks_sharded(*graph_, agents_.positions_mut(), seed_, round_,
-                     laziness_, shard_width_);
-
-  const Vertex* pos = agents_.positions().data();
+  const std::span<Vertex> positions = agents_.positions_mut();
+  const Vertex* pos = positions.data();
   const ShardPlane plane(seed_, round_);
   const auto round = static_cast<std::uint32_t>(round_);
   const auto agent_view = arena_->agent_inform_round.view();
 
-  // Phase A: every previously informed agent claims the vertex it stands
-  // on (stifled agents and quarantined vertices excepted).
+  // Walk, then phase A: every previously informed agent claims the vertex
+  // it stands on (stifled agents and quarantined vertices excepted).
   const auto claims = arena_->vertex_inform_round.claims();
+  auto claim = [&](std::size_t a, TrialArena::ShardTally& tally) {
+    if (!agent_view.touched(a)) return;
+    const Vertex v = pos[a];
+    if (claims.claimed(v)) return;
+    if constexpr (kGeneral) {
+      SlotDraws draws(plane, kShardPhaseAgentInform,
+                      static_cast<std::uint32_t>(a));
+      if (!model_.can_transmit<Mode>(agent_view.get(a), v, round_) ||
+          !model_.attempt_from<Mode>(v, draws)) {
+        return;
+      }
+    }
+    if (claims.claim(v, round)) ++tally.informs;
+  };
   const std::size_t vertex_informs =
-      tally_pass(*arena_, agents_.count(), shard_width_,
-                 [&](std::size_t a, TrialArena::ShardTally& tally) {
-                   if (!agent_view.touched(a)) return;
-                   const Vertex v = pos[a];
-                   if (claims.claimed(v)) return;
-                   if constexpr (kGeneral) {
-                     SlotDraws draws(plane, kShardPhaseAgentInform,
-                                     static_cast<std::uint32_t>(a));
-                     if (!model_.can_transmit<Mode>(agent_view.get(a), v,
-                                                    round_) ||
-                         !model_.attempt_from<Mode>(v, draws)) {
-                       return;
-                     }
-                   }
-                   if (claims.claim(v, round)) ++tally.informs;
-                 })
+      tally_ranges(*arena_, agents_.count(), shard_width_,
+                   [&](std::size_t begin, std::size_t end,
+                       TrialArena::ShardTally& tally) {
+                     step_walk_range(*graph_, positions, begin, end, plane,
+                                     laziness_);
+                     for_agents(
+                         begin, end,
+                         [&](std::size_t a) {
+                           if (agent_view.touched(a)) {
+                             claims.prefetch_stamp(pos[a]);
+                           }
+                         },
+                         [&](std::size_t a) { claim(a, tally); });
+                   })
           .informs;
 
   // Phase B: uninformed agents standing on an informed vertex (informed in

@@ -154,11 +154,11 @@ class VisitExchangeProcess {
   void inform_vertex(Vertex v);
   template <class Mode>
   void step_impl();
-  // Frontier-sharded round (sharded_ == true): the sharded walk kernel
-  // steps all agents, then phases A and B each run as one parallel pass
-  // over agent ids (per-agent addressable draws) that writes in place —
-  // vertex informs as atomic claims, agent informs by the agent's own
-  // slot. See docs/perf.md for the determinism contract.
+  // Frontier-sharded round (sharded_ == true): two parallel passes over
+  // agent ids (per-agent addressable draws) that write in place — the
+  // sharded walk kernel and phase A range by range, vertex informs as
+  // atomic claims, then phase B, agent informs by the agent's own slot.
+  // See docs/perf.md for the determinism contract.
   template <class Mode>
   void step_sharded();
   void activate_blocking();

@@ -380,11 +380,13 @@ bool check_scenario_size(const ScenarioSpec& spec, Vertex n,
   }
   // The trial runner sizes the whole plan's result storage before any
   // trial runs: rounds, agent_rounds and informed per trial, plus the two
-  // curve vectors' headers under curve=on. A plan past physical memory
-  // could only abort in that allocation.
+  // curve vectors' headers under curve=on. Forming the scenario's row
+  // then holds one sorted copy of a sample vector at a time
+  // (Summary::of). A plan past physical memory could only fail in those
+  // allocations.
   const TraceOptions* trace = spec.protocol.trace();
   const std::uint64_t per_trial =
-      3 * sizeof(double) + (trace != nullptr && trace->informed_curve
+      4 * sizeof(double) + (trace != nullptr && trace->informed_curve
                                 ? 2 * sizeof(std::vector<std::uint32_t>)
                                 : 0);
   const std::uint64_t storage = spec.plan.trials * per_trial;

@@ -201,7 +201,19 @@ TrialRunOutcome run_trial_batches(const std::vector<TrialBatch>& batches,
     if (stopped.load(std::memory_order_relaxed)) return;
     done[b] = true;
     while (next_emit < n && done[next_emit]) {
-      options.on_batch_done(next_emit);
+      // Forming a batch's row copies and sorts its samples (Summary::of).
+      // An allocation failure there fails that batch by name, as one in
+      // its result storage does, instead of escaping the pool worker.
+      try {
+        options.on_batch_done(next_emit);
+      } catch (const std::bad_alloc&) {
+        if (!cancelled.exchange(true)) {
+          failed_batch = next_emit;
+          failure = "cannot allocate the row summary of " +
+                    std::to_string(batches[next_emit].trials) + " trials";
+        }
+        return;
+      }
       ++next_emit;
     }
   };

@@ -51,6 +51,11 @@ struct CsrAccess {
   void prefetch_degree(Vertex v) const {
     __builtin_prefetch(offsets + v, /*rw=*/0, /*locality=*/3);
   }
+  // Warm the start of v's neighbor row for an upcoming pick(); reads
+  // offsets[v], so it pays off once prefetch_degree(v) has landed.
+  void prefetch_row(Vertex v) const {
+    __builtin_prefetch(neighbors + offsets[v], /*rw=*/0, /*locality=*/3);
+  }
 };
 
 // Implicit backend: adjacency synthesized from the family closed forms;
@@ -71,6 +76,7 @@ struct ImplicitAccess {
     return implicit_neighbor(desc, r.v, i);
   }
   void prefetch_degree(Vertex) const {}  // nothing to load
+  void prefetch_row(Vertex) const {}
 };
 
 // Resolves the backend once and invokes f with the matching policy.

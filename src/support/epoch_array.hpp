@@ -95,6 +95,11 @@ class EpochArray {
       __builtin_prefetch(stamps + i, /*rw=*/0, /*locality=*/3);
       __builtin_prefetch(values + i, /*rw=*/0, /*locality=*/3);
     }
+    // The stamp alone, for a consumer that reads the value only of the
+    // few slots whose stamp is current (touched() first).
+    void prefetch_stamp(std::size_t i) const {
+      __builtin_prefetch(stamps + i, /*rw=*/0, /*locality=*/3);
+    }
   };
 
   [[nodiscard]] View view() const {
@@ -115,6 +120,10 @@ class EpochArray {
     [[nodiscard]] bool claimed(std::size_t i) const {
       return std::atomic_ref<std::uint32_t>(stamps[i]).load(
                  std::memory_order_relaxed) == epoch;
+    }
+    // Hints slot i's stamp into cache ahead of a claimed()/claim().
+    void prefetch_stamp(std::size_t i) const {
+      __builtin_prefetch(stamps + i, /*rw=*/0, /*locality=*/3);
     }
     // True for the one caller that moved slot i into this epoch.
     bool claim(std::size_t i, T value) const {

@@ -182,6 +182,34 @@ __attribute__((target("avx2"))) inline void mul_wide_u32_avx2(__m256i x,
   *hi = _mm256_shuffle_epi32(hi_pairs, _MM_SHUFFLE(3, 1, 2, 0));
 }
 
+// The ten Philox rounds over eight blocks in SoA lanes: x0..x3 hold the
+// counter words on entry and the output words on return. Shared by the
+// stream refill and the sharded first-word batch, so both compute exactly
+// philox4x32 per lane.
+__attribute__((target("avx2"))) inline void philox_rounds_avx2(
+    __m256i& x0, __m256i& x1, __m256i& x2, __m256i& x3, std::uint32_t key0,
+    std::uint32_t key1) {
+  const __m256i m0 = _mm256_set1_epi32(static_cast<int>(kPhiloxM0));
+  const __m256i m1 = _mm256_set1_epi32(static_cast<int>(kPhiloxM1));
+  const __m256i w0 = _mm256_set1_epi32(static_cast<int>(kPhiloxW0));
+  const __m256i w1 = _mm256_set1_epi32(static_cast<int>(kPhiloxW1));
+  __m256i k0 = _mm256_set1_epi32(static_cast<int>(key0));
+  __m256i k1 = _mm256_set1_epi32(static_cast<int>(key1));
+  for (int round = 0; round < 10; ++round) {
+    __m256i p0_lo, p0_hi, p1_lo, p1_hi;
+    mul_wide_u32_avx2(x0, m0, &p0_lo, &p0_hi);
+    mul_wide_u32_avx2(x2, m1, &p1_lo, &p1_hi);
+    const __m256i y0 = _mm256_xor_si256(_mm256_xor_si256(p1_hi, x1), k0);
+    const __m256i y2 = _mm256_xor_si256(_mm256_xor_si256(p0_hi, x3), k1);
+    x0 = y0;
+    x1 = p1_lo;
+    x2 = y2;
+    x3 = p0_lo;
+    k0 = _mm256_add_epi32(k0, w0);
+    k1 = _mm256_add_epi32(k1, w1);
+  }
+}
+
 // Eight blocks per iteration; bit-identical to refill_sse2 / refill_scalar.
 __attribute__((target("avx2"))) void refill_avx2(std::uint32_t* buf,
                                                  std::uint64_t block,
@@ -190,10 +218,6 @@ __attribute__((target("avx2"))) void refill_avx2(std::uint32_t* buf,
                                                  std::uint32_t key1) {
   constexpr std::size_t kLanes = 8;
   constexpr std::size_t kGroups = kBufWords / (4 * kLanes);
-  const __m256i m0 = _mm256_set1_epi32(static_cast<int>(kPhiloxM0));
-  const __m256i m1 = _mm256_set1_epi32(static_cast<int>(kPhiloxM1));
-  const __m256i w0 = _mm256_set1_epi32(static_cast<int>(kPhiloxW0));
-  const __m256i w1 = _mm256_set1_epi32(static_cast<int>(kPhiloxW1));
   for (std::size_t g = 0; g < kGroups; ++g) {
     const std::uint64_t b = block + g * kLanes;
     __m256i x0 = _mm256_set_epi32(
@@ -211,21 +235,7 @@ __attribute__((target("avx2"))) void refill_avx2(std::uint32_t* buf,
     }
     __m256i x2 = _mm256_set1_epi32(static_cast<int>(stream));
     __m256i x3 = _mm256_setzero_si256();
-    __m256i k0 = _mm256_set1_epi32(static_cast<int>(key0));
-    __m256i k1 = _mm256_set1_epi32(static_cast<int>(key1));
-    for (int round = 0; round < 10; ++round) {
-      __m256i p0_lo, p0_hi, p1_lo, p1_hi;
-      mul_wide_u32_avx2(x0, m0, &p0_lo, &p0_hi);
-      mul_wide_u32_avx2(x2, m1, &p1_lo, &p1_hi);
-      const __m256i y0 = _mm256_xor_si256(_mm256_xor_si256(p1_hi, x1), k0);
-      const __m256i y2 = _mm256_xor_si256(_mm256_xor_si256(p0_hi, x3), k1);
-      x0 = y0;
-      x1 = p1_lo;
-      x2 = y2;
-      x3 = p0_lo;
-      k0 = _mm256_add_epi32(k0, w0);
-      k1 = _mm256_add_epi32(k1, w1);
-    }
+    philox_rounds_avx2(x0, x1, x2, x3, key0, key1);
     // 4x8 transpose back to block-sequential AoS order: 32-bit and 64-bit
     // unpacks give [blk0|blk4].. pairs per half-lane; the cross-lane
     // permute then restores sequential block order.
@@ -243,6 +253,28 @@ __attribute__((target("avx2"))) void refill_avx2(std::uint32_t* buf,
     _mm256_store_si256(out + 2, _mm256_permute2x128_si256(b04, b15, 0x31));
     _mm256_store_si256(out + 3, _mm256_permute2x128_si256(b26, b37, 0x31));
   }
+}
+
+// Block 0 of slots base..base+7 under (plane, phase), one slot per lane;
+// out[l] gets the block's words 0-1 as one 64-bit word, the first
+// next_u64() of that slot's SlotDraws.
+__attribute__((target("avx2"))) void first_words_avx2(const ShardPlane& plane,
+                                                      std::uint32_t phase,
+                                                      std::uint32_t base,
+                                                      std::uint64_t* out) {
+  __m256i x0 = _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(base)),
+                                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256i x1 = _mm256_set1_epi32(static_cast<int>(phase));  // seq 0
+  __m256i x2 = _mm256_set1_epi32(static_cast<int>(plane.round_lo));
+  __m256i x3 = _mm256_set1_epi32(static_cast<int>(plane.round_hi));
+  philox_rounds_avx2(x0, x1, x2, x3, plane.k0, plane.k1);
+  // Interleave words 0 and 1 per lane: [0 1 | 4 5] and [2 3 | 6 7] as
+  // 64-bit words, then put the half-lanes back in slot order.
+  const __m256i lo = _mm256_unpacklo_epi32(x0, x1);
+  const __m256i hi = _mm256_unpackhi_epi32(x0, x1);
+  auto* dst = reinterpret_cast<__m256i*>(out);
+  _mm256_storeu_si256(dst, _mm256_permute2x128_si256(lo, hi, 0x20));
+  _mm256_storeu_si256(dst + 1, _mm256_permute2x128_si256(lo, hi, 0x31));
 }
 
 [[nodiscard]] bool cpu_has_avx2() {
@@ -268,6 +300,30 @@ void PhiloxStream::refill() {
 #endif
   block_ += kBufWords / 4;
   pos_ = 0;
+}
+
+ShardFirstWords shard_first_words_reference(const ShardPlane& plane,
+                                            std::uint32_t phase,
+                                            std::uint32_t base) {
+  ShardFirstWords out;
+  for (std::uint32_t l = 0; l < kShardWordLanes; ++l) {
+    const auto block = philox4x32(
+        {base + l, phase, plane.round_lo, plane.round_hi}, plane.k0, plane.k1);
+    out[l] = block[0] | (std::uint64_t{block[1]} << 32);
+  }
+  return out;
+}
+
+ShardFirstWords shard_first_words(const ShardPlane& plane,
+                                  std::uint32_t phase, std::uint32_t base) {
+#if defined(RUMOR_PHILOX_AVX2_DISPATCH)
+  if (cpu_has_avx2()) {
+    ShardFirstWords out;
+    first_words_avx2(plane, phase, base, out.data());
+    return out;
+  }
+#endif
+  return shard_first_words_reference(plane, phase, base);
 }
 
 // ---- Geometric gap kernel ----------------------------------------------

@@ -12,7 +12,8 @@
 //   * ShardPlane / SlotDraws — the one addressable scheme: every draw of a
 //     sharded round is keyed by (trial seed, round, phase, slot), never by
 //     execution order (first words pinned cross-platform in
-//     tests/test_support_philox.cpp);
+//     tests/test_support_philox.cpp); passes that draw for every slot
+//     compute the slots' first words eight at a time (shard_first_words);
 //   * PhiloxStream — a buffered sequential view for the transmission
 //     model's attempt and gap draws: key = (seed, stream id), counter =
 //     running block index. Refills generate four independent blocks per
@@ -24,8 +25,10 @@
 // their trajectories from Rng (xoshiro), byte-identically to before.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "support/rng.hpp"
@@ -210,8 +213,23 @@ class SlotDraws {
   SlotDraws(const ShardPlane& plane, std::uint32_t phase, std::uint32_t slot)
       : plane_(plane), slot_(slot), word1_(phase) {}
 
+  // The same chain with its first 64-bit word (block 0's words 0-1)
+  // already computed, by shard_first_words: the first next_u64() returns
+  // `first` with no block computation, and any later draw continues the
+  // slot's own chain (block 0's words 2-3, then seq 1 on), so every draw
+  // reads the word a plain SlotDraws would.
+  SlotDraws(const ShardPlane& plane, std::uint32_t phase, std::uint32_t slot,
+            std::uint64_t first)
+      : plane_(plane),
+        buf_{static_cast<std::uint32_t>(first),
+             static_cast<std::uint32_t>(first >> 32), 0, 0},
+        pos_(0),
+        end_(2),
+        slot_(slot),
+        word1_(phase) {}
+
   [[nodiscard]] std::uint32_t next_u32() {
-    if (pos_ == 4) refill();
+    if (pos_ == end_) refill();
     return buf_[pos_++];
   }
 
@@ -231,15 +249,53 @@ class SlotDraws {
     buf_ = philox4x32({slot_, word1_, plane_.round_lo, plane_.round_hi},
                       plane_.k0, plane_.k1);
     word1_ += 256;  // seq lives in bits 8..31; phase keeps bits 0..7
-    pos_ = 0;
+    pos_ %= 4;      // a handed first word resumes at block 0's word 2
+    end_ = 4;
   }
 
   const ShardPlane& plane_;
   std::array<std::uint32_t, 4> buf_{};
   std::uint32_t pos_ = 4;  // refill on first draw
+  std::uint32_t end_ = 4;  // words of buf_ computed so far
   std::uint32_t slot_;
   std::uint32_t word1_;
 };
+
+// The first 64-bit words of eight consecutive slots' chains:
+// shard_first_words(plane, phase, base)[l] is what
+// SlotDraws(plane, phase, base + l).next_u64() returns first. The eight
+// blocks are computed in SIMD lanes where the CPU has AVX2, else one
+// philox4x32 at a time; slots past 2^32 - 1 wrap to 0.
+inline constexpr std::size_t kShardWordLanes = 8;
+using ShardFirstWords = std::array<std::uint64_t, kShardWordLanes>;
+
+[[nodiscard]] ShardFirstWords shard_first_words(const ShardPlane& plane,
+                                                std::uint32_t phase,
+                                                std::uint32_t base);
+
+// The always-scalar path of shard_first_words, exposed so tests can pin
+// the dispatched lanes against it on whatever ISA the host offers.
+[[nodiscard]] ShardFirstWords shard_first_words_reference(
+    const ShardPlane& plane, std::uint32_t phase, std::uint32_t base);
+
+// Runs f(i, draws) for every slot i in [begin, end) in ascending order,
+// draws being slot i's chain under (plane, phase) started from its first
+// word, which shard_first_words computes eight slots at a time. The lanes
+// past `end` in the last batch are computed and dropped.
+template <class F>
+void for_slot_chains(const ShardPlane& plane, std::uint32_t phase,
+                     std::size_t begin, std::size_t end, F&& f) {
+  for (std::size_t base = begin; base < end; base += kShardWordLanes) {
+    const ShardFirstWords first =
+        shard_first_words(plane, phase, static_cast<std::uint32_t>(base));
+    const std::size_t stop = std::min(end, base + kShardWordLanes);
+    for (std::size_t i = base; i < stop; ++i) {
+      SlotDraws draws(plane, phase, static_cast<std::uint32_t>(i),
+                      first[i - base]);
+      f(i, draws);
+    }
+  }
+}
 
 // Batch geometric-gap kernel: draws `count` words from `stream` (whole
 // blocks; count must be a multiple of PhiloxStream::kBufWords) and writes

@@ -1,5 +1,6 @@
 #include "walk/agents.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -49,27 +50,31 @@ void place_sharded(const Graph& g, std::span<Vertex> positions,
   shard_pool().parallel_for_ranges(
       positions.size(), sharded.width,
       [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto a = static_cast<Agent>(i);
-          SlotDraws draws(plane, kShardPhasePlace, a);
-          switch (placement) {
-            case Placement::stationary: {
-              const std::uint64_t slot = word_below(draws, edge_slots);
-              const auto [u, v] =
-                  g.edge_endpoints(static_cast<EdgeId>(slot >> 1));
-              pos[i] = (slot & 1) != 0 ? v : u;
-              break;
+        switch (placement) {
+          case Placement::stationary:
+            for_slot_chains(plane, kShardPhasePlace, begin, end,
+                            [&](std::size_t i, SlotDraws& draws) {
+                              const std::uint64_t slot =
+                                  word_below(draws, edge_slots);
+                              const auto [u, v] = g.edge_endpoints(
+                                  static_cast<EdgeId>(slot >> 1));
+                              pos[i] = (slot & 1) != 0 ? v : u;
+                            });
+            break;
+          case Placement::one_per_vertex:
+            for (std::size_t i = begin; i < end; ++i) {
+              pos[i] = static_cast<Agent>(i);
             }
-            case Placement::one_per_vertex:
-              pos[i] = a;
-              break;
-            case Placement::uniform:
-              pos[i] = word_below(draws, n);
-              break;
-            case Placement::at_vertex:
-              pos[i] = anchor;
-              break;
-          }
+            break;
+          case Placement::uniform:
+            for_slot_chains(plane, kShardPhasePlace, begin, end,
+                            [&](std::size_t i, SlotDraws& draws) {
+                              pos[i] = word_below(draws, n);
+                            });
+            break;
+          case Placement::at_vertex:
+            std::fill(pos + begin, pos + end, anchor);
+            break;
         }
       });
 }

@@ -28,6 +28,7 @@
 #include <span>
 
 #include "graph/graph.hpp"
+#include "support/philox.hpp"
 #include "support/rng.hpp"
 #include "walk/agents.hpp"
 
@@ -107,5 +108,17 @@ void step_walks(const Graph& g, std::span<Vertex> positions, Rng& rng,
 void step_walks_sharded(const Graph& g, std::span<Vertex> positions,
                         std::uint64_t trial_seed, std::uint64_t round,
                         Laziness lazy, std::uint32_t shards);
+
+// One range [begin, end) of step_walks_sharded's pass under `plane` =
+// ShardPlane(trial_seed, round), run on the calling thread. For simulators
+// that fan out their own range pass and act on a range's new positions
+// right after stepping it, while they are still in cache; walker i's step
+// is the same whichever pass or range runs it. The first words of the
+// walkers' chains are computed eight at a time (shard_first_words), and
+// on a CSR graph the offsets and rows of upcoming walkers are prefetched
+// as in the serial kernels. Requires g.min_degree() > 0.
+void step_walk_range(const Graph& g, std::span<Vertex> positions,
+                     std::size_t begin, std::size_t end,
+                     const ShardPlane& plane, Laziness lazy);
 
 }  // namespace rumor

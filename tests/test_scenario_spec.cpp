@@ -370,11 +370,12 @@ TEST(ScenarioValidation, RandomFamiliesRejectImpossibleParameters) {
 
 TEST(ScenarioValidation, ResultStoragePastPhysicalMemoryRejected) {
   // The trial runner sizes 24 bytes of results per trial before any trial
-  // runs: 96 GiB at the trials= ceiling. Such a line used to pass
-  // validation and then abort in that allocation (exit 134 one-shot, and
-  // a serve daemon gone for every client).
+  // runs, and forming the row holds an 8-byte sorted copy per trial: 128
+  // GiB at the trials= ceiling. Such a line used to pass validation and
+  // then abort in that allocation (exit 134 one-shot, and a serve daemon
+  // gone for every client).
   const std::uint64_t memory = physical_memory_bytes();
-  if (memory >= (std::uint64_t{96} << 30)) {
+  if (memory >= (std::uint64_t{128} << 30)) {
     GTEST_SKIP() << "this host's memory holds the ceiling's results";
   }
   std::string error;
@@ -382,7 +383,7 @@ TEST(ScenarioValidation, ResultStoragePastPhysicalMemoryRejected) {
   ASSERT_TRUE(spec) << error;
   EXPECT_FALSE(validate_scenarios({*spec}, &error));
   EXPECT_NE(error.find(spec->name()), std::string::npos) << error;
-  EXPECT_NE(error.find("103079215080 bytes of result storage"),
+  EXPECT_NE(error.find("137438953440 bytes of result storage"),
             std::string::npos)
       << error;
   EXPECT_NE(error.find(std::to_string(memory) + " bytes of physical memory"),
@@ -436,7 +437,7 @@ TEST(ScenarioValidation, ResultStoragePastTheAddressSpaceIsANamedFailure) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "the sanitizers reserve the address space for shadow memory";
 #else
-  if (physical_memory_bytes() <= std::uint64_t{200'000'000} * 24) {
+  if (physical_memory_bytes() <= std::uint64_t{200'000'000} * 32) {
     GTEST_SKIP() << "validation rejects the line on this host";
   }
   std::string error;
@@ -479,6 +480,43 @@ TEST(ScenarioValidation, FreshDrawPastTheCapIsANamedTrialFailure) {
               std::string::npos)
         << e.what();
   }
+}
+
+TEST(ScenarioValidation, RowSummaryAllocationFailureIsANamedFailure) {
+  // Forming a batch's row copies and sorts its samples after the last
+  // trial; an allocation failure there fails the batch by name instead of
+  // escaping the worker (std::terminate, exit 134).
+  const auto graph = GraphSpec::parse("cycle(n=8)");
+  ASSERT_TRUE(graph);
+  Rng rng(1);
+  const Graph g = graph->make(rng);
+  const ProtocolSpec protocol = default_spec(Protocol::push);
+  TrialSet first;
+  TrialSet second;
+  std::vector<TrialBatch> batches(2);
+  for (std::size_t b = 0; b < 2; ++b) {
+    batches[b].graph = &g;
+    batches[b].protocol = &protocol;
+    batches[b].trials = 3 + b;
+    batches[b].out = b == 0 ? &first : &second;
+  }
+  std::vector<std::size_t> emitted;
+  TrialRunOptions options;
+  options.on_batch_done = [&](std::size_t b) {
+    if (b == 1) throw std::bad_alloc();
+    emitted.push_back(b);
+  };
+  try {
+    run_trial_batches(batches, options);
+    FAIL() << "expected TrialBatchError";
+  } catch (const TrialBatchError& e) {
+    EXPECT_EQ(e.batch_index(), 1u);
+    EXPECT_NE(std::string(e.what()).find(
+                  "cannot allocate the row summary of 4 trials"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(emitted, std::vector<std::size_t>{0});
 }
 
 // ---- ScenarioSpec -----------------------------------------------------

@@ -1,9 +1,10 @@
 // Counter-based RNG tests: Random123 known-answer vectors, the
-// cross-platform pin of the addressable SlotDraws words, stream
-// addressability (buffered stream words == direct block computations, which
-// also proves the SIMD refill matches the scalar round function),
-// independence across the (round, phase, slot) coordinate axes, the
-// deterministic fast_log2f, and the statistical smoke checks.
+// cross-platform pin of the addressable SlotDraws words, the batched first
+// words of the shard plane, stream addressability (buffered stream words ==
+// direct block computations, which also proves the SIMD refill matches the
+// scalar round function), independence across the (round, phase, slot)
+// coordinate axes, the deterministic fast_log2f, and the statistical smoke
+// checks.
 //
 // The *Statistical tests are gated out of the Debug CI job (ctest -E
 // PhiloxStatistical) — they draw hundreds of thousands of words and only
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "support/philox.hpp"
+#include "walk/step_kernel.hpp"
 
 namespace rumor {
 namespace {
@@ -160,6 +162,117 @@ TEST(Philox, CoordinateAxesYieldDistinctDraws) {
     EXPECT_TRUE(seen.insert(s0.next_u64()).second);
     EXPECT_TRUE(seen.insert(s1.next_u64()).second);
   }
+}
+
+// ---- Batched first words of the shard plane -------------------------
+//
+// The sharded walk and placement passes start each slot's chain from a
+// first word computed eight slots at a time (shard_first_words). These
+// tests pin that those are the chain's own words, wherever a batch starts
+// and whatever ISA the host dispatches to. Named ShardDraws.* so the
+// Debug, sanitizer and TSan (-R Shard) jobs all run them.
+
+// Every (seed, round) plane the batch tests cover, including rounds whose
+// high counter word is nonzero.
+std::vector<ShardPlane> first_word_planes() {
+  std::vector<ShardPlane> planes;
+  for (const std::uint64_t seed : {0ull, 7ull, 0xDEADBEEFCAFEF00Dull}) {
+    for (const std::uint64_t round :
+         {0ull, 1ull, 37ull, (1ull << 32) + 5, ~0ull}) {
+      planes.emplace_back(seed, round);
+    }
+  }
+  return planes;
+}
+
+constexpr std::uint32_t kFirstWordBases[] = {0u, 5u, 0xFFFFFFF8u};
+
+TEST(ShardDraws, BatchedFirstWordsAreTheChainsFirstWords) {
+  for (const ShardPlane& plane : first_word_planes()) {
+    for (std::uint32_t phase = 0; phase <= kShardPhasePlace; ++phase) {
+      for (const std::uint32_t base : kFirstWordBases) {
+        const ShardFirstWords words = shard_first_words(plane, phase, base);
+        for (std::uint32_t l = 0; l < kShardWordLanes; ++l) {
+          SlotDraws draws(plane, phase, base + l);
+          EXPECT_EQ(words[l], draws.next_u64())
+              << "round_hi=" << plane.round_hi << " phase=" << phase
+              << " slot=" << base + l;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardDraws, ScalarLanesMatchDispatchedLanes) {
+  for (const ShardPlane& plane : first_word_planes()) {
+    for (std::uint32_t phase = 0; phase <= kShardPhasePlace; ++phase) {
+      for (std::uint32_t base = 0; base < 64; base += 3) {
+        EXPECT_EQ(shard_first_words(plane, phase, base),
+                  shard_first_words_reference(plane, phase, base))
+            << "phase=" << phase << " base=" << base;
+      }
+      for (const std::uint32_t base : kFirstWordBases) {
+        EXPECT_EQ(shard_first_words(plane, phase, base),
+                  shard_first_words_reference(plane, phase, base))
+            << "phase=" << phase << " base=" << base;
+      }
+    }
+  }
+}
+
+TEST(ShardDraws, HandedFirstWordContinuesTheChain) {
+  for (const ShardPlane& plane : first_word_planes()) {
+    for (const std::uint32_t base : kFirstWordBases) {
+      const ShardFirstWords words =
+          shard_first_words(plane, kShardPhaseWalk, base);
+      for (std::uint32_t l = 0; l < kShardWordLanes; ++l) {
+        SlotDraws handed(plane, kShardPhaseWalk, base + l, words[l]);
+        SlotDraws plain(plane, kShardPhaseWalk, base + l);
+        // The first word, then block 0's words 2-3 and five more blocks'
+        // worth: the handed chain recomputes block 0 and moves on to seq 1.
+        EXPECT_EQ(handed.next_u64(), plain.next_u64());
+        for (int w = 0; w < 12; ++w) {
+          ASSERT_EQ(handed.next_u32(), plain.next_u32())
+              << "slot=" << base + l << " word=" << w + 2;
+        }
+      }
+    }
+  }
+}
+
+// Counts the 64-bit words a draw helper reads through it.
+template <class Source>
+struct CountedWords {
+  Source& source;
+  int words = 0;
+  std::uint64_t operator()() {
+    ++words;
+    return source();
+  }
+};
+
+TEST(ShardDraws, RejectionFallsBackToTheSlotsOwnChain) {
+  // At bound 2^63 + 1 the Lemire draw rejects about half its words, so
+  // many slots read past the handed first word into the rest of their
+  // chain; each must land where a plain SlotDraws lands.
+  constexpr std::uint64_t kBound = (std::uint64_t{1} << 63) + 1;
+  const ShardPlane plane(0x5EED, 3);
+  int rejected_slots = 0;
+  for (std::uint32_t base = 0; base < 256; base += kShardWordLanes) {
+    const ShardFirstWords words =
+        shard_first_words(plane, kShardPhasePlace, base);
+    for (std::uint32_t l = 0; l < kShardWordLanes; ++l) {
+      SlotDraws handed_chain(plane, kShardPhasePlace, base + l, words[l]);
+      SlotDraws plain_chain(plane, kShardPhasePlace, base + l);
+      CountedWords<SlotDraws> handed{handed_chain};
+      CountedWords<SlotDraws> plain{plain_chain};
+      EXPECT_EQ(word_below(handed, kBound), word_below(plain, kBound))
+          << "slot=" << base + l;
+      EXPECT_EQ(handed.words, plain.words);
+      rejected_slots += handed.words > 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(rejected_slots, 32);
 }
 
 // fast_log2f powers the geometric gap computation; its contract is
