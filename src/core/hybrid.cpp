@@ -72,7 +72,9 @@ void HybridProcess::step_impl() {
 // round, its post-step position and the round-start vertex state, which
 // nothing writes until every range has finished; the serial merge then
 // informs the staged vertices in agent-id order, which orders the caller
-// and puller lists and so keys push-pull's slots.
+// and puller lists and so keys push-pull's slots. The merge prefetches
+// each staged vertex's state sixteen entries ahead: on a star's first
+// round it informs millions of leaves, one DRAM access each.
 template <class Mode>
 void HybridProcess::step_sharded() {
   const ShardPlane plane(seed_, round_);
@@ -111,7 +113,9 @@ void HybridProcess::step_sharded() {
       },
       [&](Vertex v) {
         if (!informed.touched(v)) calls_.inform(v, round_);
-      });
+      },
+      // inform writes both the stamp and the value.
+      [&](Vertex v) { informed.prefetch(v); });
   calls_.sharded(round_, plane, shard_width_);
   if (agent_side_.catch_agents<Mode>(model_, plane, round_, shard_width_) >
       0) {

@@ -186,16 +186,25 @@ void filter_pass(TrialArena& arena, std::vector<std::uint32_t>& list,
   }
 }
 
+// The default prefetch hook of merge_ranges and merge_pass: none.
+struct NoPrefetch {
+  void operator()(Vertex /*v*/) const {}
+};
+
 // One staged pass over the slots [0, count) (count <= bound), range by
 // range: stage(begin, end, out) runs once for each of `width` ranges and
 // appends to `out`, in ascending slot order, the vertices its slots would
 // inform; then merge(v) runs serially for every staged vertex in
 // shard-major = ascending slot order. Every stage runs before the first
 // merge, so all of them read the pass's start state, and the result is a
-// pure function of that state and the slots' keyed draws.
-template <class StageRange, class Merge>
+// pure function of that state and the slots' keyed draws. The serial
+// merge makes one random access per staged vertex; prefetch(v) hints the
+// state merge(v) will touch, kAgentPrefetchAhead entries ahead within a
+// segment, as for_agents does for an agent pass.
+template <class StageRange, class Merge, class Prefetch = NoPrefetch>
 void merge_ranges(TrialArena& arena, std::size_t count, std::size_t bound,
-                  std::uint32_t width, StageRange&& stage, Merge&& merge) {
+                  std::uint32_t width, StageRange&& stage, Merge&& merge,
+                  Prefetch&& prefetch = {}) {
   auto& scratch = pass_segments(arena, bound, width,
                                 &TrialArena::ShardScratch::candidates);
   shard_pool().parallel_for_ranges(
@@ -203,15 +212,19 @@ void merge_ranges(TrialArena& arena, std::size_t count, std::size_t bound,
         stage(begin, end, scratch[s].candidates);
       });
   for (std::uint32_t s = 0; s < width; ++s) {
-    for (const Vertex v : scratch[s].candidates) merge(v);
+    const std::vector<Vertex>& staged = scratch[s].candidates;
+    for_agents(
+        0, staged.size(), [&](std::size_t i) { prefetch(staged[i]); },
+        [&](std::size_t i) { merge(staged[i]); });
   }
 }
 
 // merge_ranges with one stage(slot) call per slot, returning the vertex
 // the slot would inform or kNoVertex.
-template <class Stage, class Merge>
+template <class Stage, class Merge, class Prefetch = NoPrefetch>
 void merge_pass(TrialArena& arena, std::size_t count, std::size_t bound,
-                std::uint32_t width, Stage&& stage, Merge&& merge) {
+                std::uint32_t width, Stage&& stage, Merge&& merge,
+                Prefetch&& prefetch = {}) {
   merge_ranges(
       arena, count, bound, width,
       [&](std::size_t begin, std::size_t end, std::vector<Vertex>& out) {
@@ -220,7 +233,7 @@ void merge_pass(TrialArena& arena, std::size_t count, std::size_t bound,
           if (v != kNoVertex) out.push_back(v);
         }
       },
-      std::forward<Merge>(merge));
+      std::forward<Merge>(merge), std::forward<Prefetch>(prefetch));
 }
 
 // The agent-catch pass of sharded visit-exchange and hybrid, keyed by

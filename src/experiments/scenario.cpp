@@ -4,7 +4,10 @@
 
 #include <fstream>
 #include <limits>
+#include <map>
+#include <new>
 #include <sstream>
+#include <utility>
 
 #include "experiments/claims.hpp"
 #include "graph/generators.hpp"
@@ -436,44 +439,33 @@ std::uint64_t physical_memory_bytes() {
          static_cast<std::uint64_t>(page_size);
 }
 
-// Validates the scenario and fills the result's size columns WITHOUT
-// building deterministic graphs: probe() answers n/m from the closed forms
-// (or the file cache header), so validating a 10^8-vertex sweep costs
-// arithmetic, not allocation. Sizes are fixed by the spec, so the source
-// check covers every fresh draw too (the per-draw RUMOR_REQUIRE in the
-// runner stays as backstop).
+namespace {
+
+// A random spec's preparation draw. It comes from a seed stream disjoint
+// from the trial seeds (for fresh mode, trial 0's draw), so it is a pure
+// function of (spec, seed) and a scenario is reproducible from its text
+// alone. A draw that gives up or cannot be allocated leaves the reason in
+// `why`.
+std::optional<Graph> draw_graph(const ScenarioSpec& spec, std::string& why) {
+  Rng graph_rng(derive_seed(spec.plan.seed ^ kGraphSeedSalt, 0));
+  try {
+    return spec.graph.make(graph_rng);
+  } catch (const gen::GraphDrawError& e) {
+    why = e.what();
+  } catch (const std::bad_alloc&) {
+    why = spec.graph.name() + ": cannot allocate memory for the draw";
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 bool prepare_scenario(const ScenarioSpec& spec, ScenarioResult& result,
                       PreparedScenario& prep, std::string* error) {
-  result.spec = spec;
-  const auto fail = [&](const std::string& why) {
-    set_error(error, "scenario \"" + spec.name() + "\": " + why);
-    return false;
-  };
-  std::string why;
-  const auto probe = spec.graph.probe(&why);
-  if (!probe) return fail(spec.graph.name() + ": " + why);
-  if (spec.graph.is_random()) {
-    // The graph draw uses a seed stream disjoint from the trial seeds (and,
-    // for fresh mode, matches trial 0's draw), so a scenario is
-    // reproducible from its text alone.
-    Rng graph_rng(derive_seed(spec.plan.seed ^ kGraphSeedSalt, 0));
-    std::optional<Graph> g;
-    try {
-      g.emplace(spec.graph.make(graph_rng));
-    } catch (const gen::GraphDrawError& e) {
-      return fail(e.what());
-    }
-    result.n = g->num_vertices();
-    result.edges = g->num_edges();
-    // Fresh-graph scenarios redraw per trial; dropping the validation
-    // draw immediately keeps it from pinning memory for the whole run.
-    if (!spec.plan.fresh_graph) prep.graph = std::move(g);
-  } else {
-    result.n = probe->n;
-    result.edges = static_cast<std::size_t>(probe->m);
-    prep.lazy = true;
-  }
-  if (!check_scenario_size(spec, result.n, &why)) return fail(why);
+  auto run = prepare_scenarios({spec}, error);
+  if (!run) return false;
+  result = std::move(run->results.front());
+  prep = std::move(run->prepared.front());
   return true;
 }
 
@@ -505,10 +497,54 @@ std::optional<PreparedRun> prepare_scenarios(
   // bottom of the file fails fast instead of after hours of simulation.
   PreparedRun run{std::vector<ScenarioResult>(specs.size()),
                   std::vector<PreparedScenario>(specs.size())};
+  // A draw is a pure function of (spec, seed), so the lines naming one
+  // random graph and seed share one: the first such line draws, later
+  // non-fresh lines keep copies (which share its payload), and the draw
+  // itself is dropped after the last line naming it, so one that only
+  // fresh lines use does not outlive them. Keys are canonical names:
+  // parse(name()) reproduces the spec, so equal names mean equal specs.
+  struct Draw {
+    std::optional<Graph> graph;
+    std::size_t last_line = 0;
+  };
+  std::map<std::pair<std::string, std::uint64_t>, Draw> draws;
+  std::vector<Draw*> draw_of(specs.size(), nullptr);
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!prepare_scenario(specs[i], run.results[i], run.prepared[i], error)) {
+    if (!specs[i].graph.is_random()) continue;
+    Draw& draw = draws[{specs[i].graph.name(), specs[i].plan.seed}];
+    draw.last_line = i;
+    draw_of[i] = &draw;
+  }
+  // Deterministic graphs are not built here: probe() answers n/m from the
+  // closed forms (or the file cache header), so validating a 10^8-vertex
+  // sweep costs arithmetic, not allocation. Sizes are fixed by the spec,
+  // so the source check covers every fresh draw too (the per-draw
+  // RUMOR_REQUIRE in the runner stays as backstop).
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const ScenarioSpec& spec = specs[i];
+    ScenarioResult& result = run.results[i];
+    PreparedScenario& prep = run.prepared[i];
+    result.spec = spec;
+    const auto fail = [&](const std::string& why) {
+      set_error(error, "scenario \"" + spec.name() + "\": " + why);
       return std::nullopt;
+    };
+    std::string why;
+    const auto probe = spec.graph.probe(&why);
+    if (!probe) return fail(spec.graph.name() + ": " + why);
+    if (Draw* draw = draw_of[i]) {
+      if (!draw->graph) draw->graph = draw_graph(spec, why);
+      if (!draw->graph) return fail(why);
+      result.n = draw->graph->num_vertices();
+      result.edges = draw->graph->num_edges();
+      if (!spec.plan.fresh_graph) prep.graph = draw->graph;
+      if (draw->last_line == i) draw->graph.reset();
+    } else {
+      result.n = probe->n;
+      result.edges = static_cast<std::size_t>(probe->m);
+      prep.lazy = true;
     }
+    if (!check_scenario_size(spec, result.n, &why)) return fail(why);
   }
   return run;
 }

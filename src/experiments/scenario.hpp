@@ -112,7 +112,7 @@ std::optional<std::vector<ScenarioSpec>> load_scenario_file(
 // vertex under placement=one_per_vertex. It also holds the plan's result
 // storage, which is sized for every trial before any runs, to
 // physical_memory_bytes(). On failure the reason (without the scenario's
-// name) goes to *why. prepare_scenario runs it, and so does rumor_run
+// name) goes to *why. prepare_scenarios runs it, and so does rumor_run
 // --dry-run against the probed n.
 [[nodiscard]] bool check_scenario_size(const ScenarioSpec& spec, Vertex n,
                                        std::string* why = nullptr);
@@ -122,19 +122,20 @@ std::optional<std::vector<ScenarioSpec>> load_scenario_file(
 
 // One scenario vetted for execution: sizes for the report row, plus the
 // graph when (and only when) preparation had to build it — random
-// non-fresh specs, whose single draw IS part of the result. Deterministic
-// specs validate analytically (GraphSpec::probe) and are built lazily by
-// the trial scheduler; fresh specs redraw per trial and never hold a
-// graph here.
+// non-fresh specs, whose draw IS part of the result. The draw is a pure
+// function of (graph spec, seed), and prepare_scenarios draws each such
+// key once: the scenarios naming it hold copies of one Graph, which share
+// its payload and uid. Deterministic specs validate analytically
+// (GraphSpec::probe) and are built lazily by the trial scheduler; fresh
+// specs redraw per trial and never hold a graph here.
 struct PreparedScenario {
   std::optional<Graph> graph;
   bool lazy = false;
 };
 
-// Validates one scenario and fills the result's spec/size columns WITHOUT
-// building deterministic graphs (probe() answers n/m from the closed
-// forms). Shared by prepare_scenarios and the serve daemon's SUBMIT
-// intake, so a scenario is accepted or rejected identically in both paths.
+// prepare_scenarios on one scenario: validates it and fills the result's
+// spec/size columns, so a scenario is accepted or rejected identically
+// alone and in a file.
 [[nodiscard]] bool prepare_scenario(const ScenarioSpec& spec,
                                     ScenarioResult& result,
                                     PreparedScenario& prep,
@@ -153,9 +154,13 @@ struct PreparedRun {
   std::vector<PreparedScenario> prepared;
 };
 
-// Runs prepare_scenario on every scenario in file order; the first
-// invalid one is reported through *error. The CLI prepares before it
-// truncates a --csv sink, then runs what it prepared.
+// Validates every scenario in file order and fills its spec/size columns
+// WITHOUT building deterministic graphs (probe() answers n/m from the
+// closed forms), drawing each distinct (random graph spec, seed) once.
+// The first invalid scenario is reported through *error: a draw that
+// gives up or cannot be allocated fails the first line naming it. The CLI
+// prepares before it truncates a --csv sink, then runs what it prepared;
+// the serve daemon prepares each job through it.
 [[nodiscard]] std::optional<PreparedRun> prepare_scenarios(
     const std::vector<ScenarioSpec>& specs, std::string* error = nullptr);
 

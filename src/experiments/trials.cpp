@@ -59,8 +59,9 @@ const Graph& LazyGraphSlot::acquire(const TrialBatch& batch) {
   if (!graph_) {
     Rng graph_rng(derive_seed(batch.master_seed ^ kGraphSeedSalt, 0));
     graph_.emplace(batch.lazy_spec->make(graph_rng));
-    RUMOR_REQUIRE(batch.source < graph_->num_vertices());
   }
+  // A shared slot serves batches it was not built for: check each one.
+  RUMOR_REQUIRE(batch.source < graph_->num_vertices());
   return *graph_;
 }
 
@@ -171,10 +172,53 @@ TrialRunOutcome run_trial_batches(const std::vector<TrialBatch>& batches,
   }
   const std::size_t total = offsets.back();
   if (options.counters != nullptr) options.counters->add(total, n);
+  ThreadPool* pool = options.pool != nullptr ? options.pool : &global_pool();
+
+  // Two-axis schedule. The narrow axis is the classic one-trial-one-worker
+  // drain; the wide axis gives a single trial the WHOLE pool: the caller
+  // thread runs it and the sharded round kernels inside fan their frontier
+  // ranges across the workers via parallel_for_ranges. A batch's trials go
+  // wide only when its sharded engine is on for its graph (spec + probed
+  // n, see core/sharding) AND the queued trials cannot fill the pool by
+  // themselves — with enough queued trials, trial-level parallelism
+  // already saturates the machine and each trial's nested range fan-out
+  // flattens inline on its worker. Either way every sample is
+  // derive_seed(master_seed, i): the axis changes worker assignment, never
+  // results or emission order. Only a plan with fewer trials than workers
+  // can run trials wide; wide[p] is the axis of claim position p.
+  const std::size_t workers = pool->worker_count();
+  const bool wide_eligible = workers >= 2 && total < workers;
+  std::vector<bool> wide(n, false);
+  if (wide_eligible) {
+    for (std::size_t p = 0; p < n; ++p) {
+      const TrialBatch& batch = batches[exec[p]];
+      wide[p] = sharding_enabled(batch.protocol->shards(),
+                                 batch_vertex_count(batch));
+    }
+  }
+
+  // Lazy slots. Batches next to each other in claim order, on one axis,
+  // that name one deterministic spec share the first one's slot: the run
+  // of them builds its graph once, holds one copy, and drops it when its
+  // last batch drains. A deterministic spec builds the same graph from any
+  // seed.
+  std::vector<LazyGraphSlot> lazy(n);
+  std::vector<std::size_t> slot_of(n);
+  std::vector<std::atomic<std::size_t>> slot_batches(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t b = exec[p];
+    slot_of[b] = b;
+    const GraphSpec* spec = batches[b].lazy_spec;
+    if (spec == nullptr) continue;
+    if (p > 0 && wide[p] == wide[p - 1]) {
+      const GraphSpec* prev = batches[exec[p - 1]].lazy_spec;
+      if (prev != nullptr && *prev == *spec) slot_of[b] = slot_of[exec[p - 1]];
+    }
+    slot_batches[slot_of[b]].fetch_add(1, std::memory_order_relaxed);
+  }
 
   std::vector<std::atomic<std::size_t>> incomplete(n);
   std::vector<std::atomic<std::size_t>> finished(n);
-  std::vector<LazyGraphSlot> lazy(n);
   std::atomic<std::size_t> trials_run{0};
   // In-order emission state: done[b] flips when batch b's last trial
   // lands; next_emit advances over the done prefix so on_batch_done sees
@@ -218,8 +262,6 @@ TrialRunOutcome run_trial_batches(const std::vector<TrialBatch>& batches,
     }
   };
 
-  ThreadPool* pool = options.pool != nullptr ? options.pool : &global_pool();
-
   // One trial, by flat index: claim bookkeeping, the run itself,
   // first-failure capture, and batch retirement. Shared verbatim by both
   // axes of the schedule below, so a trial's observable effects cannot
@@ -238,9 +280,9 @@ TrialRunOutcome run_trial_batches(const std::vector<TrialBatch>& batches,
     const std::size_t i = flat - offsets[p];
     if (options.counters != nullptr) options.counters->on_claim();
     try {
-      if (!run_batch_trial(batches[b], i,
-                           batches[b].lazy_spec != nullptr ? &lazy[b]
-                                                           : nullptr)) {
+      if (!run_batch_trial(
+              batches[b], i,
+              batches[b].lazy_spec != nullptr ? &lazy[slot_of[b]] : nullptr)) {
         incomplete[b].fetch_add(1);
       }
     } catch (const std::exception& e) {
@@ -262,35 +304,23 @@ TrialRunOutcome run_trial_batches(const std::vector<TrialBatch>& batches,
     if (options.counters != nullptr) options.counters->on_trial_done();
     if (options.on_trial_done) options.on_trial_done(b, i);
     if (finished[b].fetch_add(1) + 1 == batches[b].trials) {
-      lazy[b].release();  // batch drained: drop its lazy-built graph
+      // The batch drained; the last of its slot's run drops the graph.
+      if (batches[b].lazy_spec != nullptr &&
+          slot_batches[slot_of[b]].fetch_sub(1) == 1) {
+        lazy[slot_of[b]].release();
+      }
       complete_batch(b);
     }
   };
 
-  // Two-axis schedule. The narrow axis is the classic one-trial-one-worker
-  // drain; the wide axis gives a single trial the WHOLE pool: the caller
-  // thread runs it and the sharded round kernels inside fan their frontier
-  // ranges across the workers via parallel_for_ranges. A batch's trials go
-  // wide only when its sharded engine is on for its graph (spec + probed
-  // n, see core/sharding) AND the queued trials cannot fill the pool by
-  // themselves — with enough queued trials, trial-level parallelism
-  // already saturates the machine and each trial's nested range fan-out
-  // flattens inline on its worker. Either way every sample is
-  // derive_seed(master_seed, i): the axis changes worker assignment, never
-  // results or emission order.
-  // Only a plan with fewer trials than workers can run trials wide, so
-  // only such a plan lists its flat indices; in any other plan every trial
-  // is narrow, and the narrow drain's i-th trial is flat index i.
+  // Only a plan that can run trials wide lists its flat indices; in any
+  // other plan every trial is narrow, and the narrow drain's i-th trial is
+  // flat index i.
   std::vector<std::size_t> wide_flats;
   std::vector<std::size_t> narrow_flats;
-  const std::size_t workers = pool->worker_count();
-  const bool wide_eligible = workers >= 2 && total < workers;
   if (wide_eligible) {
     for (std::size_t p = 0; p < n; ++p) {
-      const TrialBatch& batch = batches[exec[p]];
-      const bool wide = sharding_enabled(batch.protocol->shards(),
-                                         batch_vertex_count(batch));
-      auto& flats = wide ? wide_flats : narrow_flats;
+      auto& flats = wide[p] ? wide_flats : narrow_flats;
       for (std::size_t flat = offsets[p]; flat < offsets[p + 1]; ++flat) {
         flats.push_back(flat);
       }

@@ -29,8 +29,8 @@ class ThreadPool;
 
 // Salt separating the graph-draw seed stream from the trial seed stream:
 // fresh-graph trial i draws its graph from derive_seed(master ^
-// kGraphSeedSalt, i). Shared with prepare_scenario's single draw so a
-// scenario is reproducible from its text alone.
+// kGraphSeedSalt, i). Shared with preparation's draw (prepare_scenarios)
+// so a scenario is reproducible from its text alone.
 constexpr std::uint64_t kGraphSeedSalt = 0xABCDEF12345678ULL;
 
 // The full per-trial distribution, not just a broadcast-time scalar: one
@@ -78,12 +78,14 @@ struct TrialSet {
 
 // One scenario's block of trials in the global work queue. Exactly one of
 // `graph` (fixed-graph mode), `fresh_spec` (redraw per trial), and
-// `lazy_spec` (deterministic spec, built by the scheduler when the batch's
-// first trial is claimed and released when its trials drain — a
-// many-scenario file holds at most the graphs actively being worked on,
-// not the whole file's) is set; `out` is the caller-owned result slot the
-// scheduler sizes and fills. Every referenced object must outlive the
-// run_trial_batches call.
+// `lazy_spec` (deterministic spec, built by the scheduler) is set; `out` is
+// the caller-owned result slot the scheduler sizes and fills. Batches next
+// to each other in claim order (and on one axis of its schedule) that
+// name one lazy spec are a run: the graph is built when the run's first
+// trial is claimed, shared by the run, and released when the run's last
+// batch drains, so a many-scenario file holds at most the graphs actively
+// being worked on, one copy each, not the whole file's. Every referenced
+// object must outlive the run_trial_batches call.
 struct TrialBatch {
   const Graph* graph = nullptr;
   const GraphSpec* fresh_spec = nullptr;
@@ -194,11 +196,12 @@ class TrialCounters {
   std::atomic<std::size_t> batches_done_{0};
 };
 
-// Build-on-first-claim slot for a lazy batch: the graph materializes when
-// some worker claims the batch's first trial and is released (by the
-// scheduler, when the batch drains) so a many-scenario queue holds at most
-// the graphs actively being worked on. The graph seed derivation matches
-// the eager path, so laziness cannot change a result.
+// Build-on-first-claim slot for a run of lazy batches: the graph
+// materializes when some worker claims the run's first trial and is
+// released (by the scheduler, when the run's last batch drains) so a
+// many-scenario queue holds at most the graphs actively being worked on.
+// acquire checks every batch's source against the graph. The graph seed
+// derivation matches the eager path, so laziness cannot change a result.
 class LazyGraphSlot {
  public:
   const Graph& acquire(const TrialBatch& batch);

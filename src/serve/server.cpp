@@ -287,11 +287,20 @@ struct Server::Impl {
 
   // ---- job construction (submit + resume) ------------------------------
 
-  // Builds a ScenarioState for an already-validated spec whose result/prep
-  // were filled by prepare_scenario. Storage under the physical-memory
-  // bound validation enforces can still exceed the address space the
-  // daemon may use: that throws std::bad_alloc, which the callers turn
-  // into an ERR reply or a failed job.
+  // Moves scenario i of a prepared job into its own state. Each state
+  // keeps its own lazy slot: serve does not share builds within a job.
+  static std::unique_ptr<ScenarioState> scenario_state(PreparedRun& run,
+                                                       std::size_t i) {
+    auto s = std::make_unique<ScenarioState>();
+    s->result = std::move(run.results[i]);
+    s->prep = std::move(run.prepared[i]);
+    return s;
+  }
+
+  // Sizes a prepared ScenarioState's batch. Storage under the
+  // physical-memory bound validation enforces can still exceed the address
+  // space the daemon may use: that throws std::bad_alloc, which the
+  // callers turn into an ERR reply or a failed job.
   void init_batch(ScenarioState& s) {
     s.batch = scenario_batch(s.result, s.prep);
     prepare_trial_set(s.batch);
@@ -329,17 +338,24 @@ struct Server::Impl {
     job->client = from.client;
     job->lines = from.lines;
     std::string error;
+    std::vector<ScenarioSpec> specs;
     for (const std::string& line : from.lines) {
       auto spec = ScenarioSpec::parse(line, &error);
-      auto s = std::make_unique<ScenarioState>();
-      if (!spec ||
-          !prepare_scenario(*spec, s->result, s->prep, &error)) {
-        // A journaled job that no longer validates (e.g. its file: graph
-        // vanished) resumes as failed instead of poisoning startup.
-        job->state = Job::State::failed;
-        job->failure = "resume: " + error;
-        break;
-      }
+      if (!spec) break;
+      specs.push_back(std::move(*spec));
+    }
+    std::optional<PreparedRun> run;
+    if (specs.size() == from.lines.size()) {
+      run = prepare_scenarios(specs, &error);
+    }
+    if (!run) {
+      // A journaled job that no longer validates (e.g. its file: graph
+      // vanished) resumes as failed instead of poisoning startup.
+      job->state = Job::State::failed;
+      job->failure = "resume: " + error;
+    }
+    for (std::size_t i = 0; run && i < specs.size(); ++i) {
+      auto s = scenario_state(*run, i);
       try {
         init_batch(*s);
       } catch (const std::bad_alloc&) {
@@ -573,8 +589,6 @@ struct Server::Impl {
       send_line(conn, "ERR parse submission contains no scenarios");
       return;
     }
-    auto job = std::make_unique<Job>();
-    std::size_t total_trials = 0;
     for (const ScenarioSpec& spec : *specs) {
       if (const TraceOptions* trace = spec.protocol.trace();
           trace != nullptr && trace->informed_curve) {
@@ -584,14 +598,18 @@ struct Server::Impl {
                             "serve (drop curve=on)");
         return;
       }
-      auto s = std::make_unique<ScenarioState>();
-      if (!prepare_scenario(spec, s->result, s->prep, &error)) {
-        send_line(conn, "ERR validate " + sanitize_reply_text(error));
-        return;
-      }
-      total_trials += spec.plan.trials;
-      job->scenarios.push_back(std::move(s));
-      job->lines.push_back(spec.name());
+    }
+    auto run = prepare_scenarios(*specs, &error);
+    if (!run) {
+      send_line(conn, "ERR validate " + sanitize_reply_text(error));
+      return;
+    }
+    auto job = std::make_unique<Job>();
+    std::size_t total_trials = 0;
+    for (std::size_t i = 0; i < specs->size(); ++i) {
+      total_trials += (*specs)[i].plan.trials;
+      job->scenarios.push_back(scenario_state(*run, i));
+      job->lines.push_back((*specs)[i].name());
     }
     // Backpressure: reject — do not buffer — what the client's budget
     // cannot hold. Checked after validation so the reply names the real

@@ -15,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/implicit.hpp"
+#include "support/thread_pool.hpp"
 #include "support/trial_arena.hpp"
 
 namespace rumor {
@@ -300,6 +301,88 @@ TEST(LazyScheduler, ScenarioRunsValidateWithoutBuildingAndMatchEager) {
   EXPECT_EQ(via_scheduler->front().set.rounds, direct.rounds);
   EXPECT_EQ(via_scheduler->front().n, 17u);
   EXPECT_EQ(via_scheduler->front().edges, 16u);
+}
+
+// Runs one two-trial push batch per lazy spec, in order, on a one-worker
+// pool, so claims follow the batch order; the last batch starts from
+// `last_source`. Returns how many graphs the run built: Graph::uid()
+// counts every graph the process builds. `sets` receives the results.
+std::uint64_t lazy_builds(const std::vector<GraphSpec>& specs,
+                          std::vector<TrialSet>& sets,
+                          Vertex last_source = 0) {
+  const ProtocolSpec protocol = default_spec(Protocol::push);
+  sets.assign(specs.size(), TrialSet{});
+  std::vector<TrialBatch> batches(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    batches[i] = TrialBatch{.lazy_spec = &specs[i],
+                            .protocol = &protocol,
+                            .source = i + 1 == specs.size() ? last_source : 0,
+                            .trials = 2,
+                            .master_seed = 40 + i,
+                            .out = &sets[i]};
+  }
+  ThreadPool pool(1);
+  TrialRunOptions options;
+  options.pool = &pool;
+  const std::uint64_t before = gen::cycle(4).uid();
+  run_trial_batches(batches, options);
+  return gen::cycle(4).uid() - before - 1;
+}
+
+TEST(LazyScheduler, ConsecutiveBatchesOfOneSpecShareOneBuild) {
+  const auto cube = GraphSpec::parse("hypercube(dim=3)");
+  const auto path = GraphSpec::parse("path(n=8)");
+  ASSERT_TRUE(cube && path);
+  std::vector<TrialSet> sets;
+  // A A: the run of two batches builds the cube once, and each batch's
+  // samples are those of its own seed on the eagerly built graph.
+  EXPECT_EQ(lazy_builds({*cube, *cube}, sets), 1u);
+  const ProtocolSpec protocol = default_spec(Protocol::push);
+  const Graph eager = gen::hypercube(3);
+  EXPECT_EQ(sets[0].rounds, run_trials(eager, protocol, 0, 2, 40).rounds);
+  EXPECT_EQ(sets[1].rounds, run_trials(eager, protocol, 0, 2, 41).rounds);
+  // A B A: the second cube batch is not next to the first, so it builds
+  // again.
+  EXPECT_EQ(lazy_builds({*cube, *path, *cube}, sets), 3u);
+}
+
+TEST(LazyScheduler, BatchesOnTheTwoAxesDoNotShareABuild) {
+  // Two single-trial batches on a four-worker pool: fewer trials than
+  // workers, so the shards=2 batch runs wide, before every narrow trial.
+  // The two name one spec and sit next to each other in claim order, but
+  // a shared build would be held from the wide phase through the narrow
+  // drain, so each builds its own.
+  const auto cube = GraphSpec::parse("hypercube(dim=3)");
+  const auto wide = ProtocolSpec::parse("push(shards=2)");
+  const ProtocolSpec narrow = default_spec(Protocol::push);
+  ASSERT_TRUE(cube && wide);
+  std::vector<TrialSet> sets(2);
+  const std::vector<TrialBatch> batches = {
+      TrialBatch{.lazy_spec = &*cube,
+                 .protocol = &*wide,
+                 .trials = 1,
+                 .out = &sets[0]},
+      TrialBatch{.lazy_spec = &*cube,
+                 .protocol = &narrow,
+                 .trials = 1,
+                 .out = &sets[1]}};
+  ThreadPool pool(4);
+  TrialRunOptions options;
+  options.pool = &pool;
+  const std::uint64_t before = gen::cycle(4).uid();
+  run_trial_batches(batches, options);
+  EXPECT_EQ(gen::cycle(4).uid(), before + 2 + 1);
+}
+
+TEST(LazyScheduler, SharedSlotChecksEveryBatchSource) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The second batch runs on the first one's build; its source is outside
+  // the graph, and the slot must reject it before any simulator sees it.
+  const auto cube = GraphSpec::parse("hypercube(dim=3)");
+  ASSERT_TRUE(cube);
+  std::vector<TrialSet> sets;
+  EXPECT_DEATH((void)lazy_builds({*cube, *cube}, sets, /*last_source=*/8),
+               "precondition failed: batch\\.source <");
 }
 
 // ---- O(1) memory ------------------------------------------------------

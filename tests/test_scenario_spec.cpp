@@ -10,6 +10,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/registry.hpp"
 #include "experiments/scenario.hpp"
@@ -399,10 +401,11 @@ TEST(ScenarioValidation, ResultStoragePastPhysicalMemoryRejected) {
 }
 
 // Runs `spec` with the address space limited to its current size plus
-// 1 GiB. Exit code: 0 when run_scenarios fails naming the scenario and the
-// result storage, 1 when it reports anything else, 2 when the limit could
-// not be set, 3 when an exception escapes.
-int run_with_address_space_limit(const ScenarioSpec& spec) {
+// 1 GiB. Exit code: 0 when run_scenarios fails with a message holding
+// every one of `needles`, 1 when it reports anything else, 2 when the
+// limit could not be set, 3 when an exception escapes.
+int run_with_address_space_limit(const ScenarioSpec& spec,
+                                 const std::vector<std::string>& needles) {
   std::uint64_t pages = 0;
   if (std::FILE* statm = std::fopen("/proc/self/statm", "r")) {
     if (std::fscanf(statm, "%" SCNu64, &pages) != 1) pages = 0;
@@ -416,16 +419,38 @@ int run_with_address_space_limit(const ScenarioSpec& spec) {
   try {
     std::string why;
     if (run_scenarios({spec}, &why)) return 1;
-    const bool named =
-        why.find("scenario \"" + spec.name() + "\" failed") !=
-            std::string::npos &&
-        why.find("cannot allocate result storage for " +
-                 std::to_string(spec.plan.trials) + " trials") !=
-            std::string::npos;
-    return named ? 0 : 1;
+    for (const std::string& needle : needles) {
+      if (why.find(needle) == std::string::npos) return 1;
+    }
+    return 0;
   } catch (...) {
     return 3;
   }
+}
+
+// The exit code of run_with_address_space_limit in a forked child, or -1
+// (and a test failure) when the child did not exit normally.
+int limited_child_exit(const ScenarioSpec& spec,
+                       const std::vector<std::string>& needles) {
+  const pid_t child = fork();
+  if (child < 0) {
+    ADD_FAILURE() << "fork failed";
+    return -1;
+  }
+  if (child == 0) {
+    alarm(60);  // a child that starts the trials instead must not hang
+    _exit(run_with_address_space_limit(spec, needles));
+  }
+  int status = 0;
+  if (waitpid(child, &status, 0) != child) {
+    ADD_FAILURE() << "waitpid failed";
+    return -1;
+  }
+  if (!WIFEXITED(status)) {
+    ADD_FAILURE() << "child killed by signal " << WTERMSIG(status);
+    return -1;
+  }
+  return WEXITSTATUS(status);
 }
 
 TEST(ScenarioValidation, ResultStoragePastTheAddressSpaceIsANamedFailure) {
@@ -444,17 +469,29 @@ TEST(ScenarioValidation, ResultStoragePastTheAddressSpaceIsANamedFailure) {
   const auto spec =
       ScenarioSpec::parse("cycle(n=8) push trials=200000000", &error);
   ASSERT_TRUE(spec) << error;
-  const pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    alarm(60);  // a child that starts the trials instead must not hang
-    _exit(run_with_address_space_limit(*spec));
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
-                                 << WTERMSIG(status);
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(limited_child_exit(
+                *spec, {"scenario \"" + spec->name() + "\" failed",
+                        "cannot allocate result storage for 200000000 trials"}),
+            0);
+#endif
+}
+
+TEST(ScenarioValidation, GraphDrawPastTheAddressSpaceIsANamedFailure) {
+  // random_regular's first allocation holds n*d stubs, 6.4 GB here: past
+  // a child limited to its current address space plus 1 GiB. Preparation
+  // must fail the scenario by name, as for any other invalid line,
+  // instead of dying in the allocation.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizers reserve the address space for shadow memory";
+#else
+  std::string error;
+  const auto spec =
+      ScenarioSpec::parse("random_regular(n=100000000,d=16) push", &error);
+  ASSERT_TRUE(spec) << error;
+  EXPECT_EQ(limited_child_exit(
+                *spec, {"scenario \"" + spec->name() + "\": ",
+                        "cannot allocate memory for the draw"}),
+            0);
 #endif
 }
 

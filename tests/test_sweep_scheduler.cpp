@@ -276,6 +276,40 @@ TEST(PreparedRun, MatchesRunScenariosAndDrawsNoGraphDuringTheRun) {
   const std::uint64_t before = gen::cycle(4).uid();
   EXPECT_TRUE(run_prepared(std::move(*random_line), &error)) << error;
   EXPECT_EQ(gen::cycle(4).uid(), before + 1);
+
+  // One draw per (graph, seed). Two non-fresh lines naming one key hold
+  // copies of one graph; a line with another seed holds its own; a
+  // fresh=on line whose key is already drawn reads its sizes from that
+  // draw. These graphs are connected at the first draw, so each draw
+  // builds one graph and preparing the file uses up one uid per key.
+  std::istringstream shared_in(
+      "random_regular(n=64,d=4) push trials=2 seed=3\n"
+      "random_regular(n=64,d=4) push-pull trials=2 seed=3\n"
+      "random_regular(n=64,d=4) push trials=2 seed=4\n"
+      "random_regular(n=64,d=4) visit-exchange trials=2 seed=3 fresh=on\n");
+  const auto shared_specs = parse_scenario_stream(shared_in, &error);
+  ASSERT_TRUE(shared_specs) << error;
+  const std::uint64_t first = gen::cycle(4).uid();
+  const auto shared = prepare_scenarios(*shared_specs, &error);
+  ASSERT_TRUE(shared) << error;
+  EXPECT_EQ(gen::cycle(4).uid(), first + 2 + 1);
+  const std::vector<PreparedScenario>& graphs = shared->prepared;
+  ASSERT_TRUE(graphs[0].graph && graphs[1].graph && graphs[2].graph);
+  EXPECT_EQ(graphs[0].graph->uid(), graphs[1].graph->uid());
+  EXPECT_NE(graphs[0].graph->uid(), graphs[2].graph->uid());
+  EXPECT_FALSE(graphs[3].graph);
+  EXPECT_EQ(shared->results[3].n, 64u);
+  EXPECT_EQ(shared->results[3].edges, 128u);
+  // The fresh line alone draws once; after the non-fresh line with its
+  // key, it draws nothing.
+  const std::uint64_t fresh_before = gen::cycle(4).uid();
+  ASSERT_TRUE(validate_scenarios({(*shared_specs)[3]}, &error)) << error;
+  EXPECT_EQ(gen::cycle(4).uid(), fresh_before + 1 + 1);
+  const std::uint64_t pair_before = gen::cycle(4).uid();
+  ASSERT_TRUE(validate_scenarios({(*shared_specs)[0], (*shared_specs)[3]},
+                                 &error))
+      << error;
+  EXPECT_EQ(gen::cycle(4).uid(), pair_before + 1 + 1);
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
