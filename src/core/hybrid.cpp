@@ -114,7 +114,7 @@ void HybridProcess::step_sharded() {
       [&](Vertex v) {
         if (!informed.touched(v)) calls_.inform(v, round_);
       },
-      // inform writes both the stamp and the value.
+      // inform writes both the bit and the value.
       [&](Vertex v) { informed.prefetch(v); });
   calls_.sharded(round_, plane, shard_width_);
   if (agent_side_.catch_agents<Mode>(model_, plane, round_, shard_width_) >

@@ -141,11 +141,12 @@ void MeetExchangeProcess::step_impl() {
 //   Meet pass (uninformed agents on a marked vertex, or on the
 //   still-active source, become informed) keys every pairing decision by
 //   the agent id via the dedicated `meet` draw phase, and each slot writes
-//   only its own agent's inform round. The branch an agent takes (marked
-//   vertex beats source) depends only on the fixed mark set and the
-//   round-start source_active_; the pass's tallies report whether any
-//   agent learned from the source, and source_active_ flips only after
-//   the pass, as the serial loop's post-loop flip does.
+//   only its own agent's inform round (through Claims: 64 agents share a
+//   bit word). The branch an agent takes (marked vertex beats source)
+//   depends only on the fixed mark set and the round-start
+//   source_active_; the pass's tallies report whether any agent learned
+//   from the source, and source_active_ flips only after the pass, as
+//   the serial loop's post-loop flip does.
 template <class Mode>
 void MeetExchangeProcess::step_sharded() {
   constexpr bool kGeneral = std::is_same_v<Mode, transmission::General>;
@@ -188,8 +189,9 @@ void MeetExchangeProcess::step_sharded() {
   // 0), become informed. All simultaneous first visitors of the source
   // are informed (paper §3).
   const auto round = static_cast<std::uint32_t>(round_);
+  const auto agents = agent_round.claims();
   auto meet = [&](std::size_t a, TrialArena::ShardTally& tally) {
-    if (agent_view.touched(a)) return;
+    if (agents.claimed(a)) return;
     const Vertex v = pos[a];
     if (marks.contains(v)) {
       if constexpr (kGeneral) {
@@ -208,7 +210,7 @@ void MeetExchangeProcess::step_sharded() {
     } else {
       return;
     }
-    agent_round.set(a, round);
+    agents.set(a, round);
     ++tally.informs;
   };
   const TrialArena::ShardTally met = tally_ranges(
@@ -217,7 +219,7 @@ void MeetExchangeProcess::step_sharded() {
         for_agents(
             begin, end,
             [&](std::size_t a) {
-              if (!agent_view.touched(a)) marks.prefetch(pos[a]);
+              if (!agents.claimed(a)) marks.prefetch(pos[a]);
             },
             [&](std::size_t a) { meet(a, tally); });
       });

@@ -86,17 +86,18 @@ void PushProcess::inform(Vertex v) {
   const std::uint32_t deg = graph_->degree_unchecked(v);
   if (sharded_ && deg >= kShardBumpThreshold) {
     // Hub inform: the O(deg) neighbor bump dominates star-like rounds, and
-    // the neighbors of one vertex are distinct, so EpochArray::add on them
-    // from different shards touches disjoint slots — race-free. The bump
-    // order changes, but the counters are order-independent sums.
+    // the neighbors of one vertex are distinct, so each shard adds to
+    // slots no other shard writes; Claims::add keeps the bit words they
+    // share race-free. The bump order changes, but the counters are
+    // order-independent sums.
+    const auto counts = arena_->informed_nbr_count.claims();
     with_graph_access(*graph_, [&](const auto& acc) {
       const GraphRow row = acc.row(v);
       shard_pool().parallel_for_ranges(
           deg, shard_width_,
           [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
-              arena_->informed_nbr_count.add(
-                  acc.pick(row, static_cast<std::uint32_t>(i)), 1);
+              counts.add(acc.pick(row, static_cast<std::uint32_t>(i)), 1);
             }
           });
     });

@@ -13,9 +13,9 @@
 // into Θ(n log n).
 //
 // Scratch state (inform rounds, neighbor counters, the active list) lives
-// in a TrialArena: epoch-stamped members make per-trial reset O(1) instead
-// of O(n + m), and a runner-lent arena makes repeated trials allocation
-// free.
+// in a TrialArena: bit-stamped members make per-trial reset O(n/64)
+// instead of O(n + m), and a runner-lent arena makes repeated trials
+// allocation free.
 #pragma once
 
 #include <cstdint>

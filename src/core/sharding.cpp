@@ -31,7 +31,7 @@ bool set_shards_option(std::uint32_t& field, std::string_view value) {
 std::size_t inform_agents_on_source(TrialArena& arena,
                                    std::span<const Vertex> positions,
                                    Vertex source, std::uint32_t width) {
-  auto& informed = arena.agent_inform_round;
+  const auto informed = arena.agent_inform_round.claims();
   return tally_pass(arena, positions.size(), width,
                     [&](std::size_t a, TrialArena::ShardTally& tally) {
                       if (positions[a] != source) return;

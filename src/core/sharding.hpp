@@ -240,20 +240,20 @@ void merge_pass(TrialArena& arena, std::size_t count, std::size_t bound,
 // agent id: every uninformed agent standing on an informed vertex is
 // informed at `round` — in General mode only while the vertex may still
 // transmit and if the agent's (AgentCatch, agent id) draw succeeds. It
-// reads vertex state only and each slot writes only its own agent, so it
-// needs no merge; returns how many agents were informed.
+// reads vertex state only and each slot writes only its own agent (through
+// Claims, since neighbouring agents share bit words), so it needs no
+// merge; returns how many agents were informed.
 template <class Mode>
 std::size_t catch_agents_sharded(TrialArena& arena,
                                  const TransmissionModel& model,
                                  std::span<const Vertex> positions,
                                  const ShardPlane& plane, Round round,
                                  std::uint32_t width) {
-  auto& agent_round = arena.agent_inform_round;
-  const auto agents = agent_round.view();
+  const auto agents = arena.agent_inform_round.claims();
   const auto vertices = arena.vertex_inform_round.view();
   const auto stamp = static_cast<std::uint32_t>(round);
   auto catch_agent = [&](std::size_t a, TrialArena::ShardTally& tally) {
-    if (agents.touched(a)) return;
+    if (agents.claimed(a)) return;
     const Vertex v = positions[a];
     if (!vertices.touched(v)) return;
     if constexpr (std::is_same_v<Mode, transmission::General>) {
@@ -264,7 +264,7 @@ std::size_t catch_agents_sharded(TrialArena& arena,
         return;
       }
     }
-    agent_round.set(a, stamp);
+    agents.set(a, stamp);
     ++tally.informs;
   };
   return tally_ranges(arena, positions.size(), width,
@@ -273,7 +273,7 @@ std::size_t catch_agents_sharded(TrialArena& arena,
                         for_agents(
                             begin, end,
                             [&](std::size_t a) {
-                              if (!agents.touched(a)) {
+                              if (!agents.claimed(a)) {
                                 vertices.prefetch_stamp(positions[a]);
                               }
                             },

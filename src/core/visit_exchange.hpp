@@ -177,7 +177,7 @@ class VisitExchangeProcess {
   bool sharded_ = false;           // frontier-sharded engine this trial
   std::uint32_t shard_width_ = 1;  // execution-only; never affects draws
   std::uint64_t seed_ = 0;         // trial seed: keys the shard draw plane
-  // Scratch state: the epoch-stamped inform rounds (and, for the serial
+  // Scratch state: the bit-stamped inform rounds (and, for the serial
   // engine, the agent-order permutation) live here (see TrialArena).
   ArenaHandle arena_;
   AgentSystem agents_;

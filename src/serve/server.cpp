@@ -135,7 +135,14 @@ struct Server::Impl {
   std::mutex teardown_mutex_;
   bool torn_down_ = false;
 
-  ~Impl() { teardown(/*checkpoint=*/false, /*drain_events=*/false); }
+  // The wake pipe outlives teardown: abandon() may write to it from the
+  // caller's thread while the run thread tears down, so only start()
+  // writes the descriptors and only this destructor closes them.
+  ~Impl() {
+    teardown(/*checkpoint=*/false, /*drain_events=*/false);
+    if (wake_read_ >= 0) ::close(wake_read_);
+    if (wake_write_ >= 0) ::close(wake_write_);
+  }
 
   // ---- lifecycle -------------------------------------------------------
 
@@ -953,9 +960,6 @@ struct Server::Impl {
     conns_.clear();
     for (const int fd : listen_fds_) ::close(fd);
     listen_fds_.clear();
-    if (wake_read_ >= 0) ::close(wake_read_);
-    if (wake_write_ >= 0) ::close(wake_write_);
-    wake_read_ = wake_write_ = -1;
     if (checkpoint) {
       for (const std::string& path : unix_paths_) ::unlink(path.c_str());
     }

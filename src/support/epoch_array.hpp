@@ -1,19 +1,22 @@
-// EpochArray<T>: a fixed-default array of values with O(1) whole-array reset.
+// EpochArray<T>: a fixed-default array of values with a cheap whole-array
+// reset.
 //
-// Generalizes StampSet from membership to values: each slot carries the
-// epoch at which it was last written, and a slot whose stamp is stale reads
-// as the default value. reset() bumps the epoch instead of touching O(n)
-// memory, which is what lets a trial arena hand the same buffers to
-// thousands of consecutive simulation trials with no per-trial clearing or
-// allocation.
+// Generalizes StampSet from membership to values: each slot has one bit
+// saying whether it was written since the last reset, kept in a StampSet,
+// and a slot whose bit is clear reads as the default value. The values
+// are allocated without zero-fill and read only under a set bit, so a
+// trial touches only the value pages it writes, and reset() clears the
+// ceil(n/64) bit words of the new size instead of n values. That is what
+// lets a trial arena hand the same buffers to thousands of consecutive
+// simulation trials with no per-trial allocation.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "support/assert.hpp"
+#include "support/stamp_set.hpp"
 
 namespace rumor {
 
@@ -22,41 +25,32 @@ class EpochArray {
  public:
   EpochArray() = default;
 
-  // Re-targets the array to `n` slots all reading `default_value`. O(1)
-  // when capacity suffices (the steady-state trial path); grows otherwise.
+  // Re-targets the array to `n` slots all reading `default_value`. Clears
+  // ceil(n/64) words when capacity suffices (the steady-state trial path);
+  // grows otherwise.
   void reset(std::size_t n, T default_value) {
     default_ = default_value;
-    if (n > stamps_.size()) {
-      stamps_.assign(n, 0);
-      values_.resize(n);
-      epoch_ = 1;
-    } else {
-      ++epoch_;
-      if (epoch_ == 0) {  // wrapped after 2^32 resets: hard clear, amortized free
-        std::fill(stamps_.begin(), stamps_.end(), std::uint32_t{0});
-        epoch_ = 1;
-      }
+    written_.reset(n);
+    if (n > capacity_) {
+      values_ = std::make_unique_for_overwrite<T[]>(n);
+      capacity_ = n;
     }
-    size_ = n;
   }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t size() const { return written_.size(); }
   [[nodiscard]] T default_value() const { return default_; }
 
   [[nodiscard]] T get(std::size_t i) const {
-    RUMOR_CHECK(i < size_);
-    return stamps_[i] == epoch_ ? values_[i] : default_;
+    return written_.contains(i) ? values_[i] : default_;
   }
 
   // True iff the slot was written since the last reset.
   [[nodiscard]] bool touched(std::size_t i) const {
-    RUMOR_CHECK(i < size_);
-    return stamps_[i] == epoch_;
+    return written_.contains(i);
   }
 
   void set(std::size_t i, T value) {
-    RUMOR_CHECK(i < size_);
-    stamps_[i] = epoch_;
+    written_.insert(i);
     values_[i] = value;
   }
 
@@ -70,89 +64,90 @@ class EpochArray {
   // Hints the cache lines behind slot i into cache ahead of a get() —
   // for pointer-chasing consumers (push's wake calendar) whose next slot
   // is known one iteration early.
-  void prefetch(std::size_t i) const {
-    __builtin_prefetch(stamps_.data() + i, /*rw=*/0, /*locality=*/3);
-    __builtin_prefetch(values_.data() + i, /*rw=*/0, /*locality=*/3);
-  }
+  void prefetch(std::size_t i) const { view().prefetch(i); }
 
-  // Raw-pointer read view for hot loops: hoists the array/epoch
-  // indirections out of per-element reads. Reads made through a view
-  // observe set()/add() writes (the buffers are stable for the life of a
-  // trial); the view dangles after the next reset() that grows the array.
+  // Raw-pointer read view for hot loops: hoists the array indirections out
+  // of per-element reads. Reads made through a view observe set()/add()
+  // writes (the buffers are stable for the life of a trial); the view
+  // dangles after the next reset() that grows the array.
   struct View {
-    const std::uint32_t* stamps;
+    const std::uint64_t* words;
     const T* values;
-    std::uint32_t epoch;
     T def;
 
     [[nodiscard]] T get(std::size_t i) const {
-      return stamps[i] == epoch ? values[i] : def;
+      return touched(i) ? values[i] : def;
     }
     [[nodiscard]] bool touched(std::size_t i) const {
-      return stamps[i] == epoch;
+      return slot_bits::test(words, i);
     }
     void prefetch(std::size_t i) const {
-      __builtin_prefetch(stamps + i, /*rw=*/0, /*locality=*/3);
+      slot_bits::prefetch(words, i);
       __builtin_prefetch(values + i, /*rw=*/0, /*locality=*/3);
     }
-    // The stamp alone, for a consumer that reads the value only of the
-    // few slots whose stamp is current (touched() first).
+    // The bit alone, for a consumer that reads the value only of the few
+    // slots whose bit is set (touched() first).
     void prefetch_stamp(std::size_t i) const {
-      __builtin_prefetch(stamps + i, /*rw=*/0, /*locality=*/3);
+      slot_bits::prefetch(words, i);
     }
   };
 
   [[nodiscard]] View view() const {
-    return View{stamps_.data(), values_.data(), epoch_, default_};
+    return View{written_.words(), values_.get(), default_};
   }
 
-  // Concurrent write view for parallel passes: any number of threads may
-  // claim the same slot, and exactly one of them wins it (and writes its
-  // value) per epoch. A claim loads the stamp before it writes, so a slot
-  // that millions of callers claim costs one contended write. Inside the
-  // pass, read stamps through claimed() only; values and the plain
-  // accessors are safe again once the pass has joined.
+  // Concurrent write view for parallel passes. Since 64 slots share a bit
+  // word, every write inside a pass goes through it, owned slot or not:
+  // claim() lets any number of threads claim the same slot, and exactly
+  // one of them wins it (and writes its value) per reset; set() and add()
+  // write a slot that only the calling thread writes in this pass. Inside
+  // the pass, read bits through claimed() only, and values only of slots
+  // the calling thread owns; the plain accessors are safe again once the
+  // pass has joined.
   struct Claims {
-    std::uint32_t* stamps;
+    std::uint64_t* words;
     T* values;
-    std::uint32_t epoch;
+    T def;
 
     [[nodiscard]] bool claimed(std::size_t i) const {
-      return std::atomic_ref<std::uint32_t>(stamps[i]).load(
-                 std::memory_order_relaxed) == epoch;
+      return slot_bits::test_shared(words, i);
     }
-    // Hints slot i's stamp into cache ahead of a claimed()/claim().
+    // Hints slot i's bit into cache ahead of a claimed()/claim().
     void prefetch_stamp(std::size_t i) const {
-      __builtin_prefetch(stamps + i, /*rw=*/0, /*locality=*/3);
+      slot_bits::prefetch(words, i);
     }
-    // True for the one caller that moved slot i into this epoch.
+    // True for the one caller that moved slot i into this reset's writes.
     bool claim(std::size_t i, T value) const {
-      std::atomic_ref<std::uint32_t> stamp(stamps[i]);
-      if (stamp.load(std::memory_order_relaxed) == epoch) return false;
-      if (stamp.exchange(epoch, std::memory_order_relaxed) == epoch) {
-        return false;
-      }
+      if (!slot_bits::claim(words, i)) return false;
       values[i] = value;
       return true;
+    }
+    void set(std::size_t i, T value) const {
+      values[i] = value;
+      slot_bits::claim(words, i);
+    }
+    T add(std::size_t i, T delta) const {
+      const T updated = (claimed(i) ? values[i] : def) + delta;
+      set(i, updated);
+      return updated;
     }
   };
 
   [[nodiscard]] Claims claims() {
-    return Claims{stamps_.data(), values_.data(), epoch_};
+    return Claims{written_.words(), values_.get(), default_};
   }
 
   // Materializes the logical contents (allocates; trace-export only).
   [[nodiscard]] std::vector<T> to_vector() const {
-    std::vector<T> out(size_);
-    for (std::size_t i = 0; i < size_; ++i) out[i] = get(i);
+    std::vector<T> out(size());
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = get(i);
     return out;
   }
 
  private:
-  std::vector<std::uint32_t> stamps_;  // capacity; logical size is size_
-  std::vector<T> values_;
-  std::size_t size_ = 0;
-  std::uint32_t epoch_ = 1;
+  StampSet written_;              // one bit per slot; logical size
+  std::unique_ptr<T[]> values_;   // capacity_ slots, never zero-filled
+  std::size_t capacity_ = 0;
   T default_{};
 };
 

@@ -176,8 +176,6 @@ void ThreadPool::parallel_for_indexed(
   done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
-bool ThreadPool::on_worker_thread() const { return tl_pool == this; }
-
 void ThreadPool::parallel_for_ranges_impl(std::size_t count,
                                           std::size_t shards, RangeFn fn,
                                           void* ctx) {

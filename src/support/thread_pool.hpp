@@ -58,13 +58,6 @@ class ThreadPool {
       const std::function<void(std::size_t, std::size_t)>& fn,
       std::size_t chunk = 0);
 
-  // True when the calling thread is one of THIS pool's workers. A nested
-  // parallel_for* from a worker flattens to a serial inline run instead of
-  // queueing (queue-and-block from inside the pool is a deadlock: with every
-  // worker blocked in a nested call there is nobody left to drain the
-  // queue).
-  [[nodiscard]] bool on_worker_thread() const;
-
   // Range-partitioned variant for sharded round kernels: splits [0, count)
   // into exactly min(shards, count) balanced contiguous ranges and runs
   // fn(shard, begin, end) for each, blocking until all complete. Range

@@ -4,9 +4,10 @@
 // inform rounds, per-vertex counters, agent orderings, frontier lists.
 // Allocating and zeroing that state per trial dominates wall-clock once a
 // single round is cheap, so the trial runner keeps one arena per worker
-// thread and hands it to every trial that worker executes. Epoch-stamped
-// members reset in O(1); plain vectors are clear()ed, which keeps their
-// capacity, so a steady-state trial performs zero heap allocations.
+// thread and hands it to every trial that worker executes. Bit-stamped
+// members (EpochArray, StampSet) reset by clearing one bit per slot;
+// plain vectors are clear()ed, which keeps their capacity, so a
+// steady-state trial performs zero heap allocations.
 //
 // An arena serves one trial at a time (each worker owns one); simulators
 // that are constructed without an arena fall back to a privately owned one,
@@ -60,7 +61,7 @@ struct TrialArena {
   // Per-agent liveness for the dynamic-agent simulator (default = alive).
   EpochArray<std::uint8_t> agent_alive;
 
-  // Agent-order permutation and its inverse, epoch-reset to the identity:
+  // Agent-order permutation and its inverse, reset to the identity:
   // an untouched slot reads as the sentinel default and is interpreted as
   // "order[i] == i" by the owning simulator.
   EpochArray<std::uint32_t> agent_order;

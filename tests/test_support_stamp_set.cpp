@@ -34,5 +34,21 @@ TEST(StampSet, ManyEpochsStayCorrect) {
   }
 }
 
+// advance() clears only the words of the logical size: a set shrunk after
+// a large one must read as empty over its new range, and again once it
+// regrows over the words the shrink left alone.
+TEST(StampSet, SmallSizeAfterLargeReadsEmpty) {
+  StampSet s(1000);
+  for (std::size_t i = 0; i < 1000; i += 7) s.insert(i);
+  s.reset(100);
+  EXPECT_EQ(s.size(), 100u);
+  for (std::size_t i = 0; i < 100; ++i) EXPECT_FALSE(s.contains(i)) << i;
+  s.insert(99);
+  s.advance();
+  EXPECT_FALSE(s.contains(99));
+  s.reset(1000);
+  for (std::size_t i = 0; i < 1000; ++i) EXPECT_FALSE(s.contains(i)) << i;
+}
+
 }  // namespace
 }  // namespace rumor

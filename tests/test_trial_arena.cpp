@@ -1,4 +1,5 @@
-// TrialArena engine tests: EpochArray semantics, arena-vs-owned result
+// TrialArena engine tests: EpochArray semantics (bit words shared across
+// parallel ranges included), arena-vs-owned result
 // equivalence, arena reuse across run_trials invocations, and the
 // instrumented-allocator proof that steady-state trials perform zero heap
 // allocations.
@@ -19,6 +20,7 @@
 #include "experiments/trials.hpp"
 #include "graph/generators.hpp"
 #include "support/epoch_array.hpp"
+#include "support/stamp_set.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trial_arena.hpp"
 
@@ -129,6 +131,95 @@ TEST(EpochArray, ToVectorMaterializesDefaults) {
   arr.set(1, 4);
   const std::vector<std::uint32_t> v = arr.to_vector();
   EXPECT_EQ(v, (std::vector<std::uint32_t>{8, 4, 8}));
+}
+
+TEST(EpochArray, RegrowWithinCapacityForgetsStaleBits) {
+  EpochArray<std::uint32_t> arr;
+  arr.reset(200, 0);
+  arr.set(150, 4);
+  arr.reset(100, 0);  // shrink: slot 150's word is past the new size
+  arr.reset(200, 1);  // regrow within capacity
+  EXPECT_FALSE(arr.touched(150));
+  EXPECT_EQ(arr.get(150), 1u);
+  // A slot in the last, partial word of the size is cleared too.
+  arr.set(199, 5);
+  arr.reset(200, 1);
+  EXPECT_FALSE(arr.touched(199));
+}
+
+// 64 slots share a bit word, and ranges of widths 3, 7 and 64 over 1,000
+// slots split words between threads: every write made inside a parallel
+// pass (Claims::set, add and claim) must keep its neighbours' bits, and a
+// slot claimed from several ranges must have exactly one winner.
+TEST(EpochArray, ClaimsShareBitWordsAcrossRanges) {
+  constexpr std::size_t kSlots = 1000;
+  constexpr std::size_t kClaimers = 3;  // claims of each slot per pass
+  ThreadPool pool(4);
+  for (const std::size_t width : {3u, 7u, 64u}) {
+    SCOPED_TRACE(width);
+    EpochArray<std::uint32_t> arr;
+    arr.reset(kSlots, 9);
+    auto claims = arr.claims();
+    pool.parallel_for_ranges(
+        kSlots, width, [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            claims.set(i, static_cast<std::uint32_t>(3 * i));
+          }
+        });
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      ASSERT_TRUE(arr.touched(i));
+      ASSERT_EQ(arr.get(i), 3 * i);
+    }
+
+    arr.reset(kSlots, 9);
+    claims = arr.claims();
+    pool.parallel_for_ranges(
+        kSlots, width, [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            claims.add(i, static_cast<std::uint32_t>(i));
+            claims.add(i, 1);
+          }
+        });
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      ASSERT_TRUE(arr.touched(i));
+      ASSERT_EQ(arr.get(i), 9 + i + 1);
+    }
+
+    // Pass slot k claims slot k % kSlots with value k, so every slot is
+    // claimed kClaimers times, from ranges that differ for any width > 1.
+    arr.reset(kSlots, 0);
+    claims = arr.claims();
+    std::vector<std::atomic<std::uint32_t>> wins(kSlots);
+    std::vector<std::atomic<std::uint32_t>> winner(kSlots);
+    pool.parallel_for_ranges(
+        kSlots * kClaimers, width,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t k = begin; k < end; ++k) {
+            const std::size_t i = k % kSlots;
+            if (claims.claim(i, static_cast<std::uint32_t>(k))) {
+              wins[i].fetch_add(1);
+              winner[i].store(static_cast<std::uint32_t>(k));
+            }
+          }
+        });
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      ASSERT_EQ(wins[i].load(), 1u) << i;
+      ASSERT_TRUE(arr.touched(i));
+      ASSERT_EQ(arr.get(i), winner[i].load());
+    }
+
+    StampSet set(kSlots);
+    pool.parallel_for_ranges(
+        kSlots * kClaimers, width,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t k = begin; k < end; ++k) {
+            if (k % kSlots % 3 != 0) set.claim(k % kSlots);
+          }
+        });
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      ASSERT_EQ(set.contains(i), i % 3 != 0) << i;
+    }
+  }
 }
 
 TEST(StampSetReset, ReusesAndEmpties) {
