@@ -5,8 +5,12 @@
 // engine: BM_WalkKernel{Scalar,Batched} measure steps/sec for the checked
 // scalar baseline vs. the batched unchecked kernel at n ∈ {2^14, 2^18,
 // 2^22} (degree-16 circulant: the pow2 fast path) plus a non-pow2 pair
-// (degree-12) isolating the generic Lemire path. Trajectories are
-// bit-identical across engines, so the comparison is pure overhead.
+// (degree-12) isolating the generic Lemire path, and
+// BM_WalkKernel{Scalar,Batched}Clique on heavy_binary_tree(2047), n
+// stationary walkers nearly all in the 1,024-member leaf clique: the
+// irregular draw-ahead loop on rows far wider than a cache line.
+// Trajectories are bit-identical across engines, so the comparison is
+// pure overhead.
 //
 // The binary always writes a machine-readable BENCH_micro.json (into
 // RUMOR_RESULTS_DIR if set, else the working directory) unless the caller
@@ -38,6 +42,20 @@ using namespace rumor;
 
 // ---- Walk-kernel series ----------------------------------------------
 
+// One step_walks pass over `positions` per iteration, reported as steps/s.
+void time_walk_steps(benchmark::State& state, const Graph& g,
+                     std::span<Vertex> positions, Rng& rng, Laziness lazy,
+                     StepEngine engine) {
+  for (auto _ : state) {
+    step_walks(g, positions, rng, lazy, engine);
+  }
+  const auto steps = static_cast<double>(state.iterations()) *
+                     static_cast<double>(positions.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+  state.counters["steps_per_sec"] =
+      benchmark::Counter(steps, benchmark::Counter::kIsRate);
+}
+
 void walk_kernel_bench(benchmark::State& state, std::uint32_t half_degree,
                        Laziness lazy, StepEngine engine) {
   const auto n = static_cast<Vertex>(state.range(0));
@@ -45,12 +63,7 @@ void walk_kernel_bench(benchmark::State& state, std::uint32_t half_degree,
   Rng rng(1);
   std::vector<Vertex> positions(n);
   for (Vertex v = 0; v < n; ++v) positions[v] = v;
-  for (auto _ : state) {
-    step_walks(g, positions, rng, lazy, engine);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["steps_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * n, benchmark::Counter::kIsRate);
+  time_walk_steps(state, g, positions, rng, lazy, engine);
 }
 
 void BM_WalkKernelScalar(benchmark::State& state) {
@@ -82,6 +95,28 @@ void BM_WalkKernelBatchedLazy(benchmark::State& state) {
   walk_kernel_bench(state, 8, Laziness::half, StepEngine::batched);
 }
 BENCHMARK(BM_WalkKernelBatchedLazy)->Arg(1 << 14)->Arg(1 << 18);
+
+// Heavy binary tree: the irregular CSR loop. One step per walker, n
+// walkers placed from the stationary distribution (so nearly all start in
+// the leaf clique, as in the paper's heavy-tree trials).
+void walk_kernel_clique_bench(benchmark::State& state, StepEngine engine) {
+  const auto n = static_cast<Vertex>(state.range(0));
+  const Graph g = gen::heavy_binary_tree(n);
+  Rng rng(1);
+  AgentSystem agents(g, n, Placement::stationary, rng);
+  time_walk_steps(state, g, agents.positions_mut(), rng, Laziness::none,
+                  engine);
+}
+
+void BM_WalkKernelScalarClique(benchmark::State& state) {
+  walk_kernel_clique_bench(state, StepEngine::scalar_checked);
+}
+BENCHMARK(BM_WalkKernelScalarClique)->Arg(2047);
+
+void BM_WalkKernelBatchedClique(benchmark::State& state) {
+  walk_kernel_clique_bench(state, StepEngine::batched);
+}
+BENCHMARK(BM_WalkKernelBatchedClique)->Arg(2047);
 
 // ---- Width-1 sharded vs serial walk step ------------------------------
 //

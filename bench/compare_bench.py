@@ -9,7 +9,10 @@ the scalar-checked benchmark of the same variant and size from the SAME run,
 and fails if that speedup regressed by more than the threshold against the
 baseline's speedup. A change that slows the batched kernel (or "speeds up"
 the scalar baseline by miscompiling it) shows up in this ratio on any
-machine.
+machine. The circulant pairs reach the kernel's regular loops;
+BM_WalkKernel{Batched,Scalar}Clique (n stationary walkers on
+heavy_binary_tree(2047)) is the pair that reaches its irregular
+draw-ahead loop.
 
 Pass --absolute to additionally compare raw steps/sec per benchmark — only
 meaningful when fresh and baseline JSON come from the same machine (e.g.
@@ -73,7 +76,7 @@ def load_rates(path):
 # substitution. Ratios are machine-independent, which is what makes the
 # gate portable:
 #   Batched/Scalar          — the walk-kernel speedup contract
-#                             (docs/perf.md)
+#                             (docs/perf.md), Clique pair included
 #   Registry/Direct         — run_protocol dispatch overhead (~1.0; a
 #                             per-trial allocation or lookup regression
 #                             shows up here)

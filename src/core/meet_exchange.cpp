@@ -82,20 +82,27 @@ void MeetExchangeProcess::step_impl() {
   // Mark the vertices occupied by agents that were informed before this
   // round; exchanges only flow from those agents (paper: "exactly one of
   // them was informed in a previous round"). Stifled agents and agents on
-  // quarantined vertices mark nothing — they no longer share.
+  // quarantined vertices mark nothing — they no longer share. Positions
+  // and mark words are read through pointers hoisted out of both loops.
   const std::size_t count = agents_.count();
   const std::size_t informed_at_start = informed_agent_count_;
-  arena_->vertex_marks.advance();
+  const Vertex* pos = agents_.positions().data();
+  auto& marks = arena_->vertex_marks;
+  const std::size_t n = marks.size();
+  marks.advance();
+  std::uint64_t* mark_words = marks.words();
   for (std::size_t idx = 0; idx < informed_at_start; ++idx) {
     const Agent a = order_.at(idx);
-    const Vertex v = agents_.position(a);
+    RUMOR_CHECK(a < count);
+    const Vertex v = pos[a];
+    RUMOR_CHECK(v < n);
     if constexpr (kGeneral) {
       if (!model_.can_transmit<Mode>(arena_->agent_inform_round.get(a), v,
                                      round_)) {
         continue;
       }
     }
-    arena_->vertex_marks.insert(v);
+    slot_bits::set(mark_words, v);
   }
 
   // Uninformed agents learn from meetings, or from the still-active source
@@ -103,8 +110,10 @@ void MeetExchangeProcess::step_impl() {
   bool source_met = false;
   for (std::size_t idx = informed_at_start; idx < count; ++idx) {
     const Agent a = order_.at(idx);
-    const Vertex v = agents_.position(a);
-    if (arena_->vertex_marks.contains(v)) {
+    RUMOR_CHECK(a < count);
+    const Vertex v = pos[a];
+    RUMOR_CHECK(v < n);
+    if (slot_bits::test(mark_words, v)) {
       if constexpr (kGeneral) {
         if (!model_.attempt<Mode>(v, v)) continue;
       }

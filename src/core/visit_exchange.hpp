@@ -43,19 +43,25 @@ class VisitExchangeAgents {
   // vertex it stands on through inform_vertex(v), unless that vertex is
   // informed already. Stifled agents and quarantined vertices are
   // excepted, and the success draw fires only for state-changing
-  // deliveries.
+  // deliveries. Positions and inform rounds are read through pointers
+  // hoisted out of the loop; inform_vertex(v) writes the same buffers.
   template <class Mode, class InformVertex>
   void inform_vertices(TransmissionModel& model, Round round,
                        InformVertex&& inform_vertex) const {
-    const auto& informed = arena_->vertex_inform_round;
+    const auto informed = arena_->vertex_inform_round.view();
+    const auto agent_round = arena_->agent_inform_round.view();
+    const std::size_t n = arena_->vertex_inform_round.size();
+    const std::size_t count = agents_->count();
+    const Vertex* pos = agents_->positions().data();
     const std::size_t end = informed_;
     for (std::size_t idx = 0; idx < end; ++idx) {
       const Agent a = order_.at(idx);
-      const Vertex v = agents_->position(a);
+      RUMOR_CHECK(a < count);
+      const Vertex v = pos[a];
+      RUMOR_CHECK(v < n);
       if (informed.touched(v)) continue;
       if constexpr (std::is_same_v<Mode, transmission::General>) {
-        if (!model.can_transmit<Mode>(arena_->agent_inform_round.get(a), v,
-                                      round) ||
+        if (!model.can_transmit<Mode>(agent_round.get(a), v, round) ||
             !model.attempt<Mode>(v, v)) {
           continue;
         }
@@ -69,12 +75,16 @@ class VisitExchangeAgents {
   // vertex has stifled or is quarantined. Returns how many were informed.
   template <class Mode>
   std::size_t catch_agents(TransmissionModel& model, Round round) {
-    const auto& informed = arena_->vertex_inform_round;
+    const auto informed = arena_->vertex_inform_round.view();
+    const std::size_t n = arena_->vertex_inform_round.size();
     const std::size_t before = informed_;
     const std::size_t count = agents_->count();
+    const Vertex* pos = agents_->positions().data();
     for (std::size_t idx = before; idx < count; ++idx) {
       const Agent a = order_.at(idx);
-      const Vertex v = agents_->position(a);
+      RUMOR_CHECK(a < count);
+      const Vertex v = pos[a];
+      RUMOR_CHECK(v < n);
       if (!informed.touched(v)) continue;
       if constexpr (std::is_same_v<Mode, transmission::General>) {
         if (!model.can_transmit<Mode>(informed.get(v), v, round) ||

@@ -35,6 +35,10 @@ namespace slot_bits {
 [[nodiscard]] inline bool test(const std::uint64_t* words, std::size_t i) {
   return (words[i / 64] & mask(i)) != 0;
 }
+// Sets bit i from serial code (inside a parallel pass, use claim()).
+inline void set(std::uint64_t* words, std::size_t i) {
+  words[i / 64] |= mask(i);
+}
 // test() inside a parallel pass whose other threads may set bits of the
 // same word.
 [[nodiscard]] inline bool test_shared(std::uint64_t* words, std::size_t i) {
@@ -85,7 +89,7 @@ class StampSet {
 
   void insert(std::size_t i) {
     RUMOR_CHECK(i < size_);
-    words_[i / 64] |= slot_bits::mask(i);
+    slot_bits::set(words_.get(), i);
   }
 
   // insert() for parallel passes (slot_bits::claim). Read the set with

@@ -150,7 +150,9 @@ class ArenaHandle {
 // the identity-default sentinel (an untouched slot i reads as "order[i] ==
 // i"). Shared by the simulators that maintain an informed-prefix partition
 // (the serial engines of visit-exchange, meet-exchange and hybrid, and the
-// frog model).
+// frog model). Reads go through EpochArray views cached at reset(), so the
+// agent passes' per-agent at() costs two loads, not a walk through the
+// arena; swap() writes through the arrays, which the views observe.
 class AgentOrderView {
  public:
   // Re-targets both arrays to the identity permutation over [0, count).
@@ -159,15 +161,20 @@ class AgentOrderView {
     inverse_ = &arena.order_index_of;
     order_->reset(count, kIdentitySlot);
     inverse_->reset(count, kIdentitySlot);
+    order_view_ = order_->view();
+    inverse_view_ = inverse_->view();
+    count_ = count;
   }
 
   [[nodiscard]] std::uint32_t at(std::size_t idx) const {
-    const std::uint32_t raw = order_->get(idx);
+    RUMOR_CHECK(idx < count_);
+    const std::uint32_t raw = order_view_.get(idx);
     return raw == kIdentitySlot ? static_cast<std::uint32_t>(idx) : raw;
   }
 
   [[nodiscard]] std::uint32_t index_of(std::uint32_t element) const {
-    const std::uint32_t raw = inverse_->get(element);
+    RUMOR_CHECK(element < count_);
+    const std::uint32_t raw = inverse_view_.get(element);
     return raw == kIdentitySlot ? element : raw;
   }
 
@@ -186,6 +193,9 @@ class AgentOrderView {
 
   EpochArray<std::uint32_t>* order_ = nullptr;
   EpochArray<std::uint32_t>* inverse_ = nullptr;
+  EpochArray<std::uint32_t>::View order_view_{};
+  EpochArray<std::uint32_t>::View inverse_view_{};
+  std::size_t count_ = 0;
 };
 
 }  // namespace rumor

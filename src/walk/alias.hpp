@@ -22,6 +22,13 @@ class AliasSampler {
 
   [[nodiscard]] std::size_t size() const { return prob_.size(); }
 
+  // The table: column i is kept with probability prob()[i], else it
+  // yields alias()[i].
+  [[nodiscard]] std::span<const double> prob() const { return prob_; }
+  [[nodiscard]] std::span<const std::uint32_t> alias() const {
+    return alias_;
+  }
+
  private:
   std::vector<double> prob_;        // acceptance probability per column
   std::vector<std::uint32_t> alias_;  // fallback index per column

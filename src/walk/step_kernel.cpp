@@ -10,14 +10,17 @@ namespace rumor {
 
 namespace {
 
-// Two-stage prefetch pipeline for the irregular path: the offsets entry is
-// prefetched kOffsetsAhead agents early; by the time the pipeline reaches
-// kRowAhead it can *read* that (now cached) offset and prefetch the
-// neighbor row itself, still far enough ahead to cover the cache-miss
-// latency of the row. A degree-16 row of uint32 is one cache line, so one
-// prefetch covers every slot the draw can pick.
+// Prefetch pipelines for the irregular path. Both prefetch the offsets
+// entry kOffsetsAhead agents early. The lazy loop then reads that (now
+// cached) offset kRowAhead agents early and prefetches the first line of
+// the neighbor row. The non-lazy loop draws each agent's slot kDrawAhead
+// agents before it stores the new position and prefetches the drawn
+// entry itself: a clique member's row spans 512-1,024 entries (2-4 KB),
+// so the row's first line almost never holds the neighbor it picks.
 constexpr std::size_t kOffsetsAhead = 16;
 constexpr std::size_t kRowAhead = 4;
+// 16 read no faster than 8 on the heavy and Siamese trees.
+constexpr std::size_t kDrawAhead = 8;
 // Regular graphs need no offsets stage (row base = v * degree), so the row
 // prefetch can run deeper.
 constexpr std::size_t kRegularRowAhead = 32;
@@ -55,10 +58,47 @@ void step_scalar(const Graph& g, std::span<Vertex> positions, Rng& rng) {
   }
 }
 
-// Batched engine, irregular degrees: unchecked CSR, two-stage prefetch
-// pipeline, Lemire slot draw (identical to Rng::below).
-template <bool kLazy>
+// Batched engine, irregular degrees, non-lazy walks: a draw-ahead
+// pipeline. Agent j's slot is drawn kDrawAhead agents before its new
+// position is stored, and the drawn entry is prefetched in between. Slots
+// are still drawn in ascending agent order, and agent j's draw reads only
+// its own (not yet overwritten) position, so every agent reads the same
+// xoshiro words as the scalar loop, rejections included. `ring` holds
+// the drawn entries of the kDrawAhead agents in flight; agent i's entry
+// is read before agent i + kDrawAhead's draw takes its slot.
 void step_batched(const CsrView csr, std::span<Vertex> positions, Rng& rng) {
+  const std::size_t count = positions.size();
+  Vertex* pos = positions.data();
+  std::uint32_t ring[kDrawAhead];
+  auto draw = [&](std::size_t j) {
+    if (j + kOffsetsAhead < count) {
+      prefetch(&csr.offsets[pos[j + kOffsetsAhead]]);
+    }
+    const Vertex v = pos[j];
+    const std::uint32_t off = csr.offsets[v];
+    const std::uint32_t entry =
+        off + word_below(rng, csr.offsets[v + 1] - off);
+    prefetch(&csr.neighbors[entry]);
+    ring[j % kDrawAhead] = entry;
+  };
+  const std::size_t head = count < kDrawAhead ? count : kDrawAhead;
+  for (std::size_t j = 0; j < head; ++j) draw(j);
+  const std::size_t main_end = count - head;
+  std::size_t i = 0;
+  for (; i < main_end; ++i) {
+    pos[i] = csr.neighbors[ring[i % kDrawAhead]];
+    draw(i + kDrawAhead);
+  }
+  for (; i < count; ++i) pos[i] = csr.neighbors[ring[i % kDrawAhead]];
+}
+
+// Batched engine, irregular degrees, lazy walks: two-stage prefetch of the
+// offsets entry and the row's first line, fused coin-and-slot draw. A
+// draw-ahead ring would branch on the unpredictable stay coin twice per
+// walker, at the draw and at the store; it read 53-74% slower on the
+// double star and the cycle of stars of cliques.
+void step_batched_lazy(const CsrView csr, std::span<Vertex> positions,
+                       Rng& rng) {
   const std::size_t count = positions.size();
   Vertex* pos = positions.data();
   for (std::size_t i = 0; i < count; ++i) {
@@ -74,11 +114,7 @@ void step_batched(const CsrView csr, std::span<Vertex> positions, Rng& rng) {
     const std::uint32_t off = csr.offsets[v];
     const std::uint32_t deg = csr.offsets[v + 1] - off;
     std::uint32_t slot;
-    if constexpr (kLazy) {
-      if (!fused_lazy_slot(rng, deg, slot)) continue;
-    } else {
-      slot = word_below(rng, deg);
-    }
+    if (!fused_lazy_slot(rng, deg, slot)) continue;
     pos[i] = csr.neighbors[off + slot];
   }
 }
@@ -202,7 +238,7 @@ void step_implicit(const ImplicitDesc& d, std::span<Vertex> positions,
 // Structure-based batched dispatch: the implicit backend takes the
 // arithmetic loop, regular power-of-two degrees take the shift path,
 // regular degrees skip the offsets stream, everything else runs the
-// two-stage prefetch pipeline.
+// draw-ahead pipeline (lazy walks: the two-stage prefetch loop).
 template <bool kLazy>
 void dispatch_batched(const Graph& g, std::span<Vertex> positions, Rng& rng) {
   if (g.is_implicit()) {
@@ -212,8 +248,10 @@ void dispatch_batched(const Graph& g, std::span<Vertex> positions, Rng& rng) {
                                      rng);
   } else if (g.is_regular()) {
     step_batched_regular<kLazy>(g.csr(), g.min_degree(), positions, rng);
+  } else if constexpr (kLazy) {
+    step_batched_lazy(g.csr(), positions, rng);
   } else {
-    step_batched<kLazy>(g.csr(), positions, rng);
+    step_batched(g.csr(), positions, rng);
   }
 }
 

@@ -6,9 +6,10 @@
 //
 //  * uses the unchecked CSR accessors — argument validity is the caller's
 //    invariant, established once at the process boundary;
-//  * software-prefetches the CSR offset and neighbor-row cache lines of
-//    upcoming agents, hiding the random-access latency that dominates at
-//    large n;
+//  * software-prefetches the CSR offsets of upcoming agents and the
+//    neighbor entries they draw (draws run a few agents ahead of the
+//    position stores, in the same order), hiding the random-access
+//    latency that dominates at large n and on wide rows;
 //  * fuses the laziness coin and the neighbor slot into one RNG draw (bit
 //    63 is the coin; the low 63 bits drive an unbiased Lemire rejection
 //    sampler for the slot);

@@ -22,28 +22,54 @@ std::vector<Graph> test_graphs() {
   graphs.push_back(gen::heavy_binary_tree(63)); // mixed degrees, non-pow2
   graphs.push_back(gen::random_regular(100, 5, rng));  // odd degree
   graphs.push_back(gen::star(33));              // extreme degree skew
+  // Wide rows (leaf cliques of 64-128 members, hubs of 300 leaves), where
+  // a walker's drawn neighbor lies far past its row's first cache line,
+  // and the Fig 1(e) family.
+  graphs.push_back(gen::heavy_binary_tree(255));
+  graphs.push_back(gen::siamese_heavy_tree(127));
+  graphs.push_back(gen::double_star(300));
+  graphs.push_back(gen::cycle_stars_cliques(4));
   return graphs;
 }
 
+// Runs `rounds` steps of both engines from `start` and expects the same
+// positions and the same number of draws consumed.
+void expect_engines_agree(const Graph& g, Laziness lazy, std::uint64_t seed,
+                          const std::vector<Vertex>& start, int rounds) {
+  Rng rng_a(seed), rng_b(seed);
+  std::vector<Vertex> pos_a = start;
+  std::vector<Vertex> pos_b = start;
+  for (int round = 0; round < rounds; ++round) {
+    step_walks(g, pos_a, rng_a, lazy, StepEngine::batched);
+    step_walks(g, pos_b, rng_b, lazy, StepEngine::scalar_checked);
+  }
+  EXPECT_EQ(pos_a, pos_b) << "n=" << g.num_vertices()
+                          << " lazy=" << (lazy == Laziness::half)
+                          << " seed=" << seed << " agents=" << start.size();
+  EXPECT_EQ(rng_a(), rng_b());
+}
+
 // The two engines must produce bit-identical position arrays from the same
-// seed — the pow2 shift and the prefetched batched loop are pure
-// strength-reductions of the scalar checked path.
+// seed — the pow2 shift and the prefetched batched loops are pure
+// strength-reductions of the scalar checked path. Besides one agent per
+// vertex, every span of 1 to 40 agents from random starts runs, so the
+// draw-ahead pipeline's head, ring and tail (depth 8) are all compared,
+// at fewer agents than its depth too.
 TEST(StepKernel, EnginesProduceIdenticalTrajectories) {
   for (const Graph& g : test_graphs()) {
     for (Laziness lazy : {Laziness::none, Laziness::half}) {
       for (std::uint64_t seed = 0; seed < 5; ++seed) {
-        Rng rng_a(seed), rng_b(seed);
-        std::vector<Vertex> pos_a(g.num_vertices());
-        for (Vertex v = 0; v < g.num_vertices(); ++v) pos_a[v] = v;
-        std::vector<Vertex> pos_b = pos_a;
-        for (int round = 0; round < 20; ++round) {
-          step_walks(g, pos_a, rng_a, lazy, StepEngine::batched);
-          step_walks(g, pos_b, rng_b, lazy, StepEngine::scalar_checked);
+        std::vector<Vertex> start(g.num_vertices());
+        for (Vertex v = 0; v < g.num_vertices(); ++v) start[v] = v;
+        expect_engines_agree(g, lazy, seed, start, 20);
+      }
+      Rng start_rng(g.num_vertices());
+      for (std::size_t agents = 1; agents <= 40; ++agents) {
+        std::vector<Vertex> start(agents);
+        for (Vertex& p : start) {
+          p = static_cast<Vertex>(start_rng.below(g.num_vertices()));
         }
-        EXPECT_EQ(pos_a, pos_b) << "lazy=" << (lazy == Laziness::half)
-                                << " seed=" << seed;
-        // Engines must also have consumed the same number of draws.
-        EXPECT_EQ(rng_a(), rng_b());
+        expect_engines_agree(g, lazy, agents, start, 5);
       }
     }
   }

@@ -190,6 +190,29 @@ TEST(TransmissionEquivalence, HeterogeneousBatchedPathReproducesGoldenSamples) {
                         het_batched_golden_samples());
 }
 
+// ---- Serial walk engines on wide rows ----------------------------------
+//
+// The circulant above takes the walk kernel's pow2 loop. These pin the
+// serial engines of the three walk simulators on heavy_binary_tree(63),
+// whose 32-member leaf clique sends every non-lazy step through the
+// irregular draw-ahead loop; captured before that loop was pipelined.
+
+const std::vector<GoldenSamples>& serial_tree_golden_samples() {
+  static const std::vector<GoldenSamples> golden = {
+      {"visit-exchange",
+       {44, 44, 67, 51, 41, 36},
+       {35, 18, 17, 31, 28, 11}},
+      {"meet-exchange", {36, 26, 18, 38, 29, 16}, {36, 26, 18, 38, 29, 16}},
+      {"hybrid", {8, 8, 8, 8, 9, 8}, {8, 8, 8, 8, 9, 8}},
+  };
+  return golden;
+}
+
+TEST(TransmissionEquivalence, SerialWalksOnWideRowsReproduceGoldenSamples) {
+  expect_golden_samples(gen::heavy_binary_tree(63),
+                        serial_tree_golden_samples());
+}
+
 // ---- Sharded golden samples -------------------------------------------
 //
 // Every Sharded*.TrajectoryIndependentOfShardCount test compares a width
